@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
-from .finsler import FinslerMetric, OdePair, Rectangle, Spray
+from .finsler import FinslerMetric, Rectangle, Spray
 from .jets import EvaluationError, ScalarField, arctan, exp, jet_value, power, sqrt
 from .randers import (
     MetricField,
@@ -42,7 +42,6 @@ __all__ = [
     "METRIC_KEYS",
     "ODE_KEYS",
     "SPRAY_KEYS",
-    "SYMMETRY_PAIRS",
     "MetricEntry",
     "OdeEntry",
     "SprayEntry",
@@ -135,8 +134,6 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0, sign: float = 1.0) ->
             return ScalarField(3, f, name="D2")
 
         filt = None if integer_exp else (lambda x, y, z: z > 0.0)
-        pk = k + 0.01 * max(abs(k), 1.0)
-
         return OdeEntry(
             "D2",
             make(k),
@@ -255,10 +252,9 @@ class SprayEntry:
 
 def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
     if key == "flat":
-        zero = ScalarField(4, lambda x, y, u, v: 0.0)
         return SprayEntry(
             "flat",
-            Spray(zero, zero, Rectangle(-3.0, 3.0, -3.0, 3.0), "flat", pair_fn=lambda *a: (0.0, 0.0)),
+            Spray(lambda *a: (0.0, 0.0), Rectangle(-3.0, 3.0, -3.0, 3.0), "flat"),
             "u dx + v dy",
         )
     if key == "a":
@@ -268,13 +264,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
 
         return SprayEntry(
             "a",
-            Spray(
-                ScalarField(4, lambda *a: pair(*a)[0]),
-                ScalarField(4, lambda *a: pair(*a)[1]),
-                Rectangle(-2.5, 2.5, -1.5, 3.5),
-                "a",
-                pair_fn=pair,
-            ),
+            Spray(pair, Rectangle(-2.5, 2.5, -1.5, 3.5), "a"),
             "u dx + v dy - |xi| (v du - u dv)",
         )
     if key in ("bk+", "bk-"):
@@ -292,13 +282,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
         dom = Rectangle(-2.0, 2.0, -2.0, 2.0) if s > 0 else Rectangle(-0.68, 0.68, -0.68, 0.68)
         return SprayEntry(
             key,
-            Spray(
-                ScalarField(4, lambda *a: pair(*a)[0]),
-                ScalarField(4, lambda *a: pair(*a)[1]),
-                dom,
-                key,
-                pair_fn=pair,
-            ),
+            Spray(pair, dom, key),
             f"u dx + v dy - (k|xi| {'-' if s > 0 else '+'} 2(yu - xv))/(1 {'+' if s > 0 else '-'} (x^2+y^2)) (v du - u dv), k={k:g}",
             params={"k": k},
         )
@@ -311,13 +295,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
         dom = Rectangle(-math.log(2.0) + 1e-9, 2.0, -2.0, 2.0) if s > 0 else Rectangle(-2.0, 2.0, -2.0, 2.0)
         return SprayEntry(
             key,
-            Spray(
-                ScalarField(4, lambda *a: pair(*a)[0]),
-                ScalarField(4, lambda *a: pair(*a)[1]),
-                dom,
-                key,
-                pair_fn=pair,
-            ),
+            Spray(pair, dom, key),
             f"u dx + v dy - (3u^2 {'+' if s > 0 else '-'} exp(-2x) v^2)/2 du - uv dv",
             reversible=True,
         )
@@ -325,14 +303,6 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
 
 
 SPRAY_KEYS = ("flat", "a", "bk+", "bk-", "c+", "c-")
-
-
-def spray_expected_pair(key: str, k: float = 1.0) -> OdePair:
-    """Closed-form induced equations of a catalog spray (forward and backward)."""
-    entry = spray_entry(key, k)
-    from .finsler import induced_odes
-
-    return induced_odes(entry.spray)
 
 
 # --------------------------------------------------------------------------
@@ -581,6 +551,3 @@ def symmetry_pairs():
     pairs.append(("C2+", lie_case("C2+"), ode_entry("C2+")))
     pairs.append(("C2-", lie_case("C2-"), ode_entry("C2-")))
     return pairs
-
-
-SYMMETRY_PAIRS = tuple(p[0] for p in symmetry_pairs())

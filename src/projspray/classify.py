@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .finsler import Rectangle
-from .jets import EvaluationError, ScalarField, lift
+from .jets import EvaluationError, ScalarField, lift, power
 from .randers import MetricField
 
 __all__ = [
@@ -195,36 +195,23 @@ class ProjectiveConnectionCoeffs:
         )
 
 
-def liouville_candidate(g: MetricField) -> MetricField:
-    """The density-rescaled metric a = (det g)^{-2/3} g."""
+def _det_scaled(m: MetricField, p: float, name: str) -> MetricField:
+    """The matrix field (det m)^p m."""
 
     def entry(e):
-        def fn(x, y):
-            d = g.e11(x, y) * g.e22(x, y) - g.e12(x, y) * g.e12(x, y)
-            return d ** (-2.0 / 3.0) * e(x, y)
+        return ScalarField(2, lambda x, y: power(m.det(x, y), p) * e(x, y))
 
-        return ScalarField(2, fn)
+    return MetricField(entry(m.e11), entry(m.e12), entry(m.e22), m.domain, name=name)
 
-    return MetricField(
-        entry(g.e11),
-        entry(g.e12),
-        entry(g.e22),
-        g.domain,
-        name=f"a[{g.name}]" if g.name else "a",
-    )
+
+def liouville_candidate(g: MetricField) -> MetricField:
+    """The density-rescaled metric a = (det g)^{-2/3} g."""
+    return _det_scaled(g, -2.0 / 3.0, f"a[{g.name}]" if g.name else "a")
 
 
 def reconstruct_metric(a: MetricField) -> MetricField:
     """Inverse of :func:`liouville_candidate`: g = a / (det a)^2."""
-
-    def entry(e):
-        def fn(x, y):
-            d = a.e11(x, y) * a.e22(x, y) - a.e12(x, y) * a.e12(x, y)
-            return e(x, y) / (d * d)
-
-        return ScalarField(2, fn)
-
-    return MetricField(entry(a.e11), entry(a.e12), entry(a.e22), a.domain, name="g")
+    return _det_scaled(a, -2.0, "g")
 
 
 def liouville_residuals(

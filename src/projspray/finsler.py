@@ -1,15 +1,15 @@
 """Finsler metrics, their geodesic sprays, induced scalar equations, and
 projective-equivalence residuals.
 
-Coordinates are (x, y) on the base and (u, v) on the fibers.  Sprays are
-stored through their coefficient pair (G1, G2); the corresponding vector
-field on the slit tangent bundle is u*dx + v*dy - 2*G1*du - 2*G2*dv.
+Coordinates are (x, y) on the base and (u, v) on the fibers.  A spray is
+its pair function (x, y, u, v) -> (G1, G2); the corresponding vector field
+on the slit tangent bundle is u*dx + v*dy - 2*G1*du - 2*G2*dv.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,19 +90,19 @@ class FinslerMetric:
 
 @dataclass(frozen=True)
 class Spray:
-    """Coefficient pair of a spray, 2-homogeneous in the fiber variables."""
+    """A spray given by its pair function ``pair(x, y, u, v) -> (G1, G2)``.
 
-    G1: ScalarField  # arity 4
-    G2: ScalarField
+    Both coefficients are 2-homogeneous in the fiber variables and come from
+    one evaluation.  ``pair`` must accept jets, so that residuals can lift it.
+    """
+
+    pair: Callable
     domain: Rectangle
     name: str = ""
-    pair_fn: Callable | None = None
 
     def coefficients(self, x, y, u, v):
-        """Both coefficients in one evaluation (one pass for derived sprays)."""
-        if self.pair_fn is not None:
-            return self.pair_fn(x, y, u, v)
-        return self.G1(x, y, u, v), self.G2(x, y, u, v)
+        """The pair (G1, G2) at one point."""
+        return self.pair(x, y, u, v)
 
 
 @dataclass(frozen=True)
@@ -211,29 +211,22 @@ def geodesic_spray(metric: FinslerMetric) -> Spray:
         g2 = 0.25 * (inv[1][0] * term[0] + inv[1][1] * term[1])
         return g1, g2
 
-    return Spray(
-        G1=ScalarField(4, lambda x, y, u, v: pair(x, y, u, v)[0], name="G1"),
-        G2=ScalarField(4, lambda x, y, u, v: pair(x, y, u, v)[1], name="G2"),
-        domain=metric.domain,
-        name=f"geodesic({metric.name})" if metric.name else "geodesic",
-        pair_fn=pair,
-    )
+    return Spray(pair, metric.domain, name=f"geodesic({metric.name})" if metric.name else "geodesic")
 
 
 def induced_odes(spray: Spray) -> OdePair:
     """Scalar equations for the x-parametrizations of the spray's curves."""
 
-    def fplus(x, y, z):
-        g1, g2 = spray.coefficients(x, y, 1.0, z)
-        return 2.0 * g1 * z - 2.0 * g2
+    def branch(u):
+        def f(x, y, z):
+            g1, g2 = spray.coefficients(x, y, u, z if u > 0.0 else -z)
+            return 2.0 * g1 * z - 2.0 * g2
 
-    def fminus(x, y, z):
-        g1, g2 = spray.coefficients(x, y, -1.0, -z)
-        return 2.0 * g1 * z - 2.0 * g2
+        return f
 
     return OdePair(
-        fplus=ScalarField(3, fplus, name="f+"),
-        fminus=ScalarField(3, fminus, name="f-"),
+        fplus=ScalarField(3, branch(1.0), name="f+"),
+        fminus=ScalarField(3, branch(-1.0), name="f-"),
         name=spray.name,
     )
 
@@ -321,16 +314,15 @@ def smoothness_at_zero(
     at: Sequence[float],
     tol: float = 1e-5,
     steps=(1e-2, 1e-3),
-    component: str = "gplus",
 ) -> SmoothnessReport:
-    """Compare one-sided z-derivatives of a transposed equation up to order 2.
+    """Compare one-sided z-derivatives of ``transposed.gplus`` up to order 2.
 
     Each side is sampled at the two step sizes and Richardson-extrapolated
     to z = 0; orders whose one-sided limits disagree beyond ``tol`` are
     reported as mismatches.
     """
     x, y = at
-    g = getattr(transposed, component)
+    g = transposed.gplus
     h1, h2 = steps
     w = h1 / (h1 - h2)
 

@@ -198,32 +198,6 @@ class Jet2:
             h = _sym(len(g), lambda i, j: d1 * hh[i][j] + d2 * (g[i] * g[j]))
         return Jet2(f0, gg, h, self.level)
 
-    def sqrt(self):
-        return self.__pow__(0.5)
-
-    def exp(self):
-        f0 = exp(self.value)
-        return self._chain(f0, f0, f0)
-
-    def log(self):
-        if jet_value(self.value) <= 0.0:
-            raise EvaluationError("log of a non-positive value")
-        d1 = _recip_any(self.value)
-        return self._chain(log(self.value), d1, -(d1 * d1))
-
-    def sin(self):
-        s, c = sin(self.value), cos(self.value)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = sin(self.value), cos(self.value)
-        return self._chain(c, -s, -c)
-
-    def arctan(self):
-        v = self.value
-        w = _recip_any(1.0 + v * v)
-        return self._chain(arctan(v), w, -2.0 * (v * (w * w)))
-
     # -- comparisons look at the innermost value ------------------------
 
     def __lt__(self, other):
@@ -270,7 +244,7 @@ def power(x, p):
 
 def sqrt(x):
     if isinstance(x, Jet2):
-        return x.sqrt()
+        return x**0.5
     if x <= 0.0:
         raise EvaluationError(f"sqrt of non-positive value {x}")
     return math.sqrt(x)
@@ -278,28 +252,42 @@ def sqrt(x):
 
 def exp(x):
     if isinstance(x, Jet2):
-        return x.exp()
+        f0 = exp(x.value)
+        return x._chain(f0, f0, f0)
     return math.exp(x)
 
 
 def log(x):
     if isinstance(x, Jet2):
-        return x.log()
+        if jet_value(x.value) <= 0.0:
+            raise EvaluationError("log of a non-positive value")
+        d1 = _recip_any(x.value)
+        return x._chain(log(x.value), d1, -(d1 * d1))
     if x <= 0.0:
         raise EvaluationError(f"log of non-positive value {x}")
     return math.log(x)
 
 
 def sin(x):
-    return x.sin() if isinstance(x, Jet2) else math.sin(x)
+    if isinstance(x, Jet2):
+        s, c = sin(x.value), cos(x.value)
+        return x._chain(s, c, -s)
+    return math.sin(x)
 
 
 def cos(x):
-    return x.cos() if isinstance(x, Jet2) else math.cos(x)
+    if isinstance(x, Jet2):
+        s, c = sin(x.value), cos(x.value)
+        return x._chain(c, -s, -c)
+    return math.cos(x)
 
 
 def arctan(x):
-    return x.arctan() if isinstance(x, Jet2) else math.atan(x)
+    if isinstance(x, Jet2):
+        v = x.value
+        w = _recip_any(1.0 + v * v)
+        return x._chain(arctan(v), w, -2.0 * (v * (w * w)))
+    return math.atan(x)
 
 
 @dataclass(frozen=True)

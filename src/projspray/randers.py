@@ -84,13 +84,6 @@ class OneFormField:
     def at(self, x, y):
         return self.b1(x, y), self.b2(x, y)
 
-    def negated(self) -> "OneFormField":
-        return OneFormField(
-            ScalarField(2, lambda x, y, f=self.b1.fn: -f(x, y)),
-            ScalarField(2, lambda x, y, f=self.b2.fn: -f(x, y)),
-            name=f"-{self.name}" if self.name else "",
-        )
-
 
 @dataclass(frozen=True)
 class AreaForm:
@@ -246,30 +239,19 @@ def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
 
 
 def christoffel(alpha: MetricField, x: float, y: float) -> np.ndarray:
-    """Symbols Gamma[i][j][k] of the Levi-Civita connection at a point."""
-    jets = [lift(f, (x, y), order=1) for f in (alpha.e11, alpha.e12, alpha.e22)]
-    vals = {
-        (0, 0): jets[0].value,
-        (0, 1): jets[1].value,
-        (1, 1): jets[2].value,
-    }
-    d = np.zeros((2, 2, 2))  # d[l][i][j] = d_l alpha_ij
-    for l in range(2):
-        d[l, 0, 0] = jets[0].grad[l]
-        d[l, 0, 1] = d[l, 1, 0] = jets[1].grad[l]
-        d[l, 1, 1] = jets[2].grad[l]
-    m = np.array([[vals[(0, 0)], vals[(0, 1)]], [vals[(0, 1)], vals[(1, 1)]]], dtype=float)
+    """Symbols Gamma[i][j][k] of the Levi-Civita connection at a point.
+
+    Gamma^i_jk = 1/2 alpha^il (d_j alpha_lk + d_k alpha_lj - d_l alpha_jk).
+    Raises ``EvaluationError`` where alpha is singular.
+    """
+    j11, j12, j22 = (lift(f, (x, y), order=1) for f in (alpha.e11, alpha.e12, alpha.e22))
+    m = np.array([[j11.value, j12.value], [j12.value, j22.value]], dtype=float)
     det = m[0, 0] * m[1, 1] - m[0, 1] ** 2
+    if det == 0.0:
+        raise EvaluationError(f"singular metric field at ({x}, {y})")
     inv = np.array([[m[1, 1], -m[0, 1]], [-m[0, 1], m[0, 0]]]) / det
-    gamma = np.zeros((2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                s = 0.0
-                for l in range(2):
-                    s += inv[i, l] * (d[j, l, k] + d[k, l, j] - d[l, j, k])
-                gamma[i, j, k] = 0.5 * s
-    return gamma
+    d = np.array([[j11.grad, j12.grad], [j12.grad, j22.grad]], dtype=float)  # d[i, j, l] = d_l alpha_ij
+    return 0.5 * np.einsum("il,ljk->ijk", inv, d.transpose(0, 2, 1) + d - d.transpose(2, 0, 1))
 
 
 @dataclass(frozen=True)

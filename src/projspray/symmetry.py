@@ -137,10 +137,9 @@ def point_symmetry_residual(X: PlaneVectorField, f: ScalarField, at: Sequence[fl
 def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[float]) -> float:
     """Non-radial part of the Lie derivative of the spray along the lift of X.
 
-    The base components of [X^, spray] vanish identically for complete
-    lifts; they are still computed and included as a consistency term.
-    Zero (up to roundoff) exactly when the flow of X permutes the spray's
-    oriented geodesics.
+    Only the fiber components of [X^, spray] enter: its base components
+    vanish identically for complete lifts.  Zero (up to roundoff) exactly
+    when the flow of X permutes the spray's oriented geodesics.
     """
     x, y, u, v = (float(c) for c in at)
     if u == 0.0 and v == 0.0:
@@ -163,8 +162,6 @@ def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[fl
 
     A3 = ax * u + ay * v
     B3 = bx * u + by * v
-    comp1 = A3 - (u * ax + v * ay)
-    comp2 = B3 - (u * bx + v * by)
     xhat_g1 = a * dG1[0] + b * dG1[1] + A3 * dG1[2] + B3 * dG1[3]
     xhat_g2 = a * dG2[0] + b * dG2[1] + A3 * dG2[2] + B3 * dG2[3]
     gamma_a3 = u * (axx * u + axy * v) + v * (axy * u + ayy * v) - 2.0 * G1 * ax - 2.0 * G2 * ay
@@ -174,7 +171,7 @@ def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[fl
 
     n2 = u * u + v * v
     lam = (comp3 * u + comp4 * v) / n2
-    return math.hypot(comp1, comp2) + math.hypot(comp3 - lam * u, comp4 - lam * v)
+    return math.hypot(comp3 - lam * u, comp4 - lam * v)
 
 
 @dataclass(frozen=True)
@@ -253,11 +250,11 @@ def structure_constants(
         A = np.array(cols, dtype=float).T  # columns are the basis fields
         if abs(np.linalg.det(A)) < 1e-10 * max(1.0, float(np.abs(A).max()) ** 3):
             continue
-        point_consts = {}
-        for key, B in brackets.items():
-            rhs = np.array([B.a(x, y), B.b(x, y), B.c(x, y, z)], dtype=float)
-            point_consts[key] = np.linalg.solve(A, rhs)
-        per_point.append(((x, y, z), A, point_consts))
+        rhs = {
+            key: np.array([B.a(x, y), B.b(x, y), B.c(x, y, z)], dtype=float)
+            for key, B in brackets.items()
+        }
+        per_point.append((A, rhs, {key: np.linalg.solve(A, r) for key, r in rhs.items()}))
         used += 1
     if used < npoints:
         raise DegenerateBasisError(
@@ -269,13 +266,9 @@ def structure_constants(
     spread = max(
         float(np.abs(pc[k] - mean[k]).max()) for (_, _, pc) in per_point for k in keys
     )
-    residual = 0.0
-    for (pt, A, _) in per_point:
-        x, y, z = pt
-        for k in keys:
-            B = brackets[k]
-            rhs = np.array([B.a(x, y), B.b(x, y), B.c(x, y, z)], dtype=float)
-            residual = max(residual, float(np.abs(A @ mean[k] - rhs).max()))
+    residual = max(
+        float(np.abs(A @ mean[k] - rhs[k]).max()) for (A, rhs, _) in per_point for k in keys
+    )
     if spread > tol or residual > max(tol, 10 * spread):
         raise NotClosedError(
             f"bracket expansion disagrees across sample points "

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .finsler import Rectangle, Spray
+from .finsler import Spray
 from .jets import EvaluationError, ScalarField
 from .randers import CurveSample, MetricField
 
@@ -48,8 +48,6 @@ class GeodesicTrace:
     t: np.ndarray
     xy: np.ndarray  # shape (n, 2)
     uv: np.ndarray  # shape (n, 2)
-    method: str = "rk4"
-    step: float = 0.0
     domain_exit: bool = False
     acc: np.ndarray | None = None  # shape (n, 2): -2 G at each state; None if unknown
 
@@ -148,7 +146,6 @@ def integrate_spray(
         t=times,
         xy=states[:, :2],
         uv=states[:, 2:],
-        step=step,
         domain_exit=exited,
         acc=derivs[:, 2:],
     )
@@ -237,14 +234,7 @@ def unit_speed_resample(trace: GeodesicTrace, alpha: MetricField) -> GeodesicTra
     if trace.acc is not None:
         rate = spline(trace.t, 1) / speeds
         acc = (trace.acc - rate[:, None] * trace.uv) / speeds[:, None] ** 2
-    return GeodesicTrace(
-        t=spline.antiderivative()(trace.t),
-        xy=trace.xy,
-        uv=uv,
-        method=trace.method,
-        step=trace.step,
-        acc=acc,
-    )
+    return GeodesicTrace(t=spline.antiderivative()(trace.t), xy=trace.xy, uv=uv, acc=acc)
 
 
 def curve_samples(trace: GeodesicTrace, interior: int = 50) -> list[CurveSample]:

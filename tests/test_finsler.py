@@ -47,35 +47,18 @@ def spray_a():
         r = sqrt(u * u + v * v)
         return 0.5 * r * v, -0.5 * r * u
 
-    return Spray(
-        ScalarField(4, lambda *a: pair(*a)[0]),
-        ScalarField(4, lambda *a: pair(*a)[1]),
-        BOX,
-        "a",
-        pair_fn=pair,
-    )
+    return Spray(pair, BOX, "a")
 
 
 def spray_c_minus():
     def pair(x, y, u, v):
         return 0.25 * (3.0 * u * u - exp(-2.0 * x) * v * v), 0.5 * u * v
 
-    return Spray(
-        ScalarField(4, lambda *a: pair(*a)[0]),
-        ScalarField(4, lambda *a: pair(*a)[1]),
-        BOX,
-        "c-",
-        pair_fn=pair,
-    )
+    return Spray(pair, BOX, "c-")
 
 
 def flat_spray():
-    return Spray(
-        ScalarField(4, lambda x, y, u, v: 0.0),
-        ScalarField(4, lambda x, y, u, v: 0.0),
-        Rectangle(-3, 3, -3, 3),
-        "flat",
-    )
+    return Spray(lambda *a: (0.0, 0.0), Rectangle(-3, 3, -3, 3), "flat")
 
 
 # --- fundamental tensor -------------------------------------------------
@@ -286,12 +269,7 @@ def test_projective_residual_radial_perturbation():
         rho = 1.5 * sqrt(u * u + v * v)
         return g1 - 0.5 * rho * u, g2 - 0.5 * rho * v
 
-    perturbed = Spray(
-        ScalarField(4, lambda *a: pair(*a)[0]),
-        ScalarField(4, lambda *a: pair(*a)[1]),
-        BOX,
-        pair_fn=pair,
-    )
+    perturbed = Spray(pair, BOX)
     for at in [(0.1, 0.2, 1.0, 0.3), (0.0, 0.0, -0.5, 0.8)]:
         assert projective_residual(s, perturbed, at) <= 1e-13
 

@@ -7,6 +7,7 @@ from projspray.finsler import Rectangle
 from projspray.jets import EvaluationError, ScalarField
 from projspray.randers import (
     CurveSample,
+    MetricField,
     area_form,
     beta_for,
     christoffel,
@@ -174,3 +175,13 @@ def test_geodesic_curvature_requires_unit_speed():
     fast = CurveSample(pos=(0.0, 0.0), vel=(2.0, 0.0), acc=(0.0, 0.0))
     with pytest.raises(EvaluationError, match="reparametrize"):
         geodesic_curvature(alpha, fast)
+
+
+def test_singular_metric_raises_and_names_the_point():
+    one = ScalarField(2, lambda x, y: 1.0)
+    alpha = MetricField(one, one, one, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(EvaluationError, match=r"\(0\.1, 0\.2\)"):
+        christoffel(alpha, 0.1, 0.2)
+    sample = CurveSample(pos=(0.1, 0.2), vel=(1.0, 0.0), acc=(0.0, 0.0))
+    with pytest.raises(EvaluationError, match="singular"):
+        geodesic_curvature(alpha, sample)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projspray.catalog import lie_case
 from projspray.finsler import Rectangle, Spray
 from projspray.jets import ScalarField, arctan, exp, sqrt
 from projspray.symmetry import (
+    DegenerateBasisError,
     NotClosedError,
     PlaneVectorField,
     complete_lift,
@@ -159,6 +161,12 @@ def test_structure_constants_not_closed():
         structure_constants(basis)
 
 
+def test_structure_constants_degenerate_basis():
+    X0, X1, _ = lie_case("D1").basis
+    with pytest.raises(DegenerateBasisError):
+        structure_constants((X0, X0, X1))
+
+
 def test_jacobi_zero_for_abelian():
     assert jacobi_residual(np.zeros((3, 3, 3))) == 0.0
 
@@ -263,12 +271,7 @@ def test_complete_lift_x_dy():
     assert comp[3] == pytest.approx(0.7)  # b_x u
 
 
-FLAT = Spray(
-    ScalarField(4, lambda x, y, u, v: 0.0),
-    ScalarField(4, lambda x, y, u, v: 0.0),
-    Rectangle(-3, 3, -3, 3),
-    "flat",
-)
+FLAT = Spray(lambda *a: (0.0, 0.0), Rectangle(-3, 3, -3, 3), "flat")
 
 
 def spray_a():
@@ -276,13 +279,7 @@ def spray_a():
         r = sqrt(u * u + v * v)
         return 0.5 * r * v, -0.5 * r * u
 
-    return Spray(
-        ScalarField(4, lambda *a: pair(*a)[0]),
-        ScalarField(4, lambda *a: pair(*a)[1]),
-        Rectangle(-2, 2, -2, 2),
-        "a",
-        pair_fn=pair,
-    )
+    return Spray(pair, Rectangle(-2, 2, -2, 2), "a")
 
 
 def spray_b_plus(k):
@@ -290,13 +287,7 @@ def spray_b_plus(k):
         q = (k * sqrt(u * u + v * v) - 2.0 * (y * u - x * v)) / (1.0 + x * x + y * y)
         return 0.5 * q * v, -0.5 * q * u
 
-    return Spray(
-        ScalarField(4, lambda *a: pair(*a)[0]),
-        ScalarField(4, lambda *a: pair(*a)[1]),
-        Rectangle(-2, 2, -2, 2),
-        "bk+",
-        pair_fn=pair,
-    )
+    return Spray(pair, Rectangle(-2, 2, -2, 2), "bk+")
 
 
 def test_projective_field_translation_on_flat():
