@@ -22,7 +22,7 @@ Notes on conventions, all confirmed by the residual suites:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .finsler import FinslerMetric, Rectangle, Spray
@@ -246,8 +246,6 @@ class SprayEntry:
     key: str
     spray: Spray
     formula: str
-    params: dict = field(default_factory=dict)
-    reversible: bool = False
 
 
 def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
@@ -284,7 +282,6 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
             key,
             Spray(pair, dom, key),
             f"u dx + v dy - (k|xi| {'-' if s > 0 else '+'} 2(yu - xv))/(1 {'+' if s > 0 else '-'} (x^2+y^2)) (v du - u dv), k={k:g}",
-            params={"k": k},
         )
     if key in ("c+", "c-"):
         s = 1.0 if key == "c+" else -1.0
@@ -297,7 +294,6 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
             key,
             Spray(pair, dom, key),
             f"u dx + v dy - (3u^2 {'+' if s > 0 else '-'} exp(-2x) v^2)/2 du - uv dv",
-            reversible=True,
         )
     raise KeyError(f"unknown spray {key!r}")
 
@@ -316,7 +312,6 @@ class MetricEntry:
     metric: FinslerMetric
     spray_key: str
     formula: str
-    params: dict = field(default_factory=dict)
     alpha: MetricField | None = None  # background for Randers entries, g itself otherwise
     beta: OneFormField | None = None
     kcurv: float | None = None
@@ -425,7 +420,6 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
             randers_metric(alpha, beta, domain=dom, name=key),
             key,
             f"sqrt(dx^2+dy^2)/(1{'+' if s > 0 else '-'}(x^2+y^2)) + k(y dx - x dy)/(2(1{'+' if s > 0 else '-'}(x^2+y^2))), k={k:g}",
-            params={"k": k},
             alpha=alpha,
             beta=beta,
             kcurv=k,
@@ -480,7 +474,6 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
                 _vf(lambda x, y: 0.0, lambda x, y: 1.0, "X2"),
             ),
             {(0, 1): (0, 1, 0), (0, 2): (0, 0, lam), (1, 2): (0, 0, 0)},
-            parameters={"lam": lam},
         )
     if key == "J1":
         return LieAlgebraCase(
@@ -512,14 +505,12 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
                 ),
             ),
             {(0, 1): (0, 0, 0), (0, 2): (0, 1, 0), (1, 2): (g0, g1, 0)},
-            parameters={"gamma0": g0, "gamma1": g1},
         )
     if key == "C1":
         return LieAlgebraCase(
             "C1",
             _c1_fields(lam),
             {(0, 1): (0, lam, -1), (0, 2): (0, 1, lam), (1, 2): (0, 0, 0)},
-            parameters={"lam": lam},
         )
     if key in ("C2+", "C2-"):
         s = 1.0 if key == "C2+" else -1.0
@@ -527,11 +518,6 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
             key,
             _c2_fields(s),
             {(0, 1): (0, 0, -1), (0, 2): (0, 1, 0), (1, 2): (-s, 0, 0)},
-            parameters={"sign": s},
-            notes=(
-                "basis ordered so the brackets reproduce the complex-case table; "
-                "the sphere family closes on -X0, the hyperbolic one on +X0"
-            ),
         )
     raise KeyError(f"unknown symmetry algebra {key!r}")
 

@@ -12,7 +12,7 @@ residual checker for explicit candidates, never solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,23 +42,20 @@ _FIT_WEIGHTS = np.linalg.inv(
 
 @dataclass(frozen=True)
 class CubicForm:
-    """Coefficient fields of f = A + B z + C z^2 + D z^3."""
+    """Coefficients of f = A + B z + C z^2 + D z^3.
 
-    A: ScalarField
-    B: ScalarField
-    C: ScalarField
-    D: ScalarField
+    ``fit(x, y) -> (A, B, C, D)`` repeats the four-node fit at each point
+    from four evaluations of f, so the coefficients stay liftable together.
+    """
+
+    fit: Callable
 
     def coefficients(self, x: float, y: float):
-        return (
-            float(self.A(x, y)),
-            float(self.B(x, y)),
-            float(self.C(x, y)),
-            float(self.D(x, y)),
-        )
+        return tuple(float(c) for c in self.fit(x, y))
 
     def __call__(self, x, y, z):
-        return self.A(x, y) + z * (self.B(x, y) + z * (self.C(x, y) + z * self.D(x, y)))
+        A, B, C, D = self.fit(x, y)
+        return A + z * (B + z * (C + z * D))
 
 
 @dataclass(frozen=True)
@@ -67,27 +64,12 @@ class NotCubic:
     node: float
 
 
-def _fit_coefficient(f: ScalarField, row: int) -> ScalarField:
-    w = tuple(float(c) for c in _FIT_WEIGHTS[row])
-
-    def fn(x, y):
-        return (
-            w[0] * f(x, y, _FIT_NODES[0])
-            + w[1] * f(x, y, _FIT_NODES[1])
-            + w[2] * f(x, y, _FIT_NODES[2])
-            + w[3] * f(x, y, _FIT_NODES[3])
-        )
-
-    return ScalarField(2, fn, name=f"{'ABCD'[row]}[{f.name}]")
-
-
 def extract_cubic(f: ScalarField, at: Sequence[float], tol: float = 1e-9):
     """Fit the cubic through z in {0, 1, -1, 2} and accept iff the check
     nodes {-2, 3} reproduce it to ``tol``.
 
-    Returns a :class:`CubicForm` whose coefficient fields repeat the fit
-    pointwise (so they stay liftable), or :class:`NotCubic` with the
-    offending residual.
+    Returns a :class:`CubicForm` whose ``fit`` repeats the fit pointwise
+    (so it stays liftable), or :class:`NotCubic` with the offending residual.
     """
     x, y = at
     vals = np.array([float(f(x, y, z)) for z in _FIT_NODES])
@@ -97,16 +79,18 @@ def extract_cubic(f: ScalarField, at: Sequence[float], tol: float = 1e-9):
         r = abs(float(f(x, y, z)) - fitted)
         if r > tol:
             return NotCubic(residual=r, node=z)
-    return CubicForm(*(_fit_coefficient(f, row) for row in range(4)))
+    weights = tuple(tuple(float(c) for c in row) for row in _FIT_WEIGHTS)
+
+    def fit(x, y):
+        f0, f1, f2, f3 = (f(x, y, z) for z in _FIT_NODES)
+        return tuple(w[0] * f0 + w[1] * f1 + w[2] * f2 + w[3] * f3 for w in weights)
+
+    return CubicForm(fit)
 
 
 def flatness_residuals(cf: CubicForm, at: Sequence[float]):
     """The two straightening obstructions on the cubic coefficients."""
-    x, y = at
-    jA = lift(cf.A, (x, y), order=2)
-    jB = lift(cf.B, (x, y), order=2)
-    jC = lift(cf.C, (x, y), order=2)
-    jD = lift(cf.D, (x, y), order=2)
+    jA, jB, jC, jD = lift(cf.fit, at, order=2)
     A, Ax, Ay, Axy, Axx, Ayy = jA.value, jA.grad[0], jA.grad[1], jA.hess[0][1], jA.hess[0][0], jA.hess[1][1]
     B, Bx, By, Bxy, Bxx, Byy = jB.value, jB.grad[0], jB.grad[1], jB.hess[0][1], jB.hess[0][0], jB.hess[1][1]
     C, Cx, Cy, Cxy, Cxx, Cyy = jC.value, jC.grad[0], jC.grad[1], jC.hess[0][1], jC.hess[0][0], jC.hess[1][1]
@@ -184,7 +168,7 @@ class ProjectiveConnectionCoeffs:
 
     @classmethod
     def from_cubic(cls, cf: CubicForm) -> "ProjectiveConnectionCoeffs":
-        return cls(cf.A, cf.B, cf.C, cf.D)
+        return cls(*(ScalarField(2, lambda x, y, i=i: cf.fit(x, y)[i]) for i in range(4)))
 
     def at(self, x, y):
         return (
@@ -219,9 +203,7 @@ def liouville_residuals(
 ) -> np.ndarray:
     """The four linear metrizability relations on (a, K) at a point."""
     x, y = at
-    j11 = lift(a.e11, (x, y), order=1)
-    j12 = lift(a.e12, (x, y), order=1)
-    j22 = lift(a.e22, (x, y), order=1)
+    j11, j12, j22 = lift(a.entries, (x, y), order=1)
     a11, a12, a22 = j11.value, j12.value, j22.value
     k0, k1, k2, k3 = K.at(x, y)
     r = np.array(

@@ -14,15 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import (
-    EvaluationError,
-    Jet2,
-    ScalarField,
-    jet_value,
-    lift,
-    seed_jets,
-    split_jet,
-)
+from .jets import EvaluationError, Jet2, ScalarField, jet_value, lift
 
 __all__ = [
     "ConvexityReport",
@@ -164,48 +156,41 @@ def is_strongly_convex(
 def geodesic_spray(metric: FinslerMetric) -> Spray:
     """Spray whose integral curves project to the geodesics of ``metric``.
 
-    Coefficients come from the fundamental tensor and its base derivatives:
-    G^i = 1/4 g^{ij} (2 dg_{jk}/dx^l - dg_{kl}/dx^j) xi^k xi^l.  The base
-    derivatives are obtained by lifting the tensor entries in (x, y); the
-    whole evaluation stays jet-transparent, so derived sprays can be lifted
-    again (projective-field residuals, induced-equation coefficients).
+    With h = 2g the fiber Hessian of F^2,
+    G^i = 1/4 h^{ij} (2 dh_{jk}/dx^l - dh_{kl}/dx^j) xi^k xi^l.
+    Two nested lifts give h and its base derivatives: the outer one, of
+    order 1 in (x, y), lifts the entries of h, which an inner lift of F^2
+    in (u, v) computes.  A fiber-constant F has h = 0 and raises
+    ``EvaluationError`` as a singular tensor.  The whole evaluation stays
+    jet-transparent, so derived sprays can be lifted again
+    (projective-field residuals, induced-equation coefficients).
     """
     Ffn = metric.F.fn
 
     def pair(x, y, u, v):
-        xb, yb = seed_jets((x, y), order=1)  # base register
-        uf, vf = seed_jets((u, v), order=2)  # fiber register, nests above
-        w = Ffn(xb, yb, uf, vf)
-        w2 = w * w
-        if not (isinstance(w2, Jet2) and w2.level == uf.level):
-            raise EvaluationError("metric does not depend on the fiber variables")
-        base = xb.level
-        gval = [[None, None], [None, None]]
-        dg = [[[None, None], [None, None]], [[None, None], [None, None]]]
-        for i in range(2):
-            for j in range(2):
-                val, grad = split_jet(0.5 * w2.hess[i][j], base, 2)
-                gval[i][j] = val
-                dg[0][i][j] = grad[0]
-                dg[1][i][j] = grad[1]
-        det = gval[0][0] * gval[1][1] - gval[0][1] * gval[0][1]
-        scale = max(abs(jet_value(gval[0][0])), abs(jet_value(gval[1][1])), 1e-30)
+        def entries(xb, yb):
+            h = lift(lambda uf, vf: Ffn(xb, yb, uf, vf) ** 2, (u, v)).hess
+            return h[0][0], h[0][1], h[1][1]
+
+        j11, j12, j22 = lift(entries, (x, y), order=1)
+        h11, h12, h22 = j11.value, j12.value, j22.value
+        det = h11 * h22 - h12 * h12
+        scale = max(abs(jet_value(h11)), abs(jet_value(h22)), 1e-30)
         if abs(jet_value(det)) <= 1e-15 * scale * scale:
             raise EvaluationError(
                 f"singular fundamental tensor at ({jet_value(x)}, {jet_value(y)}, "
                 f"{jet_value(u)}, {jet_value(v)})"
             )
-        inv = [
-            [gval[1][1] / det, -(gval[0][1] / det)],
-            [-(gval[0][1] / det), gval[0][0] / det],
-        ]
+        inv = [[h22 / det, -(h12 / det)], [-(h12 / det), h11 / det]]
+        # dh[l][i][j] = d_l h_ij
+        dh = [[[e.grad[l] for e in row] for row in ((j11, j12), (j12, j22))] for l in range(2)]
         xi = (u, v)
         term = []
         for j in range(2):
             t = 0.0
             for k in range(2):
                 for l in range(2):
-                    t = t + (2.0 * dg[l][j][k] - dg[j][k][l]) * (xi[k] * xi[l])
+                    t = t + (2.0 * dh[l][j][k] - dh[j][k][l]) * (xi[k] * xi[l])
             term.append(t)
         g1 = 0.25 * (inv[0][0] * term[0] + inv[0][1] * term[1])
         g2 = 0.25 * (inv[1][0] * term[0] + inv[1][1] * term[1])

@@ -10,6 +10,10 @@ jet as a scalar coefficient.  This is what lets derivative-backed fields
 (Lie brackets, prolongation coefficients, fitted cubic coefficients, the
 spray coefficients of a metric) be lifted and differentiated again
 without ever requesting third-order data from a single register.
+
+Registers are seeded through :func:`lift`, once per point and object: a
+field whose components are computed together (a vector field's ``at``, a
+metric's ``entries``, a cubic fit) returns a tuple and is lifted as one.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "seed_jets",
     "sin",
     "sqrt",
-    "split_jet",
 ]
 
 
@@ -317,13 +320,14 @@ def seed_jets(values: Sequence, order: int = 2):
     )
 
 
-def lift(field, point: Sequence, active: Iterable[int] | None = None, order: int = 2) -> Jet2:
+def lift(field, point: Sequence, active: Iterable[int] | None = None, order: int = 2):
     """Evaluate ``field`` at ``point`` carrying derivatives w.r.t. ``active`` variables.
 
     Inactive variables are held constant.  ``point`` entries may themselves be
     jets of an enclosing register; they pass through untouched.  A field that
-    turns out not to depend on the active variables is promoted to a constant
-    jet, so callers can always read ``grad``/``hess``.
+    returns a tuple gives a tuple of jets, all of one register.  A component
+    that turns out not to depend on the active variables is promoted to a
+    constant jet, so callers can always read ``grad``/``hess``.
     """
     fn = field.fn if isinstance(field, ScalarField) else field
     point = tuple(point)
@@ -333,19 +337,12 @@ def lift(field, point: Sequence, active: Iterable[int] | None = None, order: int
     args = list(point)
     for k, i in enumerate(idx):
         args[i] = seeds[k]
-    out = fn(*args)
-    if isinstance(out, Jet2) and out.level == level:
-        return out
     m = len(idx)
-    return Jet2(out, (0.0,) * m, ((0.0,) * m,) * m if order == 2 else None, level)
 
+    def promote(c):
+        if isinstance(c, Jet2) and c.level == level:
+            return c
+        return Jet2(c, (0.0,) * m, ((0.0,) * m,) * m if order == 2 else None, level)
 
-def split_jet(x, level: int, n: int):
-    """Value and gradient of ``x`` w.r.t. the register ``level``.
-
-    Objects constant for that register (plain numbers or jets of older
-    registers) get a zero gradient.
-    """
-    if isinstance(x, Jet2) and x.level == level:
-        return x.value, x.grad
-    return x, (0.0,) * n
+    out = fn(*args)
+    return tuple(promote(c) for c in out) if isinstance(out, tuple) else promote(out)

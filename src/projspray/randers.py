@@ -49,16 +49,17 @@ class MetricField:
     domain: Rectangle
     name: str = ""
 
+    def entries(self, x, y):
+        """The entries (e11, e12, e22) at one point."""
+        return self.e11(x, y), self.e12(x, y), self.e22(x, y)
+
     def matrix(self, x: float, y: float) -> np.ndarray:
-        return np.array(
-            [
-                [float(self.e11(x, y)), float(self.e12(x, y))],
-                [float(self.e12(x, y)), float(self.e22(x, y))],
-            ]
-        )
+        e11, e12, e22 = (float(e) for e in self.entries(x, y))
+        return np.array([[e11, e12], [e12, e22]])
 
     def det(self, x, y):
-        return self.e11(x, y) * self.e22(x, y) - self.e12(x, y) * self.e12(x, y)
+        e11, e12, e22 = self.entries(x, y)
+        return e11 * e22 - e12 * e12
 
     def inverse(self, x: float, y: float) -> np.ndarray:
         m = self.matrix(x, y)
@@ -179,9 +180,7 @@ def area_form(alpha: MetricField, k: float) -> AreaForm:
 
 def exterior_derivative(beta: OneFormField, at: Sequence[float]) -> float:
     """Coefficient of dx^dy in d(beta)."""
-    x, y = at
-    j2 = lift(beta.b2, (x, y), order=1)
-    j1 = lift(beta.b1, (x, y), order=1)
+    j1, j2 = lift(beta.at, at, order=1)
     return float(j2.grad[0] - j1.grad[1])
 
 
@@ -244,7 +243,7 @@ def christoffel(alpha: MetricField, x: float, y: float) -> np.ndarray:
     Gamma^i_jk = 1/2 alpha^il (d_j alpha_lk + d_k alpha_lj - d_l alpha_jk).
     Raises ``EvaluationError`` where alpha is singular.
     """
-    j11, j12, j22 = (lift(f, (x, y), order=1) for f in (alpha.e11, alpha.e12, alpha.e22))
+    j11, j12, j22 = lift(alpha.entries, (x, y), order=1)
     m = np.array([[j11.value, j12.value], [j12.value, j22.value]], dtype=float)
     det = m[0, 0] * m[1, 1] - m[0, 1] ** 2
     if det == 0.0:

@@ -11,13 +11,13 @@ fields and prolongation coefficients remain liftable themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .finsler import Spray
-from .jets import EvaluationError, ScalarField, jet_value, lift, seed_jets, split_jet
+from .jets import EvaluationError, ScalarField, jet_value, lift
 
 __all__ = [
     "CompleteLift",
@@ -71,8 +71,7 @@ class CompleteLift:
     base: PlaneVectorField
 
     def components(self, x, y, u, v):
-        ja = lift(self.base.a, (x, y), order=1)
-        jb = lift(self.base.b, (x, y), order=1)
+        ja, jb = lift(self.base.at, (x, y), order=1)
         return (
             ja.value,
             jb.value,
@@ -83,8 +82,7 @@ class CompleteLift:
 
 def prolong(X: PlaneVectorField) -> ProlongedVectorField:
     def cfn(x, y, z):
-        ja = lift(X.a, (x, y), order=1)
-        jb = lift(X.b, (x, y), order=1)
+        ja, jb = lift(X.at, (x, y), order=1)
         return jb.grad[0] + z * jb.grad[1] - z * (ja.grad[0] + z * ja.grad[1])
 
     return ProlongedVectorField(X.a, X.b, ScalarField(3, cfn, name=f"c[{X.name}]"), X.name)
@@ -99,12 +97,9 @@ def lie_bracket(X: PlaneVectorField, Y: PlaneVectorField) -> PlaneVectorField:
 
     def component(idx):
         def fn(x, y):
-            jxa = lift(X.a, (x, y), order=1)
-            jxb = lift(X.b, (x, y), order=1)
-            jya = lift(Y.a, (x, y), order=1)
-            jyb = lift(Y.b, (x, y), order=1)
-            jy = jya if idx == 0 else jyb
-            jx = jxa if idx == 0 else jxb
+            jxa, jxb = lift(X.at, (x, y), order=1)
+            jya, jyb = lift(Y.at, (x, y), order=1)
+            jx, jy = (jxa, jya) if idx == 0 else (jxb, jyb)
             return (
                 jxa.value * jy.grad[0]
                 + jxb.value * jy.grad[1]
@@ -126,9 +121,9 @@ def point_symmetry_residual(X: PlaneVectorField, f: ScalarField, at: Sequence[fl
     x, y, z = at
     jf = lift(f, (x, y, z), order=1)
     fval, fx, fy, fz = jf.value, jf.grad[0], jf.grad[1], jf.grad[2]
-    ja = lift(X.a, (x, y), order=1)
+    ja, jb = lift(X.at, (x, y), order=1)
     a, ax, ay = ja.value, ja.grad[0], ja.grad[1]
-    b = X.b(x, y)
+    b = jb.value
     jc = lift(prolong(X).c, (x, y, z), order=1)
     c, cx, cy, cz = jc.value, jc.grad[0], jc.grad[1], jc.grad[2]
     return abs(a * fx + b * fy + c * fz - (cz - ax - z * ay) * fval - cx - z * cy)
@@ -138,32 +133,28 @@ def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[fl
     """Non-radial part of the Lie derivative of the spray along the lift of X.
 
     Only the fiber components of [X^, spray] enter: its base components
-    vanish identically for complete lifts.  Zero (up to roundoff) exactly
-    when the flow of X permutes the spray's oriented geodesics.
+    vanish identically for complete lifts.  The derivative X^G of the spray
+    along the complete lift X^ = (a, b, A3, B3) is read from one seeded
+    variable t, as d/dt G(x + a t, y + b t, u + A3 t, v + B3 t) at t = 0.
+    Zero (up to roundoff) exactly when the flow of X permutes the spray's
+    oriented geodesics.
     """
     x, y, u, v = (float(c) for c in at)
     if u == 0.0 and v == 0.0:
         raise EvaluationError("projective field residual needs a nonzero fiber vector")
-    ja = lift(X.a, (x, y), order=2)
-    jb = lift(X.b, (x, y), order=2)
+    ja, jb = lift(X.at, (x, y), order=2)
     a, (ax, ay) = ja.value, ja.grad
     b, (bx, by) = jb.value, jb.grad
     axx, axy, ayy = ja.hess[0][0], ja.hess[0][1], ja.hess[1][1]
     bxx, bxy, byy = jb.hess[0][0], jb.hess[0][1], jb.hess[1][1]
 
-    seeds = seed_jets((x, y, u, v), order=1)
-    level = seeds[0].level
-    g1j, g2j = spray.coefficients(*seeds)
-    G1, dG1 = split_jet(g1j, level, 4)
-    G2, dG2 = split_jet(g2j, level, 4)
-    G1, G2 = jet_value(G1), jet_value(G2)
-    dG1 = tuple(jet_value(t) for t in dG1)
-    dG2 = tuple(jet_value(t) for t in dG2)
-
     A3 = ax * u + ay * v
     B3 = bx * u + by * v
-    xhat_g1 = a * dG1[0] + b * dG1[1] + A3 * dG1[2] + B3 * dG1[3]
-    xhat_g2 = a * dG2[0] + b * dG2[1] + A3 * dG2[2] + B3 * dG2[3]
+    jg1, jg2 = lift(
+        lambda t: spray.coefficients(x + a * t, y + b * t, u + A3 * t, v + B3 * t), (0.0,), order=1
+    )
+    G1, G2 = jet_value(jg1), jet_value(jg2)
+    xhat_g1, xhat_g2 = jet_value(jg1.grad[0]), jet_value(jg2.grad[0])
     gamma_a3 = u * (axx * u + axy * v) + v * (axy * u + ayy * v) - 2.0 * G1 * ax - 2.0 * G2 * ay
     gamma_b3 = u * (bxx * u + bxy * v) + v * (bxy * u + byy * v) - 2.0 * G1 * bx - 2.0 * G2 * by
     comp3 = -2.0 * xhat_g1 - gamma_a3
@@ -186,8 +177,6 @@ class LieAlgebraCase:
     name: str
     basis: tuple  # three PlaneVectorFields
     expected: dict  # {(i, j): (c0, c1, c2)}
-    parameters: dict = field(default_factory=dict)
-    notes: str = ""
 
     def isotropy_ok(self, tol: float = 1e-12) -> bool:
         a0, b0 = self.basis[0].at(0.0, 0.0)

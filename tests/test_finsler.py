@@ -185,6 +185,13 @@ def test_singular_fundamental_tensor_names_point():
         s.coefficients(0.0, 0.0, 1.0, 0.5)
 
 
+def test_geodesic_spray_of_fiber_constant_metric_raises():
+    m = FinslerMetric(ScalarField(4, lambda x, y, u, v: 1.0 + x * x), "general", BOX, "const")
+    s = geodesic_spray(m)
+    with pytest.raises(EvaluationError, match="singular"):
+        s.coefficients(0.1, 0.2, 1.0, 0.5)
+
+
 # --- reversibility -------------------------------------------------------
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from projspray.jets import (
     EvaluationError,
-    Jet2,
     ScalarField,
     arctan,
     exp,
@@ -47,6 +46,17 @@ def test_polynomial_by_hand():
     # d2/dxdy of x^2 y is 2x = 4 at this point
     expected = [[6.0, 4.0], [4.0, 0.0]]
     assert np.allclose(np.array(j.hess, float), expected, atol=1e-14)
+
+
+def test_tuple_valued_field_lifts_from_one_register():
+    j, c = lift(lambda x, y: (x * x * y, 2.0), (2.0, 3.0))
+    assert j.level == c.level
+    assert c.value == 2.0
+    assert c.grad == (0.0, 0.0)
+    assert np.array_equal(np.array(c.hess, float), np.zeros((2, 2)))
+    # the first component is the field of test_polynomial_by_hand
+    assert (j.value, j.grad) == (12.0, (12.0, 4.0))
+    assert np.array_equal(np.array(j.hess, float), [[6.0, 4.0], [4.0, 0.0]])
 
 
 def test_euclidean_norm_at_axis_point():

@@ -13,7 +13,6 @@ from projspray.randers import (
     magnetic_rhs,
 )
 from projspray.trace import (
-    CircleFit,
     DegenerateFitError,
     DomainError,
     GeodesicTrace,
