@@ -91,10 +91,10 @@ def extract_cubic(f: ScalarField, at: Sequence[float], tol: float = 1e-9):
 def flatness_residuals(cf: CubicForm, at: Sequence[float]):
     """The two straightening obstructions on the cubic coefficients."""
     jA, jB, jC, jD = lift(cf.fit, at, order=2)
-    A, Ax, Ay, Axy, Axx, Ayy = jA.value, jA.grad[0], jA.grad[1], jA.hess[0][1], jA.hess[0][0], jA.hess[1][1]
-    B, Bx, By, Bxy, Bxx, Byy = jB.value, jB.grad[0], jB.grad[1], jB.hess[0][1], jB.hess[0][0], jB.hess[1][1]
-    C, Cx, Cy, Cxy, Cxx, Cyy = jC.value, jC.grad[0], jC.grad[1], jC.hess[0][1], jC.hess[0][0], jC.hess[1][1]
-    D, Dx, Dy, Dxy, Dxx, Dyy = jD.value, jD.grad[0], jD.grad[1], jD.hess[0][1], jD.hess[0][0], jD.hess[1][1]
+    A, (Ax, Ay), (Axx, Axy, Ayy) = jA.value, jA.grad, jA.hess_packed
+    B, (Bx, By), (Bxx, Bxy, Byy) = jB.value, jB.grad, jB.hess_packed
+    C, (Cx, Cy), (Cxx, Cxy, Cyy) = jC.value, jC.grad, jC.hess_packed
+    D, (Dx, Dy), (Dxx, Dxy, Dyy) = jD.value, jD.grad, jD.hess_packed
     r1 = (
         -Ayy
         + (2.0 / 3.0) * Bxy

@@ -29,6 +29,7 @@ __all__ = [
     "induced_ode_direct",
     "induced_odes",
     "is_strongly_convex",
+    "min_eigenvalue_2x2",
     "projective_residual",
     "smoothness_at_zero",
     "transpose_odes",
@@ -120,8 +121,8 @@ def fundamental_tensor(metric: FinslerMetric, at: Sequence[float]) -> np.ndarray
     x, y, u, v = at
     if u == 0.0 and v == 0.0:
         raise EvaluationError("fundamental tensor is undefined on the zero section")
-    j = lift(lambda *a: metric.F(*a) ** 2, (x, y, u, v), active=(2, 3))
-    return 0.5 * np.array(j.hess, dtype=float)
+    h11, h12, h22 = lift(lambda *a: metric.F(*a) ** 2, (x, y, u, v), active=(2, 3)).hess_packed
+    return 0.5 * np.array(((h11, h12), (h12, h22)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,33 @@ class ConvexityReport:
     ok: bool
     min_eigenvalue: float
     witness: tuple | None = None
+
+
+def _product_error(x: float, y: float, p: float) -> float:
+    """The rounding error x*y - p of p = fl(x*y), exactly (Dekker's two-product)."""
+    t = 134217729.0 * x  # Veltkamp's split into 26-bit halves
+    xh = t - (t - x)
+    t = 134217729.0 * y
+    yh = t - (t - y)
+    xl, yl = x - xh, y - yh
+    return ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def min_eigenvalue_2x2(a: float, b: float, c: float) -> float:
+    """Smaller eigenvalue of the symmetric matrix [[a, b], [b, c]], in closed form.
+
+    m - r with m = (a + c)/2, r = hypot((a - c)/2, b).  When m > 0 it is
+    det/(m + r), with the determinant carried through the exact rounding
+    errors of its two products, so a nearly singular positive tensor keeps
+    its relative accuracy.
+    """
+    m = (a + c) / 2
+    r = math.hypot((a - c) / 2, b)
+    if m <= 0.0:
+        return m - r
+    ac, bb = a * c, b * b
+    det = (ac - bb) + (_product_error(a, c, ac) - _product_error(b, b, bb))
+    return det / (m + r)
 
 
 def is_strongly_convex(
@@ -143,10 +171,11 @@ def is_strongly_convex(
     region = region or metric.domain
     worst = math.inf
     witness = None
+    directions = fiber_directions(ndirs)
     for (x, y) in region.grid(nx, ny, margin):
-        for (u, v) in fiber_directions(ndirs):
-            g = fundamental_tensor(metric, (x, y, u, v))
-            lo = float(np.linalg.eigvalsh(g)[0])
+        for (u, v) in directions:
+            (a, b), (_, c) = fundamental_tensor(metric, (x, y, u, v)).tolist()
+            lo = min_eigenvalue_2x2(a, b, c)
             if lo < worst:
                 worst = lo
                 witness = (x, y, u, v)
@@ -169,8 +198,7 @@ def geodesic_spray(metric: FinslerMetric) -> Spray:
 
     def pair(x, y, u, v):
         def entries(xb, yb):
-            h = lift(lambda uf, vf: Ffn(xb, yb, uf, vf) ** 2, (u, v)).hess
-            return h[0][0], h[0][1], h[1][1]
+            return lift(lambda uf, vf: Ffn(xb, yb, uf, vf) ** 2, (u, v)).hess_packed
 
         j11, j12, j22 = lift(entries, (x, y), order=1)
         h11, h12, h22 = j11.value, j12.value, j22.value
@@ -234,9 +262,7 @@ def induced_ode_direct(metric: FinslerMetric) -> OdePair:
             v = sign * z if isinstance(z, Jet2) else sign * float(z)
             j = lift(Ffn, (x, y, u, v), active=(0, 1, 3))
             Fy = j.grad[1]
-            Fxv = j.hess[0][2]
-            Fyv = j.hess[1][2]
-            Fvv = j.hess[2][2]
+            _, _, Fxv, _, Fyv, Fvv = j.hess_packed
             if jet_value(Fvv) == 0.0:
                 raise EvaluationError(
                     f"degenerate fiber direction at ({jet_value(x)}, {jet_value(y)}, z={jet_value(z)})"
@@ -315,7 +341,7 @@ def smoothness_at_zero(
         vals = []
         for h in steps:
             j = lift(g, (x, y, sign * h), active=(2,), order=2)
-            vals.append((j.value, j.grad[0], j.hess[0][0]))
+            vals.append((j.value, j.grad[0], j.hess_packed[0]))
         a, b = vals
         return tuple(w * b[k] - (w - 1.0) * a[k] for k in range(3))
 

@@ -14,13 +14,23 @@ without ever requesting third-order data from a single register.
 Registers are seeded through :func:`lift`, once per point and object: a
 field whose components are computed together (a vector field's ``at``, a
 metric's ``entries``, a cubic fit) returns a tuple and is lifted as one.
+
+A jet stores the Hessian of its n seeded variables as the packed upper
+triangle: one flat tuple of n(n+1)/2 entries h_ij, i <= j, in row order,
+so (h00, h01, h11) for n = 2 and (h00, h01, h02, h11, h12, h22) for n = 3.
+Every operation maps that tuple entry by entry and never touches a
+mirrored lower half (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+``Jet2.hess`` is a read-only view that unfolds the full symmetric matrix;
+the residuals read ``hess_packed`` directly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, neg, sub
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -54,35 +64,44 @@ def jet_value(x):
     return x
 
 
-def _sym(n, entry):
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            e = entry(i, j)
-            rows[i][j] = e
-            if j != i:
-                rows[j][i] = e
-    return tuple(tuple(r) for r in rows)
+@functools.cache
+def _pairs(n):
+    """Index pairs (i, j), i <= j, of an n-variable packed Hessian, in row order."""
+    return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
 class Jet2:
     """Truncated second-order Taylor data: value, gradient, Hessian.
 
-    ``grad`` has one entry per seeded variable of the register; ``hess``
-    is the full symmetric matrix, or ``None`` for a first-order jet.
-    Components may themselves be jets of an older register.
+    ``grad`` has one entry per seeded variable of the register.
+    ``hess_packed`` is the upper triangle of the Hessian, a flat tuple of
+    n(n+1)/2 entries in row order ((h00, h01, h11) for n = 2), or ``None``
+    for a first-order jet; ``hess`` unfolds it into the full symmetric
+    tuple of rows.  Components may themselves be jets of an older register.
     """
 
-    __slots__ = ("value", "grad", "hess", "level")
+    __slots__ = ("value", "grad", "hess_packed", "level")
 
-    def __init__(self, value, grad, hess, level):
+    def __init__(self, value, grad, hess_packed, level):
         self.value = value
         self.grad = grad
-        self.hess = hess
+        self.hess_packed = hess_packed
         self.level = level
 
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad!r}, level={self.level})"
+
+    @property
+    def hess(self):
+        """The full symmetric Hessian as a tuple of rows, or ``None``."""
+        hp = self.hess_packed
+        if hp is None:
+            return None
+        n = len(self.grad)
+        rows = [[None] * n for _ in range(n)]
+        for (i, j), e in zip(_pairs(n), hp):
+            rows[i][j] = rows[j][i] = e
+        return tuple(map(tuple, rows))
 
     # -- ring operations ------------------------------------------------
 
@@ -91,38 +110,33 @@ class Jet2:
             if other.level > self.level:
                 return other._add_scalar(self)
             if other.level == self.level:
-                g = tuple(a + b for a, b in zip(self.grad, other.grad))
-                h = None
-                if self.hess is not None and other.hess is not None:
-                    h1, h2 = self.hess, other.hess
-                    h = _sym(len(g), lambda i, j: h1[i][j] + h2[i][j])
+                h1, h2 = self.hess_packed, other.hess_packed
+                h = None if h1 is None or h2 is None else tuple(map(add, h1, h2))
+                g = tuple(map(add, self.grad, other.grad))
                 return Jet2(self.value + other.value, g, h, self.level)
         return self._add_scalar(other)
 
     def _add_scalar(self, s):
-        return Jet2(self.value + s, self.grad, self.hess, self.level)
+        return Jet2(self.value + s, self.grad, self.hess_packed, self.level)
 
     __radd__ = _add_scalar
 
     def __neg__(self):
-        h = None
-        if self.hess is not None:
-            hh = self.hess
-            h = _sym(len(self.grad), lambda i, j: -hh[i][j])
-        return Jet2(-self.value, tuple(-g for g in self.grad), h, self.level)
+        h = self.hess_packed
+        if h is not None:
+            h = tuple(map(neg, h))
+        return Jet2(-self.value, tuple(map(neg, self.grad)), h, self.level)
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
             if other.level > self.level:
                 return other.__rsub__(self)
             if other.level == self.level:
-                g = tuple(a - b for a, b in zip(self.grad, other.grad))
-                h = None
-                if self.hess is not None and other.hess is not None:
-                    h1, h2 = self.hess, other.hess
-                    h = _sym(len(g), lambda i, j: h1[i][j] - h2[i][j])
+                h1, h2 = self.hess_packed, other.hess_packed
+                h = None if h1 is None or h2 is None else tuple(map(sub, h1, h2))
+                g = tuple(map(sub, self.grad, other.grad))
                 return Jet2(self.value - other.value, g, h, self.level)
-        return Jet2(self.value - other, self.grad, self.hess, self.level)
+        return Jet2(self.value - other, self.grad, self.hess_packed, self.level)
 
     def __rsub__(self, s):
         return (-self)._add_scalar(s)
@@ -134,26 +148,24 @@ class Jet2:
             if other.level == self.level:
                 v1, v2 = self.value, other.value
                 g1, g2 = self.grad, other.grad
-                g = tuple(g1[i] * v2 + v1 * g2[i] for i in range(len(g1)))
+                h1, h2 = self.hess_packed, other.hess_packed
                 h = None
-                if self.hess is not None and other.hess is not None:
-                    h1, h2 = self.hess, other.hess
-                    h = _sym(
-                        len(g),
-                        lambda i, j: h1[i][j] * v2
-                        + g1[i] * g2[j]
-                        + g2[i] * g1[j]
-                        + v1 * h2[i][j],
+                if h1 is not None and h2 is not None:
+                    h = tuple(
+                        [
+                            a * v2 + g1[i] * g2[j] + g2[i] * g1[j] + v1 * b
+                            for (i, j), a, b in zip(_pairs(len(g1)), h1, h2)
+                        ]
                     )
+                g = tuple([a * v2 + v1 * b for a, b in zip(g1, g2)])
                 return Jet2(v1 * v2, g, h, self.level)
         return self._mul_scalar(other)
 
     def _mul_scalar(self, s):
-        h = None
-        if self.hess is not None:
-            hh = self.hess
-            h = _sym(len(self.grad), lambda i, j: hh[i][j] * s)
-        return Jet2(self.value * s, tuple(g * s for g in self.grad), h, self.level)
+        h = self.hess_packed
+        if h is not None:
+            h = tuple([a * s for a in h])
+        return Jet2(self.value * s, tuple([a * s for a in self.grad]), h, self.level)
 
     __rmul__ = _mul_scalar
 
@@ -194,12 +206,10 @@ class Jet2:
 
     def _chain(self, f0, d1, d2):
         g = self.grad
-        gg = tuple(d1 * gi for gi in g)
-        h = None
-        if self.hess is not None:
-            hh = self.hess
-            h = _sym(len(g), lambda i, j: d1 * hh[i][j] + d2 * (g[i] * g[j]))
-        return Jet2(f0, gg, h, self.level)
+        h = self.hess_packed
+        if h is not None:
+            h = tuple([d1 * a + d2 * (g[i] * g[j]) for (i, j), a in zip(_pairs(len(g)), h)])
+        return Jet2(f0, tuple([d1 * a for a in g]), h, self.level)
 
     # -- comparisons look at the innermost value ------------------------
 
@@ -313,7 +323,7 @@ def seed_jets(values: Sequence, order: int = 2):
     """Seed a fresh register: one jet per value, unit gradients, zero Hessians."""
     n = len(values)
     level = next(_REGISTER)
-    zh = ((0.0,) * n,) * n if order == 2 else None
+    zh = (0.0,) * (n * (n + 1) // 2) if order == 2 else None
     return tuple(
         Jet2(v, tuple(1.0 if j == i else 0.0 for j in range(n)), zh, level)
         for i, v in enumerate(values)
@@ -342,7 +352,7 @@ def lift(field, point: Sequence, active: Iterable[int] | None = None, order: int
     def promote(c):
         if isinstance(c, Jet2) and c.level == level:
             return c
-        return Jet2(c, (0.0,) * m, ((0.0,) * m,) * m if order == 2 else None, level)
+        return Jet2(c, (0.0,) * m, (0.0,) * (m * (m + 1) // 2) if order == 2 else None, level)
 
     out = fn(*args)
     return tuple(promote(c) for c in out) if isinstance(out, tuple) else promote(out)

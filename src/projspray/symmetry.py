@@ -145,8 +145,8 @@ def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[fl
     ja, jb = lift(X.at, (x, y), order=2)
     a, (ax, ay) = ja.value, ja.grad
     b, (bx, by) = jb.value, jb.grad
-    axx, axy, ayy = ja.hess[0][0], ja.hess[0][1], ja.hess[1][1]
-    bxx, bxy, byy = jb.hess[0][0], jb.hess[0][1], jb.hess[1][1]
+    axx, axy, ayy = ja.hess_packed
+    bxx, bxy, byy = jb.hess_packed
 
     A3 = ax * u + ay * v
     B3 = bx * u + by * v

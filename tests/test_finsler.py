@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,10 +14,12 @@ from projspray.finsler import (
     induced_ode_direct,
     induced_odes,
     is_strongly_convex,
+    min_eigenvalue_2x2,
     projective_residual,
     smoothness_at_zero,
     transpose_odes,
 )
+from projspray.catalog import METRIC_KEYS, metric_entry
 from projspray.jets import EvaluationError, ScalarField, exp, sqrt
 
 BOX = Rectangle(-0.5, 0.5, -0.5, 0.5)
@@ -311,3 +314,42 @@ def test_randers_with_large_one_form_fails_convexity():
     rep = is_strongly_convex(m)
     assert not rep.ok
     assert rep.min_eigenvalue < 0.0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]],  # nearly singular
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[1.0, 2.0], [2.0, -3.0]],  # indefinite
+    ],
+)
+def test_closed_form_min_eigenvalue_matches_eigvalsh(g):
+    expected = float(np.linalg.eigvalsh(np.array(g))[0])
+    lo = min_eigenvalue_2x2(g[0][0], g[0][1], g[1][1])
+    assert abs(lo - expected) <= 1e-14 * abs(expected)
+    assert math.copysign(1.0, lo) == math.copysign(1.0, expected)
+
+
+@pytest.mark.parametrize("key", METRIC_KEYS)
+def test_convexity_min_eigenvalue_matches_eigvalsh_at_witness(key):
+    entry = metric_entry(key)
+    rep = is_strongly_convex(entry.metric, entry.domain)
+    assert rep.ok
+    expected = float(np.linalg.eigvalsh(fundamental_tensor(entry.metric, rep.witness))[0])
+    assert abs(rep.min_eigenvalue - expected) <= 1e-14 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        (4.0, 1.0, 0.25 + 1e-10),  # m - r cancels
+        (3.0, 1.7, 1.7 * 1.7 / 3.0 + 1e-12),  # a*c - b*b rounded cancels
+    ],
+)
+def test_closed_form_min_eigenvalue_keeps_relative_accuracy(a, b, c):
+    # nearly singular with a != c, against the exact eigenvalue of the rounded entries
+    with mpmath.workdps(50):
+        ma, mb, mc = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        exact = float((ma + mc) / 2 - mpmath.sqrt(((ma - mc) / 2) ** 2 + mb * mb))
+    assert abs(min_eigenvalue_2x2(a, b, c) - exact) <= 1e-14 * exact

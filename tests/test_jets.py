@@ -202,3 +202,34 @@ def test_first_order_jets_skip_hessian():
     out = exp(s * s)
     assert out.hess is None
     assert out.grad[0] == pytest.approx(2 * 0.3 * math.exp(0.09))
+
+
+def test_packed_hessian_of_a_three_variable_product():
+    a, b, c = seed_jets((2.0, 3.0, 5.0))
+    j = a * a * b * c
+    # f = a^2 b c: f_aa = 2bc, f_ab = 2ac, f_ac = 2ab, f_bb = 0, f_bc = a^2, f_cc = 0
+    assert j.hess_packed == (30.0, 20.0, 12.0, 0.0, 4.0, 0.0)
+    assert j.hess == ((30.0, 20.0, 12.0), (20.0, 0.0, 4.0), (12.0, 4.0, 0.0))
+    for i in range(3):
+        for k in range(3):
+            assert j.hess[i][k] == j.hess[k][i]
+
+
+def test_packed_entries_of_a_nested_jet_carry_outer_gradients():
+    x, y = seed_jets((0.5, -1.25), order=1)
+    u, v = seed_jets((0.75, 2.0))
+    F = x * u * u + y * u * v + x * y * v * v
+    # F_uu = 2x, F_uv = y, F_vv = 2xy, each a jet in the outer register (x, y)
+    huu, huv, hvv = F.hess_packed
+    assert all(e.level == x.level for e in (huu, huv, hvv))
+    assert (huu.value, huv.value, hvv.value) == (1.0, -1.25, -1.25)
+    assert huu.grad == (2.0, 0.0)
+    assert huv.grad == (0.0, 1.0)
+    assert hvv.grad == (-2.5, 1.0)
+
+
+def test_first_order_lift_has_no_hessian():
+    j = lift(lambda x, y: x * y, (1.0, 2.0), order=1)
+    assert j.grad == (2.0, 1.0)
+    assert j.hess_packed is None
+    assert j.hess is None
