@@ -53,10 +53,6 @@ __all__ = [
 ]
 
 
-def _vf(a: Callable, b: Callable, name: str = "") -> PlaneVectorField:
-    return PlaneVectorField(ScalarField(2, a), ScalarField(2, b), name)
-
-
 # --------------------------------------------------------------------------
 # scalar-equation normal forms
 # --------------------------------------------------------------------------
@@ -326,55 +322,40 @@ class MetricEntry:
 def _metric_c(sign: float) -> MetricField:
     if sign < 0:
         return MetricField(
-            ScalarField(2, lambda x, y: exp(3.0 * x)),
-            ScalarField(2, lambda x, y: 0.0),
-            ScalarField(2, lambda x, y: exp(x)),
-            Rectangle(-0.5, 0.5, -0.5, 0.5),
-            name="c-",
+            lambda x, y: (exp(3.0 * x), 0.0, exp(x)), Rectangle(-0.5, 0.5, -0.5, 0.5), name="c-"
         )
 
-    def e11(x, y):
-        w = 2.0 * exp(x) - 1.0
+    def entries(x, y):
+        ex = exp(x)
+        w = 2.0 * ex - 1.0
         if jet_value(w) <= 0.0:
             raise EvaluationError("outside 2 e^x - 1 > 0")
-        return exp(3.0 * x) / (w * w)
+        return exp(3.0 * x) / (w * w), 0.0, ex / w
 
-    def e22(x, y):
-        w = 2.0 * exp(x) - 1.0
-        if jet_value(w) <= 0.0:
-            raise EvaluationError("outside 2 e^x - 1 > 0")
-        return exp(x) / w
-
-    return MetricField(
-        ScalarField(2, e11),
-        ScalarField(2, lambda x, y: 0.0),
-        ScalarField(2, e22),
-        Rectangle(-0.5, 0.5, -0.5, 0.5),
-        name="c+",
-    )
+    return MetricField(entries, Rectangle(-0.5, 0.5, -0.5, 0.5), name="c+")
 
 
 def _j2_fields():
     return (
-        _vf(lambda x, y: -y, lambda x, y: -0.5 * y * y, "J2.X0"),
-        _vf(lambda x, y: -1.0, lambda x, y: -y, "J2.X1"),
-        _vf(lambda x, y: 0.0, lambda x, y: -1.0, "J2.X2"),
+        PlaneVectorField(lambda x, y: (-y, -0.5 * y * y), "J2.X0"),
+        PlaneVectorField(lambda x, y: (-1.0, -y), "J2.X1"),
+        PlaneVectorField(lambda x, y: (0.0, -1.0), "J2.X2"),
     )
 
 
 def _c1_fields(lam: float = 0.0):
     return (
-        _vf(lambda x, y: -(lam * x - y), lambda x, y: -(x + lam * y), "C1.X0"),
-        _vf(lambda x, y: 1.0, lambda x, y: 0.0, "C1.X1"),
-        _vf(lambda x, y: 0.0, lambda x, y: -1.0, "C1.X2"),
+        PlaneVectorField(lambda x, y: (-(lam * x - y), -(x + lam * y)), "C1.X0"),
+        PlaneVectorField(lambda x, y: (1.0, 0.0), "C1.X1"),
+        PlaneVectorField(lambda x, y: (0.0, -1.0), "C1.X2"),
     )
 
 
 def _c2_fields(s: float):
     return (
-        _vf(lambda x, y: y, lambda x, y: -x, "C2.X0"),
-        _vf(lambda x, y: x * y, lambda x, y: 0.5 * (-x * x + y * y + s), "C2.X1"),
-        _vf(lambda x, y: 0.5 * (x * x - y * y + s), lambda x, y: x * y, "C2.X2"),
+        PlaneVectorField(lambda x, y: (y, -x), "C2.X0"),
+        PlaneVectorField(lambda x, y: (x * y, 0.5 * (-x * x + y * y + s)), "C2.X1"),
+        PlaneVectorField(lambda x, y: (0.5 * (x * x - y * y + s), x * y), "C2.X2"),
     )
 
 
@@ -388,9 +369,9 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
             "sqrt(dx^2 + dy^2)",
             alpha=alpha,
             projective_basis=(
-                _vf(lambda x, y: 1.0, lambda x, y: 0.0, "dx"),
-                _vf(lambda x, y: 0.0, lambda x, y: 1.0, "dy"),
-                _vf(lambda x, y: y, lambda x, y: -x, "rot"),
+                PlaneVectorField(lambda x, y: (1.0, 0.0), "dx"),
+                PlaneVectorField(lambda x, y: (0.0, 1.0), "dy"),
+                PlaneVectorField(lambda x, y: (y, -x), "rot"),
             ),
             verify_domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
         )
@@ -459,9 +440,9 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
         return LieAlgebraCase(
             "D1",
             (
-                _vf(lambda x, y: -x, lambda x, y: y, "X0"),
-                _vf(lambda x, y: 1.0, lambda x, y: 0.0, "X1"),
-                _vf(lambda x, y: -0.5 * x * x, lambda x, y: x * y + 1.0, "X2"),
+                PlaneVectorField(lambda x, y: (-x, y), "X0"),
+                PlaneVectorField(lambda x, y: (1.0, 0.0), "X1"),
+                PlaneVectorField(lambda x, y: (-0.5 * x * x, x * y + 1.0), "X2"),
             ),
             {(0, 1): (0, 1, 0), (0, 2): (0, 0, -1), (1, 2): (1, 0, 0)},
         )
@@ -469,9 +450,9 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
         return LieAlgebraCase(
             "D2",
             (
-                _vf(lambda x, y: -x, lambda x, y: -lam * y, "X0"),
-                _vf(lambda x, y: 1.0, lambda x, y: 0.0, "X1"),
-                _vf(lambda x, y: 0.0, lambda x, y: 1.0, "X2"),
+                PlaneVectorField(lambda x, y: (-x, -lam * y), "X0"),
+                PlaneVectorField(lambda x, y: (1.0, 0.0), "X1"),
+                PlaneVectorField(lambda x, y: (0.0, 1.0), "X2"),
             ),
             {(0, 1): (0, 1, 0), (0, 2): (0, 0, lam), (1, 2): (0, 0, 0)},
         )
@@ -479,9 +460,9 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
         return LieAlgebraCase(
             "J1",
             (
-                _vf(lambda x, y: -(x + y), lambda x, y: -y, "X0"),
-                _vf(lambda x, y: 1.0, lambda x, y: 0.0, "X1"),
-                _vf(lambda x, y: 0.0, lambda x, y: 1.0, "X2"),
+                PlaneVectorField(lambda x, y: (-(x + y), -y), "X0"),
+                PlaneVectorField(lambda x, y: (1.0, 0.0), "X1"),
+                PlaneVectorField(lambda x, y: (0.0, 1.0), "X2"),
             ),
             {(0, 1): (0, 1, 0), (0, 2): (0, 1, 1), (1, 2): (0, 0, 0)},
         )
@@ -496,13 +477,9 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
         return LieAlgebraCase(
             "J3",
             (
-                _vf(lambda x, y: y, lambda x, y: 0.0, "X0"),
-                _vf(lambda x, y: 1.0, lambda x, y: 0.0, "X1"),
-                _vf(
-                    lambda x, y: (g0 * y + g1) * x,
-                    lambda x, y: g0 * y * y + g1 * y - 1.0,
-                    "X2",
-                ),
+                PlaneVectorField(lambda x, y: (y, 0.0), "X0"),
+                PlaneVectorField(lambda x, y: (1.0, 0.0), "X1"),
+                PlaneVectorField(lambda x, y: ((g0 * y + g1) * x, g0 * y * y + g1 * y - 1.0), "X2"),
             ),
             {(0, 1): (0, 0, 0), (0, 2): (0, 1, 0), (1, 2): (g0, g1, 0)},
         )

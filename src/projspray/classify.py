@@ -157,35 +157,24 @@ def is_projectively_flat(
     return FlatnessVerdict(True, None, "", worst)
 
 
-@dataclass(frozen=True)
-class ProjectiveConnectionCoeffs:
-    """Coefficients K0..K3 of a cubic equation y'' = K0 + K1 z + K2 z^2 + K3 z^3."""
-
-    K0: ScalarField
-    K1: ScalarField
-    K2: ScalarField
-    K3: ScalarField
+class ProjectiveConnectionCoeffs(CubicForm):
+    """Coefficients of a cubic equation y'' = K0 + K1 z + K2 z^2 + K3 z^3;
+    ``fit(x, y)`` returns (K0, K1, K2, K3)."""
 
     @classmethod
     def from_cubic(cls, cf: CubicForm) -> "ProjectiveConnectionCoeffs":
-        return cls(*(ScalarField(2, lambda x, y, i=i: cf.fit(x, y)[i]) for i in range(4)))
-
-    def at(self, x, y):
-        return (
-            float(self.K0(x, y)),
-            float(self.K1(x, y)),
-            float(self.K2(x, y)),
-            float(self.K3(x, y)),
-        )
+        return cls(cf.fit)
 
 
 def _det_scaled(m: MetricField, p: float, name: str) -> MetricField:
     """The matrix field (det m)^p m."""
 
-    def entry(e):
-        return ScalarField(2, lambda x, y: power(m.det(x, y), p) * e(x, y))
+    def entries(x, y):
+        e11, e12, e22 = m.entries(x, y)
+        scale = power(e11 * e22 - e12 * e12, p)
+        return scale * e11, scale * e12, scale * e22
 
-    return MetricField(entry(m.e11), entry(m.e12), entry(m.e22), m.domain, name=name)
+    return MetricField(entries, m.domain, name=name)
 
 
 def liouville_candidate(g: MetricField) -> MetricField:
@@ -205,7 +194,7 @@ def liouville_residuals(
     x, y = at
     j11, j12, j22 = lift(a.entries, (x, y), order=1)
     a11, a12, a22 = j11.value, j12.value, j22.value
-    k0, k1, k2, k3 = K.at(x, y)
+    k0, k1, k2, k3 = K.coefficients(x, y)
     r = np.array(
         [
             j11.grad[0] - (2.0 / 3.0) * k1 * a11 + 2.0 * k0 * a12,

@@ -281,9 +281,9 @@ def induced_ode_direct(metric: FinslerMetric) -> OdePair:
 def transpose_odes(pair: OdePair) -> TransposedOdePair:
     """Equations for the y-parametrizations; the two x-branches glue across z = 0.
 
-    At z = 0 the value is the numerical limit from z > 0 (Richardson over
-    h in {1e-2, 1e-3}); one-sided regularity is the business of
-    :func:`smoothness_at_zero`.
+    At z = 0 the value is the numerical limit from z > 0, extrapolated
+    quadratically from h in {1e-2, 1e-3, 1e-4}; one-sided regularity is the
+    business of :func:`smoothness_at_zero`.
     """
 
     def make(f_pos, f_neg):

@@ -5,13 +5,17 @@ The construction: pick a background metric alpha, scale its area form by
 -k, pick a potential one-form beta with d(beta) equal to that form, and
 set F = sqrt(alpha) + beta.  The geodesics of F are then the positively
 oriented curves of constant geodesic curvature k for alpha.
+
+A matrix field is one callable ``entries(x, y)`` returning (e11, e12, e22),
+and a one-form one callable ``at(x, y)`` returning (b1, b2); each is read,
+and lifted, as one register per point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,25 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricField:
-    """Symmetric 2x2 matrix field on a base rectangle."""
+    """Symmetric 2x2 matrix field on a base rectangle; ``entries(x, y)``
+    returns (e11, e12, e22)."""
 
-    e11: ScalarField
-    e12: ScalarField
-    e22: ScalarField
+    entries: Callable
     domain: Rectangle
     name: str = ""
-
-    def entries(self, x, y):
-        """The entries (e11, e12, e22) at one point."""
-        return self.e11(x, y), self.e12(x, y), self.e22(x, y)
 
     def matrix(self, x: float, y: float) -> np.ndarray:
         e11, e12, e22 = (float(e) for e in self.entries(x, y))
         return np.array([[e11, e12], [e12, e22]])
-
-    def det(self, x, y):
-        e11, e12, e22 = self.entries(x, y)
-        return e11 * e22 - e12 * e12
 
     def inverse(self, x: float, y: float) -> np.ndarray:
         m = self.matrix(x, y)
@@ -78,12 +73,10 @@ class MetricField:
 
 @dataclass(frozen=True)
 class OneFormField:
-    b1: ScalarField
-    b2: ScalarField
-    name: str = ""
+    """The one-form b1 dx + b2 dy; ``at(x, y)`` returns (b1, b2)."""
 
-    def at(self, x, y):
-        return self.b1(x, y), self.b2(x, y)
+    at: Callable
+    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -119,24 +112,22 @@ class LorentzOperator:
 def constant_curvature_metric(model: str) -> MetricField:
     """Flat plane, round-sphere chart, or disk model of the hyperbolic plane."""
     if model == "euclidean":
-        one = ScalarField(2, lambda x, y: 1.0)
-        zero = ScalarField(2, lambda x, y: 0.0)
-        return MetricField(one, zero, one, Rectangle(-3.0, 3.0, -3.0, 3.0), "euclidean")
+        return MetricField(lambda x, y: (1.0, 0.0, 1.0), Rectangle(-3.0, 3.0, -3.0, 3.0), "euclidean")
     if model == "sphere":
-        phi = ScalarField(2, lambda x, y: 1.0 / (1.0 + x * x + y * y) ** 2)
-        zero = ScalarField(2, lambda x, y: 0.0)
-        return MetricField(phi, zero, phi, Rectangle(-3.0, 3.0, -3.0, 3.0), "sphere")
+        def entries(x, y):
+            phi = 1.0 / (1.0 + x * x + y * y) ** 2
+            return phi, 0.0, phi
+
+        return MetricField(entries, Rectangle(-3.0, 3.0, -3.0, 3.0), "sphere")
     if model == "hyperbolic":
-        def phi(x, y):
+        def entries(x, y):
             w = 1.0 - x * x - y * y
             if jet_value(w) <= 0.0:
                 raise EvaluationError("outside the unit disk")
-            return 1.0 / (w * w)
+            phi = 1.0 / (w * w)
+            return phi, 0.0, phi
 
-        zero = ScalarField(2, lambda x, y: 0.0)
-        return MetricField(
-            ScalarField(2, phi), zero, ScalarField(2, phi), Rectangle(-0.7, 0.7, -0.7, 0.7), "hyperbolic"
-        )
+        return MetricField(entries, Rectangle(-0.7, 0.7, -0.7, 0.7), "hyperbolic")
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -151,20 +142,16 @@ def beta_for(model: str, k: float, sign: float = 1.0) -> OneFormField:
     s = float(sign)
     if model == "euclidean":
         return OneFormField(
-            ScalarField(2, lambda x, y: s * 0.5 * k * y),
-            ScalarField(2, lambda x, y: -s * 0.5 * k * x),
-            name=f"beta[euclidean,k={k}]",
+            lambda x, y: (s * 0.5 * k * y, -s * 0.5 * k * x), name=f"beta[euclidean,k={k}]"
         )
     if model in ("sphere", "hyperbolic"):
         eps = 1.0 if model == "sphere" else -1.0
 
-        def b1(x, y):
-            return s * 0.5 * k * y / (1.0 + eps * (x * x + y * y))
+        def at(x, y):
+            denom = 1.0 + eps * (x * x + y * y)
+            return s * 0.5 * k * y / denom, -s * 0.5 * k * x / denom
 
-        def b2(x, y):
-            return -s * 0.5 * k * x / (1.0 + eps * (x * x + y * y))
-
-        return OneFormField(ScalarField(2, b1), ScalarField(2, b2), name=f"beta[{model},k={k}]")
+        return OneFormField(at, name=f"beta[{model},k={k}]")
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -173,7 +160,8 @@ def area_form(alpha: MetricField, k: float) -> AreaForm:
         raise ValueError("curvature scale k must be positive")
 
     def w(x, y):
-        return -k * sqrt(alpha.e11(x, y) * alpha.e22(x, y) - alpha.e12(x, y) ** 2)
+        e11, e12, e22 = alpha.entries(x, y)
+        return -k * sqrt(e11 * e22 - e12**2)
 
     return AreaForm(ScalarField(2, w), k)
 
@@ -217,22 +205,20 @@ def randers_metric(
                     f"one-form norm {n:.3f} >= 1 at ({x}, {y}); positivity fails"
                 )
 
-    a11, a12, a22 = alpha.e11.fn, alpha.e12.fn, alpha.e22.fn
-    b1, b2 = beta.b1.fn, beta.b2.fn
-
     def F(x, y, u, v):
-        q = a11(x, y) * u * u + 2.0 * a12(x, y) * u * v + a22(x, y) * v * v
-        return sqrt(q) + b1(x, y) * u + b2(x, y) * v
+        a11, a12, a22 = alpha.entries(x, y)
+        b1, b2 = beta.at(x, y)
+        return sqrt(a11 * u * u + 2.0 * a12 * u * v + a22 * v * v) + b1 * u + b2 * v
 
     return FinslerMetric(ScalarField(4, F), "randers", domain, name=name)
 
 
 def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
     """F = sqrt(alpha(xi, xi)) as a Finsler metric."""
-    a11, a12, a22 = alpha.e11.fn, alpha.e12.fn, alpha.e22.fn
 
     def F(x, y, u, v):
-        return sqrt(a11(x, y) * u * u + 2.0 * a12(x, y) * u * v + a22(x, y) * v * v)
+        a11, a12, a22 = alpha.entries(x, y)
+        return sqrt(a11 * u * u + 2.0 * a12 * u * v + a22 * v * v)
 
     return FinslerMetric(ScalarField(4, F), "riemannian", alpha.domain, name=name)
 

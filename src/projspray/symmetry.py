@@ -4,15 +4,17 @@ point-symmetry and projective-vector-field residuals.
 A field a(x,y) dx + b(x,y) dy acts on the equation space (x, y, z = y')
 through its prolongation with third coefficient
 c = b_x + z b_y - z (a_x + z a_y), and on the tangent bundle through its
-complete lift.  All coefficient derivatives come from jets, so bracket
-fields and prolongation coefficients remain liftable themselves.
+complete lift.  Each field is one tuple-valued callable, lifted as one
+register: a plane field's ``at(x, y)`` returns (a, b), a prolonged field's
+``at(x, y, z)`` returns (a, b, c).  All coefficient derivatives come from
+jets, so bracket fields and prolongations remain liftable themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,19 +49,17 @@ class NotClosedError(ValueError):
 
 @dataclass(frozen=True)
 class PlaneVectorField:
-    a: ScalarField  # arity 2, coefficient of d/dx
-    b: ScalarField  # coefficient of d/dy
-    name: str = ""
+    """The field a d/dx + b d/dy; ``at(x, y)`` returns (a, b)."""
 
-    def at(self, x, y):
-        return self.a(x, y), self.b(x, y)
+    at: Callable
+    name: str = ""
 
 
 @dataclass(frozen=True)
 class ProlongedVectorField:
-    a: ScalarField
-    b: ScalarField
-    c: ScalarField  # arity 3 on (x, y, z)
+    """A plane field prolonged to (x, y, z = y'); ``at(x, y, z)`` returns (a, b, c)."""
+
+    at: Callable
     name: str = ""
 
 
@@ -81,11 +81,11 @@ class CompleteLift:
 
 
 def prolong(X: PlaneVectorField) -> ProlongedVectorField:
-    def cfn(x, y, z):
+    def at(x, y, z):
         ja, jb = lift(X.at, (x, y), order=1)
-        return jb.grad[0] + z * jb.grad[1] - z * (ja.grad[0] + z * ja.grad[1])
+        return ja.value, jb.value, jb.grad[0] + z * jb.grad[1] - z * (ja.grad[0] + z * ja.grad[1])
 
-    return ProlongedVectorField(X.a, X.b, ScalarField(3, cfn, name=f"c[{X.name}]"), X.name)
+    return ProlongedVectorField(at, X.name)
 
 
 def complete_lift(X: PlaneVectorField) -> CompleteLift:
@@ -95,21 +95,18 @@ def complete_lift(X: PlaneVectorField) -> CompleteLift:
 def lie_bracket(X: PlaneVectorField, Y: PlaneVectorField) -> PlaneVectorField:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, returned as a new field."""
 
-    def component(idx):
-        def fn(x, y):
-            jxa, jxb = lift(X.at, (x, y), order=1)
-            jya, jyb = lift(Y.at, (x, y), order=1)
-            jx, jy = (jxa, jya) if idx == 0 else (jxb, jyb)
-            return (
-                jxa.value * jy.grad[0]
-                + jxb.value * jy.grad[1]
-                - jya.value * jx.grad[0]
-                - jyb.value * jx.grad[1]
-            )
+    def at(x, y):
+        jxa, jxb = lift(X.at, (x, y), order=1)
+        jya, jyb = lift(Y.at, (x, y), order=1)
+        return tuple(
+            jxa.value * jy.grad[0]
+            + jxb.value * jy.grad[1]
+            - jya.value * jx.grad[0]
+            - jyb.value * jx.grad[1]
+            for jx, jy in ((jxa, jya), (jxb, jyb))
+        )
 
-        return ScalarField(2, fn)
-
-    return PlaneVectorField(component(0), component(1), name=f"[{X.name},{Y.name}]")
+    return PlaneVectorField(at, name=f"[{X.name},{Y.name}]")
 
 
 def point_symmetry_residual(X: PlaneVectorField, f: ScalarField, at: Sequence[float]) -> float:
@@ -121,10 +118,9 @@ def point_symmetry_residual(X: PlaneVectorField, f: ScalarField, at: Sequence[fl
     x, y, z = at
     jf = lift(f, (x, y, z), order=1)
     fval, fx, fy, fz = jf.value, jf.grad[0], jf.grad[1], jf.grad[2]
-    ja, jb = lift(X.at, (x, y), order=1)
+    ja, jb, jc = lift(prolong(X).at, (x, y, z), order=1)
     a, ax, ay = ja.value, ja.grad[0], ja.grad[1]
     b = jb.value
-    jc = lift(prolong(X).c, (x, y, z), order=1)
     c, cx, cy, cz = jc.value, jc.grad[0], jc.grad[1], jc.grad[2]
     return abs(a * fx + b * fy + c * fz - (cz - ax - z * ay) * fval - cx - z * cy)
 
@@ -219,8 +215,10 @@ def structure_constants(
     At each sample point (x, y, z) the prolonged fields give a 3x3 system
     (components a, b, c), solved exactly; the constants must agree across
     points to ``tol``.  Singular sample points are skipped and replaced
-    from a fixed pool.
+    from a fixed pool of eight; a larger ``npoints`` raises ``ValueError``.
     """
+    if npoints > len(_SAMPLE_POOL):
+        raise ValueError(f"npoints {npoints} exceeds the sample pool of {len(_SAMPLE_POOL)} points")
     basis = case_or_basis.basis if isinstance(case_or_basis, LieAlgebraCase) else tuple(case_or_basis)
     prolonged = [prolong(X) for X in basis]
     brackets = {
@@ -233,16 +231,10 @@ def structure_constants(
     for (x, y, z) in _SAMPLE_POOL:
         if used >= npoints:
             break
-        cols = []
-        for P in prolonged:
-            cols.append([P.a(x, y), P.b(x, y), P.c(x, y, z)])
-        A = np.array(cols, dtype=float).T  # columns are the basis fields
+        A = np.array([P.at(x, y, z) for P in prolonged], dtype=float).T  # one column per field
         if abs(np.linalg.det(A)) < 1e-10 * max(1.0, float(np.abs(A).max()) ** 3):
             continue
-        rhs = {
-            key: np.array([B.a(x, y), B.b(x, y), B.c(x, y, z)], dtype=float)
-            for key, B in brackets.items()
-        }
+        rhs = {key: np.array(B.at(x, y, z), dtype=float) for key, B in brackets.items()}
         per_point.append((A, rhs, {key: np.linalg.solve(A, r) for key, r in rhs.items()}))
         used += 1
     if used < npoints:

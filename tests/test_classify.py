@@ -102,19 +102,12 @@ def test_liouville_candidate_c_minus():
 
 
 def _k_c_minus():
-    zero = ScalarField(2, lambda x, y: 0.0)
-    return ProjectiveConnectionCoeffs(
-        K0=zero,
-        K1=ScalarField(2, lambda x, y: 0.5),
-        K2=zero,
-        K3=ScalarField(2, lambda x, y: -0.5 * exp(-2.0 * x)),
-    )
+    return ProjectiveConnectionCoeffs(lambda x, y: (0.0, 0.5, 0.0, -0.5 * exp(-2.0 * x)))
 
 
 def test_liouville_residuals_euclidean():
     a = liouville_candidate(constant_curvature_metric("euclidean"))
-    zero = ScalarField(2, lambda x, y: 0.0)
-    K = ProjectiveConnectionCoeffs(zero, zero, zero, zero)
+    K = ProjectiveConnectionCoeffs(lambda x, y: (0.0, 0.0, 0.0, 0.0))
     assert np.allclose(liouville_residuals(a, K, (0.2, -0.1)), 0.0, atol=1e-14)
 
 
@@ -128,21 +121,15 @@ def test_liouville_residuals_c_minus():
 
 def test_liouville_residual_detects_flipped_sign():
     a = liouville_candidate(metric_entry("c-").alpha)
-    zero = ScalarField(2, lambda x, y: 0.0)
     K_bad = ProjectiveConnectionCoeffs(
-        zero,
-        ScalarField(2, lambda x, y: 0.5),
-        zero,
-        ScalarField(2, lambda x, y: 0.5 * exp(-2.0 * x)),  # flipped K3
+        lambda x, y: (0.0, 0.5, 0.0, 0.5 * exp(-2.0 * x))  # flipped K3
     )
     r = liouville_residuals(a, K_bad, (0.0, 0.0))
     assert abs(r[2]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_reconstruct_identity():
-    one = ScalarField(2, lambda x, y: 1.0)
-    zero = ScalarField(2, lambda x, y: 0.0)
-    a = MetricField(one, zero, one, BOX)
+    a = MetricField(lambda x, y: (1.0, 0.0, 1.0), BOX)
     assert np.allclose(reconstruct_metric(a).matrix(0.1, 0.1), np.eye(2), atol=1e-14)
 
 
@@ -179,3 +166,20 @@ def test_metrizability_of_c_family(key):
     for (x, y) in entry.domain.grid(3, 3):
         r = liouville_residuals(a, K, (x, y))
         assert np.all(np.abs(r) <= 1e-9), (key, x, y, r)
+
+
+def test_liouville_residuals_evaluate_f_four_times():
+    entry = metric_entry("c+")
+    fplus = induced_ode_direct(entry.metric).fplus
+    calls = []
+
+    def counted(x, y, z):
+        calls.append(z)
+        return fplus(x, y, z)
+
+    cf = extract_cubic(ScalarField(3, counted), (0.0, 0.0))
+    K = ProjectiveConnectionCoeffs.from_cubic(cf)
+    a = liouville_candidate(entry.alpha)
+    calls.clear()
+    liouville_residuals(a, K, (0.1, 0.1))
+    assert len(calls) == 4

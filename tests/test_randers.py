@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projspray.finsler import Rectangle
-from projspray.jets import EvaluationError, ScalarField
+from projspray.jets import EvaluationError
 from projspray.randers import (
     CurveSample,
     MetricField,
@@ -86,9 +86,7 @@ def test_lorentz_sphere_scaled_rotation():
 def test_randers_reduces_to_riemannian_for_zero_form():
     alpha = constant_curvature_metric("euclidean")
     zero = beta_for("euclidean", 1.0)
-    zero = type(zero)(
-        ScalarField(2, lambda x, y: 0.0), ScalarField(2, lambda x, y: 0.0)
-    )
+    zero = type(zero)(lambda x, y: (0.0, 0.0))
     F = randers_metric(alpha, zero, domain=Rectangle(-1, 1, -1, 1))
     assert F(0.3, 0.2, 0.6, -0.8) == pytest.approx(1.0)
 
@@ -106,9 +104,7 @@ def test_randers_a_formula():
 def test_randers_positivity_guard():
     alpha = constant_curvature_metric("euclidean")
     big = beta_for("euclidean", 1.0)
-    big = type(big)(
-        ScalarField(2, lambda x, y: 2.0 * y), ScalarField(2, lambda x, y: -2.0 * x)
-    )
+    big = type(big)(lambda x, y: (2.0 * y, -2.0 * x))
     with pytest.raises(EvaluationError, match="positivity"):
         randers_metric(alpha, big, domain=Rectangle(0.6, 1.4, -0.4, 0.4))
 
@@ -178,8 +174,7 @@ def test_geodesic_curvature_requires_unit_speed():
 
 
 def test_singular_metric_raises_and_names_the_point():
-    one = ScalarField(2, lambda x, y: 1.0)
-    alpha = MetricField(one, one, one, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    alpha = MetricField(lambda x, y: (1.0, 1.0, 1.0), Rectangle(-1.0, 1.0, -1.0, 1.0))
     with pytest.raises(EvaluationError, match=r"\(0\.1, 0\.2\)"):
         christoffel(alpha, 0.1, 0.2)
     sample = CurveSample(pos=(0.1, 0.2), vel=(1.0, 0.0), acc=(0.0, 0.0))

@@ -23,7 +23,7 @@ from projspray.symmetry import (
 
 
 def VF(a, b, name=""):
-    return PlaneVectorField(ScalarField(2, a), ScalarField(2, b), name)
+    return PlaneVectorField(lambda x, y: (a(x, y), b(x, y)), name)
 
 
 D_Y = VF(lambda x, y: 0.0, lambda x, y: 1.0, "dy")
@@ -36,20 +36,17 @@ ROTATION = VF(lambda x, y: y, lambda x, y: -x, "rot")
 
 
 def test_prolong_constant_field():
-    c = prolong(D_Y).c
-    assert c(0.3, -0.2, 1.7) == 0.0
+    assert prolong(D_Y).at(0.3, -0.2, 1.7)[2] == 0.0
 
 
 def test_prolong_x_dy():
-    c = prolong(X_DY).c
-    assert c(0.5, 0.1, -0.4) == pytest.approx(1.0)
+    assert prolong(X_DY).at(0.5, 0.1, -0.4)[2] == pytest.approx(1.0)
 
 
 def test_prolong_scaling_field():
     X = VF(lambda x, y: -x, lambda x, y: y)
-    c = prolong(X).c
     for z in (-1.0, 0.3, 2.0):
-        assert c(0.2, 0.4, z) == pytest.approx(2.0 * z)
+        assert prolong(X).at(0.2, 0.4, z)[2] == pytest.approx(2.0 * z)
 
 
 def test_prolongation_formula_pointwise():
@@ -58,10 +55,9 @@ def test_prolongation_formula_pointwise():
     from projspray.jets import lift
 
     for (x, y, z) in [(0.2, -0.4, 1.3), (-0.5, 0.1, -0.7)]:
-        ja = lift(X.a, (x, y))
-        jb = lift(X.b, (x, y))
+        ja, jb = lift(X.at, (x, y))
         want = jb.grad[0] + z * jb.grad[1] - z * (ja.grad[0] + z * ja.grad[1])
-        assert prolong(X).c(x, y, z) == pytest.approx(want, rel=1e-13)
+        assert prolong(X).at(x, y, z)[2] == pytest.approx(want, rel=1e-13)
 
 
 # --- brackets -------------------------------------------------------------
@@ -310,3 +306,43 @@ def test_projective_field_translation_fails_on_sphere_spray():
         for t in (0.4, 1.7, 3.0)
     )
     assert worst > 1e-3
+
+
+# --- single evaluations ----------------------------------------------------
+
+
+def test_structure_constants_refuses_more_points_than_the_pool():
+    with pytest.raises(ValueError, match="sample pool of 8 points") as err:
+        structure_constants(lie_case("D1"), npoints=9)
+    assert not isinstance(err.value, DegenerateBasisError)
+
+
+def test_structure_constants_c2_plus_makes_60_lifts(monkeypatch):
+    from projspray import symmetry
+
+    calls = []
+    lift = symmetry.lift
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "lift", counted)
+    structure_constants(lie_case("C2+"))
+    assert len(calls) == 60
+
+
+def test_bracket_reads_each_operand_once():
+    calls = {"X": 0, "Y": 0}
+
+    def counted(key, at):
+        def fn(x, y):
+            calls[key] += 1
+            return at(x, y)
+
+        return fn
+
+    X = PlaneVectorField(counted("X", lambda x, y: (x * y, y)), "X")
+    Y = PlaneVectorField(counted("Y", lambda x, y: (exp(x), x - y)), "Y")
+    lie_bracket(X, Y).at(0.3, -0.2)
+    assert calls == {"X": 1, "Y": 1}
