@@ -88,7 +88,7 @@ _Z_FULL = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _Z_POS = (0.5, 1.0, 2.0)
 
 
-def ode_entry(key: str, C: float = 1.0, lam: float = -1.0, sign: float = 1.0) -> OdeEntry:
+def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
     """Normal forms D1, D2, J1, J2, J3, C1, C2(+/-), and the flat equation."""
     if key == "flat":
         return OdeEntry(

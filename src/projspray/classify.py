@@ -35,8 +35,9 @@ __all__ = [
 
 _FIT_NODES = (0.0, 1.0, -1.0, 2.0)
 _CHECK_NODES = (-2.0, 3.0)
-_FIT_WEIGHTS = np.linalg.inv(
-    np.array([[z**p for p in range(4)] for z in _FIT_NODES])
+_FIT_WEIGHTS = tuple(
+    tuple(float(w) for w in row)
+    for row in np.linalg.inv(np.array([[z**p for p in range(4)] for z in _FIT_NODES]))
 )
 
 
@@ -53,10 +54,6 @@ class CubicForm:
     def coefficients(self, x: float, y: float):
         return tuple(float(c) for c in self.fit(x, y))
 
-    def __call__(self, x, y, z):
-        A, B, C, D = self.fit(x, y)
-        return A + z * (B + z * (C + z * D))
-
 
 @dataclass(frozen=True)
 class NotCubic:
@@ -71,20 +68,17 @@ def extract_cubic(f: ScalarField, at: Sequence[float], tol: float = 1e-9):
     Returns a :class:`CubicForm` whose ``fit`` repeats the fit pointwise
     (so it stays liftable), or :class:`NotCubic` with the offending residual.
     """
-    x, y = at
-    vals = np.array([float(f(x, y, z)) for z in _FIT_NODES])
-    coeffs = _FIT_WEIGHTS @ vals
-    for z in _CHECK_NODES:
-        fitted = float(np.polyval(coeffs[::-1], z))
-        r = abs(float(f(x, y, z)) - fitted)
-        if r > tol:
-            return NotCubic(residual=r, node=z)
-    weights = tuple(tuple(float(c) for c in row) for row in _FIT_WEIGHTS)
 
     def fit(x, y):
         f0, f1, f2, f3 = (f(x, y, z) for z in _FIT_NODES)
-        return tuple(w[0] * f0 + w[1] * f1 + w[2] * f2 + w[3] * f3 for w in weights)
+        return tuple(w[0] * f0 + w[1] * f1 + w[2] * f2 + w[3] * f3 for w in _FIT_WEIGHTS)
 
+    x, y = at
+    A, B, C, D = (float(c) for c in fit(x, y))
+    for z in _CHECK_NODES:
+        r = abs(float(f(x, y, z)) - (A + z * (B + z * (C + z * D))))
+        if r > tol:
+            return NotCubic(residual=r, node=z)
     return CubicForm(fit)
 
 

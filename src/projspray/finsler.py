@@ -60,10 +60,10 @@ class Rectangle:
         return [(float(x), float(y)) for x in xs for y in ys]
 
 
-def fiber_directions(n: int = 8, offset: float = 0.1):
-    """Unit fiber directions, offset so none is axis-aligned."""
+def fiber_directions(n: int = 8):
+    """Unit fiber directions, offset by 0.1 so none is axis-aligned."""
     return [
-        (math.cos(offset + 2.0 * math.pi * i / n), math.sin(offset + 2.0 * math.pi * i / n))
+        (math.cos(0.1 + 2.0 * math.pi * i / n), math.sin(0.1 + 2.0 * math.pi * i / n))
         for i in range(n)
     ]
 
@@ -323,23 +323,21 @@ class SmoothnessReport:
 def smoothness_at_zero(
     transposed: TransposedOdePair,
     at: Sequence[float],
-    tol: float = 1e-5,
-    steps=(1e-2, 1e-3),
 ) -> SmoothnessReport:
     """Compare one-sided z-derivatives of ``transposed.gplus`` up to order 2.
 
-    Each side is sampled at the two step sizes and Richardson-extrapolated
-    to z = 0; orders whose one-sided limits disagree beyond ``tol`` are
-    reported as mismatches.
+    Each side is sampled at the steps 1e-2 and 1e-3 and Richardson-
+    extrapolated to z = 0; orders whose one-sided limits disagree beyond
+    1e-5 are reported as mismatches.
     """
     x, y = at
     g = transposed.gplus
-    h1, h2 = steps
+    h1, h2 = 1e-2, 1e-3
     w = h1 / (h1 - h2)
 
     def one_sided(sign):
         vals = []
-        for h in steps:
+        for h in (h1, h2):
             j = lift(g, (x, y, sign * h), active=(2,), order=2)
             vals.append((j.value, j.grad[0], j.hess_packed[0]))
         a, b = vals
@@ -350,7 +348,7 @@ def smoothness_at_zero(
     mism = tuple(
         (order, above[order], below[order])
         for order in range(3)
-        if abs(above[order] - below[order]) > tol
+        if abs(above[order] - below[order]) > 1e-5
     )
     return SmoothnessReport(smooth=not mism, mismatches=mism)
 

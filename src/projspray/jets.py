@@ -38,14 +38,11 @@ __all__ = [
     "Jet2",
     "ScalarField",
     "arctan",
-    "cos",
     "exp",
     "jet_value",
     "lift",
-    "log",
     "power",
     "seed_jets",
-    "sin",
     "sqrt",
 ]
 
@@ -268,31 +265,6 @@ def exp(x):
         f0 = exp(x.value)
         return x._chain(f0, f0, f0)
     return math.exp(x)
-
-
-def log(x):
-    if isinstance(x, Jet2):
-        if jet_value(x.value) <= 0.0:
-            raise EvaluationError("log of a non-positive value")
-        d1 = _recip_any(x.value)
-        return x._chain(log(x.value), d1, -(d1 * d1))
-    if x <= 0.0:
-        raise EvaluationError(f"log of non-positive value {x}")
-    return math.log(x)
-
-
-def sin(x):
-    if isinstance(x, Jet2):
-        s, c = sin(x.value), cos(x.value)
-        return x._chain(s, c, -s)
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Jet2):
-        s, c = sin(x.value), cos(x.value)
-        return x._chain(c, -s, -c)
-    return math.cos(x)
 
 
 def arctan(x):

@@ -98,10 +98,6 @@ class LorentzOperator:
     alpha: MetricField
     omega: AreaForm
 
-    @property
-    def k(self):
-        return self.omega.k
-
     def matrix(self, x, y) -> np.ndarray:
         return self.alpha.inverse(x, y) @ self.omega.matrix(x, y)
 
@@ -172,10 +168,10 @@ def exterior_derivative(beta: OneFormField, at: Sequence[float]) -> float:
     return float(j2.grad[0] - j1.grad[1])
 
 
-def lorentz(alpha: MetricField, omega: AreaForm, check_points: int = 3) -> LorentzOperator:
+def lorentz(alpha: MetricField, omega: AreaForm) -> LorentzOperator:
     J = LorentzOperator(alpha, omega)
     k2 = omega.k**2
-    for (x, y) in alpha.domain.grid(check_points, check_points):
+    for (x, y) in alpha.domain.grid(3, 3):
         m = J.matrix(x, y)
         if float(np.abs(m @ m + k2 * np.eye(2)).max()) > 1e-12 * max(1.0, k2):
             raise EvaluationError(f"Lorentz operator fails J^2 = -k^2 Id at ({x}, {y})")
@@ -192,18 +188,16 @@ def randers_metric(
     alpha: MetricField,
     beta: OneFormField,
     domain: Rectangle | None = None,
-    check: bool = True,
     name: str = "",
 ) -> FinslerMetric:
     """F = sqrt(alpha(xi, xi)) + beta(xi); requires |beta|_alpha < 1."""
     domain = domain or alpha.domain
-    if check:
-        for (x, y) in domain.grid(5, 5, margin=1.0 - 1e-9):
-            n = one_form_norm(alpha, beta, x, y)
-            if n >= 1.0:
-                raise EvaluationError(
-                    f"one-form norm {n:.3f} >= 1 at ({x}, {y}); positivity fails"
-                )
+    for (x, y) in domain.grid(5, 5, margin=1.0 - 1e-9):
+        n = one_form_norm(alpha, beta, x, y)
+        if n >= 1.0:
+            raise EvaluationError(
+                f"one-form norm {n:.3f} >= 1 at ({x}, {y}); positivity fails"
+            )
 
     def F(x, y, u, v):
         a11, a12, a22 = alpha.entries(x, y)

@@ -22,7 +22,6 @@ from .finsler import Spray
 from .jets import EvaluationError, ScalarField, jet_value, lift
 
 __all__ = [
-    "CompleteLift",
     "DegenerateBasisError",
     "LieAlgebraCase",
     "NotClosedError",
@@ -63,23 +62,6 @@ class ProlongedVectorField:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class CompleteLift:
-    """Lift of a plane field to the tangent bundle: fiber part is the
-    Jacobian of the base coefficients applied to (u, v)."""
-
-    base: PlaneVectorField
-
-    def components(self, x, y, u, v):
-        ja, jb = lift(self.base.at, (x, y), order=1)
-        return (
-            ja.value,
-            jb.value,
-            ja.grad[0] * u + ja.grad[1] * v,
-            jb.grad[0] * u + jb.grad[1] * v,
-        )
-
-
 def prolong(X: PlaneVectorField) -> ProlongedVectorField:
     def at(x, y, z):
         ja, jb = lift(X.at, (x, y), order=1)
@@ -88,8 +70,20 @@ def prolong(X: PlaneVectorField) -> ProlongedVectorField:
     return ProlongedVectorField(at, X.name)
 
 
-def complete_lift(X: PlaneVectorField) -> CompleteLift:
-    return CompleteLift(X)
+def complete_lift(X: PlaneVectorField) -> Callable:
+    """Lift of X to the tangent bundle, (x, y, u, v) -> (a, b, A3, B3): the
+    fiber part is the Jacobian of the base coefficients applied to (u, v)."""
+
+    def at(x, y, u, v):
+        ja, jb = lift(X.at, (x, y), order=1)
+        return (
+            ja.value,
+            jb.value,
+            ja.grad[0] * u + ja.grad[1] * v,
+            jb.grad[0] * u + jb.grad[1] * v,
+        )
+
+    return at
 
 
 def lie_bracket(X: PlaneVectorField, Y: PlaneVectorField) -> PlaneVectorField:

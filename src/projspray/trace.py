@@ -76,9 +76,14 @@ def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
     ``EvaluationError`` at ``init`` propagates.  Returns (times, states,
     derivatives at the states, stopped early).  The derivative at a kept
     state is the next step's first stage, so a run makes one evaluation more
-    than 4 n.
+    than 4 n.  Raises ``ValueError`` when t1 precedes t0 or ``step`` is not
+    finite and positive; t1 == t0 gives the initial state alone.
     """
-    n = max(math.ceil((t1 - t0) / step - 1e-9), 0)
+    if t1 < t0:
+        raise ValueError(f"integration end {t1} precedes its start {t0}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step {step} is not finite and positive")
+    n = math.ceil((t1 - t0) / step - 1e-9)
     times = np.linspace(t0, t1, n + 1)
     h = (t1 - t0) / n if n else 0.0
     state = np.asarray(init, dtype=float)
@@ -152,20 +157,20 @@ def integrate_spray(
 
 
 def integrate_ode(
-    f: ScalarField, init: Sequence[float], xmax: float, step: float, zmax: float = 1e6
+    f: ScalarField, init: Sequence[float], xmax: float, step: float
 ) -> OdeCurve:
     """Integrate y'' = f(x, y, y') from (x0, y0, z0) up to xmax.
 
     Steps and abscissae are those of ``integrate_flow``, from x0: the curve
     ends at ``xmax`` exactly unless it blows up first, that is unless |y'|
-    exceeds ``zmax``, a value is not finite or f raises ``EvaluationError``.
+    exceeds 1e6, a value is not finite or f raises ``EvaluationError``.
     """
     x0, y0, z0 = (float(c) for c in init)
 
     def rhs(x, s):
         return np.array([s[1], float(f(float(x), float(s[0]), float(s[1])))])
 
-    xs, states, _, blown = _rk4(rhs, (y0, z0), x0, xmax, step, lambda s: abs(s[1]) > zmax)
+    xs, states, _, blown = _rk4(rhs, (y0, z0), x0, xmax, step, lambda s: abs(s[1]) > 1e6)
     return OdeCurve(xs, states[:, 0], states[:, 1], blown_up=blown)
 
 
@@ -242,10 +247,13 @@ def curve_samples(trace: GeodesicTrace, interior: int = 50) -> list[CurveSample]
 
     The samples are the trace's stored states at nodes spread evenly between
     its two ends, which are left out.  Raises ``ValueError`` when the trace
-    carries no acceleration (``integrate_spray`` stores it).
+    carries no acceleration (``integrate_spray`` stores it) or has no state
+    between its ends.
     """
     if trace.acc is None:
         raise ValueError("trace carries no acceleration; trace it with integrate_spray")
+    if len(trace) < 3:
+        raise ValueError(f"trace of {len(trace)} states has no interior state")
     last = len(trace) - 1
     nodes = np.linspace(0, last, interior + 2)[1:-1].round().astype(int)
     return [

@@ -83,6 +83,12 @@ def test_lorentz_sphere_scaled_rotation():
     assert np.allclose(m @ m, -9.0 * np.eye(2), atol=1e-12)
 
 
+def test_lorentz_rejects_an_area_form_of_another_metric():
+    sphere_form = area_form(constant_curvature_metric("sphere"), 1.0)
+    with pytest.raises(EvaluationError, match=r"fails J\^2 = -k\^2 Id at \(-2.7, -2.7\)"):
+        lorentz(constant_curvature_metric("euclidean"), sphere_form)
+
+
 def test_randers_reduces_to_riemannian_for_zero_form():
     alpha = constant_curvature_metric("euclidean")
     zero = beta_for("euclidean", 1.0)

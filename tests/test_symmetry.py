@@ -251,18 +251,18 @@ def test_scaling_family_constant_stays_symmetric():
 
 
 def test_complete_lift_translation():
-    comp = complete_lift(D_X).components(0.3, 0.2, 0.7, -0.4)
+    comp = complete_lift(D_X)(0.3, 0.2, 0.7, -0.4)
     assert comp == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_complete_lift_rotation():
-    comp = complete_lift(ROTATION).components(0.3, 0.2, 0.7, -0.4)
+    comp = complete_lift(ROTATION)(0.3, 0.2, 0.7, -0.4)
     assert comp[2] == pytest.approx(-0.4)  # fiber part (v, -u)
     assert comp[3] == pytest.approx(-0.7)
 
 
 def test_complete_lift_x_dy():
-    comp = complete_lift(X_DY).components(0.1, 0.9, 0.7, -0.4)
+    comp = complete_lift(X_DY)(0.1, 0.9, 0.7, -0.4)
     assert comp[2] == pytest.approx(0.0)
     assert comp[3] == pytest.approx(0.7)  # b_x u
 

@@ -98,6 +98,22 @@ def test_integrators_end_at_tmax_with_step_as_upper_bound():
         assert float(np.diff(t).max()) <= step
 
 
+def test_integrators_reject_an_end_before_the_start_or_a_bad_step():
+    flat = spray_entry("flat").spray
+    f = induced_odes(flat).fplus
+    with pytest.raises(ValueError, match="end -1.0 precedes"):
+        integrate_spray(flat, (0.0, 0.0, 1.0, 0.0), -1.0, 1e-2)
+    with pytest.raises(ValueError, match="end 0.2 precedes"):
+        integrate_ode(f, (0.5, 0.0, 1.0), 0.2, 1e-2)
+    for step in (0.0, -1e-2, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"step {step} "):
+            integrate_ode(f, (0.0, 0.0, 1.0), 1.0, step)
+        with pytest.raises(ValueError, match=f"step {step} "):
+            integrate_flow(lambda s: s, (1.0,), 1.0, step)
+    tr = integrate_spray(flat, (0.0, 0.0, 1.0, 0.0), 0.0, 1e-2)
+    assert len(tr) == 1 and not tr.domain_exit
+
+
 def test_integrate_ode_blowup_guard():
     from projspray.jets import ScalarField
 
@@ -134,6 +150,17 @@ def test_unit_speed_resample_fixed_point():
     assert max(abs(s - 1.0) for s in speeds) <= 1e-9
     with pytest.raises(ValueError, match="no acceleration"):
         curve_samples(out)
+
+
+def test_curve_samples_needs_an_interior_state():
+    s = spray_entry("a").spray
+    for tmax, n in ((0.0, 1), (1e-3, 2)):
+        tr = integrate_spray(s, (0.0, 0.0, 1.0, 0.0), tmax, 1e-3)
+        assert len(tr) == n
+        with pytest.raises(ValueError, match=f"trace of {n} states"):
+            curve_samples(tr)
+    tr = integrate_spray(s, (0.0, 0.0, 1.0, 0.0), 2e-3, 1e-3)
+    assert [smp.pos for smp in curve_samples(tr)] == [tuple(tr.xy[1])]
 
 
 def test_unit_speed_resample_spray_a():
