@@ -3,7 +3,11 @@ post-processing: circle fitting, arc-length reparametrization, curvature
 sampling from the stored states.
 
 Classical RK4 throughout; trajectories here are short and smooth, and the
-fixed step keeps convergence-order measurements clean.
+fixed step keeps convergence-order measurements clean.  Because every trace
+advances in equal steps, reparametrization needs no interpolant: the
+derivative of the alpha-speed comes from a seven-node differentiation
+stencil on the stored speeds, and arc length from the Hermite (corrected
+trapezoidal) rule, which is O(h^4) like the RK4 states it starts from.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .finsler import Spray
 from .jets import EvaluationError, ScalarField
@@ -70,20 +74,20 @@ def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
     """Classical RK4 of s' = rhs(t, s) from t0 to t1.
 
     Takes n = ceil((t1 - t0) / step) equal steps (``step`` is an upper bound,
-    up to a relative 1e-9), with times t0 + i (t1 - t0) / n, so the last time
-    is t1 exactly.  A state is kept only if it is finite, ``stop`` does not
-    fire on it and rhs evaluates there; otherwise the run ends early.  An
-    ``EvaluationError`` at ``init`` propagates.  Returns (times, states,
-    derivatives at the states, stopped early).  The derivative at a kept
-    state is the next step's first stage, so a run makes one evaluation more
-    than 4 n.  Raises ``ValueError`` when t1 precedes t0 or ``step`` is not
+    up to a relative 1e-9), at least one when t1 > t0, with times
+    t0 + i (t1 - t0) / n, so the last time is t1 exactly.  A state is kept
+    only if it is finite, ``stop`` does not fire on it and rhs evaluates
+    there; otherwise the run ends early.  An ``EvaluationError`` at ``init``
+    propagates.  Returns (times, states, derivatives at the states, stopped
+    early).  The derivative at a kept state is the next step's first stage,
+    so a run makes one evaluation more than 4 n.  Raises ``ValueError`` when t1 precedes t0 or ``step`` is not
     finite and positive; t1 == t0 gives the initial state alone.
     """
     if t1 < t0:
         raise ValueError(f"integration end {t1} precedes its start {t0}")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step {step} is not finite and positive")
-    n = math.ceil((t1 - t0) / step - 1e-9)
+    n = max(math.ceil((t1 - t0) / step - 1e-9), 1) if t1 > t0 else 0
     times = np.linspace(t0, t1, n + 1)
     h = (t1 - t0) / n if n else 0.0
     state = np.asarray(init, dtype=float)
@@ -221,25 +225,52 @@ def _alpha_speeds(trace: GeodesicTrace, alpha: MetricField) -> np.ndarray:
     )
 
 
+def _diff_weights(m: int) -> np.ndarray:
+    """Row p: the weights that give, from values at m nodes one step apart,
+    the derivative per step at node p of the polynomial through them."""
+    nodes = np.linspace(-1.0, 1.0, m)  # [-1, 1] keeps the Vandermonde solve well conditioned
+    powers = np.vander(nodes, increasing=True)
+    slopes = np.array([[k * z ** (k - 1) if k else 0.0 for k in range(m)] for z in nodes])
+    return np.linalg.solve(powers.T, slopes.T).T * (2.0 / (m - 1))
+
+
+_DIFF_WEIGHTS = {m: _diff_weights(m) for m in range(2, 8)}
+
+
 def unit_speed_resample(trace: GeodesicTrace, alpha: MetricField) -> GeodesicTrace:
     """Reparametrize a trace by its alpha-arc-length, at the trace's own nodes.
 
     With sigma the alpha-speed, the velocity becomes u / sigma, which has
     alpha-norm 1 up to rounding, and the acceleration (a - (sigma' / sigma) u)
-    / sigma^2; the acceleration is None when the trace carries none.  Arc
-    length, the new parameter, is the integral of a cubic spline of sigma,
-    and sigma' is that spline's derivative.
+    / sigma^2; the acceleration is None when the trace carries none.  sigma'
+    at each node is the derivative of the polynomial through the 7 nearest
+    nodes: the central stencil (-1, 9, -45, 0, 45, -9, 1) / 60h inside,
+    one-sided seven-node rows at the 3 nodes of each end, and all nodes when
+    the trace has fewer than 7.  Arc length, the new parameter, starts at 0
+    and advances by the Hermite rule s+ = s + h/2 (sigma + sigma+) +
+    h^2/12 (sigma' - sigma'+).  Raises ``ValueError`` for a trace of one state
+    or one whose times do not advance in equal steps (``integrate_spray``
+    traces always do).
     """
+    n = len(trace)
+    if n < 2:
+        raise ValueError(f"trace of {n} states has no step to reparametrize")
+    h = (trace.t[-1] - trace.t[0]) / (n - 1)
+    if not (h > 0.0 and np.abs(np.diff(trace.t) - h).max() <= 1e-9 * h):
+        raise ValueError(f"trace times do not advance in equal steps of {h}")
     speeds = _alpha_speeds(trace, alpha)
     if np.any(speeds <= 0):
         raise EvaluationError("trace has a vanishing velocity sample")
-    spline = CubicSpline(trace.t, speeds)
+    m = min(n, 7)
+    starts = np.clip(np.arange(n) - m // 2, 0, n - m)
+    rows = _DIFF_WEIGHTS[m][np.arange(n) - starts]
+    rates = np.einsum("ij,ij->i", rows, sliding_window_view(speeds, m)[starts]) / h
+    steps = 0.5 * h * (speeds[:-1] + speeds[1:]) + h * h / 12.0 * (rates[:-1] - rates[1:])
     uv = trace.uv / speeds[:, None]
     acc = None
     if trace.acc is not None:
-        rate = spline(trace.t, 1) / speeds
-        acc = (trace.acc - rate[:, None] * trace.uv) / speeds[:, None] ** 2
-    return GeodesicTrace(t=spline.antiderivative()(trace.t), xy=trace.xy, uv=uv, acc=acc)
+        acc = (trace.acc - (rates / speeds)[:, None] * trace.uv) / speeds[:, None] ** 2
+    return GeodesicTrace(t=np.concatenate(([0.0], np.cumsum(steps))), xy=trace.xy, uv=uv, acc=acc)
 
 
 def curve_samples(trace: GeodesicTrace, interior: int = 50) -> list[CurveSample]:

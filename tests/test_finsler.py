@@ -225,6 +225,16 @@ def test_transpose_spray_a_closed_form():
     assert t.gplus(0.1, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-5)
 
 
+def test_transpose_spray_a_both_orientations():
+    # the down-going orientation is the up-going one reflected: g- = -g+
+    t = transpose_odes(induced_odes(spray_a()))
+    for z in (-1.0, -0.5, 0.5, 1.0):
+        assert abs(t.gplus(0.1, 0.0, z) + (1.0 + z * z) ** 1.5) <= 1e-14
+        assert abs(t.gminus(0.1, 0.0, z) - (1.0 + z * z) ** 1.5) <= 1e-14
+    assert abs(t.gplus(0.1, 0.0, 0.0) + 1.0) <= 1e-10
+    assert abs(t.gminus(0.1, 0.0, 0.0) - 1.0) <= 1e-10
+
+
 def test_transpose_quartic_power_is_singular():
     C = 0.7
     f = ScalarField(3, lambda x, y, z: C * z**4)

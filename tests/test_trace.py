@@ -6,6 +6,7 @@ import pytest
 from projspray.catalog import metric_entry, spray_entry
 from projspray.finsler import geodesic_spray, induced_odes
 from projspray.randers import (
+    CurveSample,
     area_form,
     constant_curvature_metric,
     geodesic_curvature,
@@ -88,14 +89,17 @@ def test_integrate_ode_matches_spray_trace_c_minus():
 
 
 def test_integrators_end_at_tmax_with_step_as_upper_bound():
-    tmax, step = 1.0, 0.3  # tmax / step is not an integer: 4 steps of 0.25
-    tr = integrate_spray(spray_entry("flat").spray, (0.0, 0.0, 1.0, 0.0), tmax, step)
-    times, _, _ = integrate_flow(lambda s: np.array([s[2], s[3], 0.0, 0.0]), (0.0, 0.0, 1.0, 0.0), tmax, step)
-    c = integrate_ode(induced_odes(spray_entry("flat").spray).fplus, (0.5, 0.0, 1.0), 0.5 + tmax, step)
-    for t in (tr.t, times, c.x):
-        assert len(t) == 5
-        assert t[-1] == t[0] + tmax
-        assert float(np.diff(t).max()) <= step
+    # tmax / step is not an integer: 4 steps of 0.25; a span far below the
+    # step still takes one step to its end
+    for tmax, step, n in ((1.0, 0.3, 5), (1e-12, 1e-2, 2)):
+        tr = integrate_spray(spray_entry("flat").spray, (0.0, 0.0, 1.0, 0.0), tmax, step)
+        times, _, stopped = integrate_flow(lambda s: np.array([s[2], s[3], 0.0, 0.0]), (0.0, 0.0, 1.0, 0.0), tmax, step)
+        c = integrate_ode(induced_odes(spray_entry("flat").spray).fplus, (0.5, 0.0, 1.0), 0.5 + tmax, step)
+        assert not (tr.domain_exit or stopped or c.blown_up)
+        for t in (tr.t, times, c.x):
+            assert len(t) == n
+            assert t[-1] == t[0] + tmax
+            assert float(np.diff(t).max()) <= step
 
 
 def test_integrators_reject_an_end_before_the_start_or_a_bad_step():
@@ -171,6 +175,61 @@ def test_unit_speed_resample_spray_a():
     inner = speeds[2:-2]
     assert max(abs(s - 1.0) for s in inner) <= 1e-9
     assert np.all(np.diff(out.t) > 0)
+
+
+def _euclidean_trace(t, speed, rate):
+    """A trace along the x-axis with speed sigma(t) and acceleration sigma'(t)."""
+    zero = np.zeros_like(t)
+    return GeodesicTrace(t=t, xy=np.column_stack([t, zero]),
+                         uv=np.column_stack([speed, zero]), acc=np.column_stack([rate, zero]))
+
+
+def test_unit_speed_resample_matches_closed_form_arc_length():
+    # sigma = e^t: arc length e^t - 1, and the unit-speed acceleration is 0
+    t = np.linspace(0.0, 1.0, 101)
+    out = unit_speed_resample(_euclidean_trace(t, np.exp(t), np.exp(t)), constant_curvature_metric("euclidean"))
+    assert np.abs(out.t - np.expm1(t)).max() <= 1e-10
+    assert np.abs(out.acc).max() <= 1e-10
+
+
+def test_unit_speed_resample_is_exact_for_polynomial_speeds():
+    # sigma' comes from the polynomial through all n < 8 nodes: exact for
+    # degree n - 1; the Hermite rule integrates cubics exactly
+    alpha = constant_curvature_metric("euclidean")
+    for n in range(2, 8):
+        t = np.linspace(0.2, 0.2 + 0.1 * (n - 1), n)
+        for degree in range(n):
+            c = np.arange(1.0, degree + 2.0)
+            speed, rate = np.polyval(c, t), np.polyval(np.polyder(c), t)
+            out = unit_speed_resample(_euclidean_trace(t, speed, rate), alpha)
+            assert np.abs(out.acc).max() <= 1e-11, (n, degree)
+            if degree <= 3:
+                arc = np.polyval(np.polyint(c), t) - np.polyval(np.polyint(c), t[0])
+                assert np.abs(out.t - arc).max() <= 1e-13, (n, degree)
+
+
+def test_unit_speed_resample_rejects_one_state_and_unequal_steps():
+    alpha = constant_curvature_metric("euclidean")
+    t = np.array([0.0])
+    with pytest.raises(ValueError, match="trace of 1 states"):
+        unit_speed_resample(_euclidean_trace(t, np.ones(1), np.zeros(1)), alpha)
+    t = np.linspace(0.0, 1.0, 11)
+    t[5] += 1e-6
+    with pytest.raises(ValueError, match="equal steps"):
+        unit_speed_resample(_euclidean_trace(t, np.ones(11), np.zeros(11)), alpha)
+
+
+@pytest.mark.parametrize("key,k,tmax", [("bk+", 1.0, 5.0), ("bk-", 2.0, 1.2)])
+def test_magnetic_residual_at_every_node_of_resampled_b_trace(key, k, tmax):
+    tr = integrate_spray(spray_entry(key, k=k).spray, (0.0, 0.0, 1.0, 0.0), tmax, 1e-3)
+    alpha = constant_curvature_metric("sphere" if key == "bk+" else "hyperbolic")
+    om = area_form(alpha, k)
+    out = unit_speed_resample(tr, alpha)
+    res = [
+        magnetic_residual(alpha, om, CurveSample(tuple(p), tuple(v), tuple(a)))
+        for p, v, a in zip(out.xy, out.uv, out.acc)
+    ]
+    assert len(res) == len(tr) and max(res) <= 1e-10
 
 
 def test_rk4_convergence_ratio_on_spray_a():
