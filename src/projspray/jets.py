@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import add, neg, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "EvaluationError",
@@ -61,10 +61,20 @@ def jet_value(x):
     return x
 
 
+class _Layout(NamedTuple):
+    """Constants of an n-variable register."""
+
+    pairs: tuple  # index pairs (i, j), i <= j, of the packed Hessian, in row order
+    units: tuple  # unit gradient of each seeded variable
+    zero_grad: tuple
+    zero_hess: tuple  # zero packed Hessian
+
+
 @functools.cache
-def _pairs(n):
-    """Index pairs (i, j), i <= j, of an n-variable packed Hessian, in row order."""
-    return tuple((i, j) for i in range(n) for j in range(i, n))
+def _layout(n):
+    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
+    units = tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n))
+    return _Layout(pairs, units, (0.0,) * n, (0.0,) * len(pairs))
 
 
 class Jet2:
@@ -96,7 +106,7 @@ class Jet2:
             return None
         n = len(self.grad)
         rows = [[None] * n for _ in range(n)]
-        for (i, j), e in zip(_pairs(n), hp):
+        for (i, j), e in zip(_layout(n).pairs, hp):
             rows[i][j] = rows[j][i] = e
         return tuple(map(tuple, rows))
 
@@ -151,7 +161,7 @@ class Jet2:
                     h = tuple(
                         [
                             a * v2 + g1[i] * g2[j] + g2[i] * g1[j] + v1 * b
-                            for (i, j), a, b in zip(_pairs(len(g1)), h1, h2)
+                            for (i, j), a, b in zip(_layout(len(g1)).pairs, h1, h2)
                         ]
                     )
                 g = tuple([a * v2 + v1 * b for a, b in zip(g1, g2)])
@@ -205,7 +215,7 @@ class Jet2:
         g = self.grad
         h = self.hess_packed
         if h is not None:
-            h = tuple([d1 * a + d2 * (g[i] * g[j]) for (i, j), a in zip(_pairs(len(g)), h)])
+            h = tuple([d1 * a + d2 * (g[i] * g[j]) for (i, j), a in zip(_layout(len(g)).pairs, h)])
         return Jet2(f0, tuple([d1 * a for a in g]), h, self.level)
 
     # -- comparisons look at the innermost value ------------------------
@@ -293,13 +303,10 @@ class ScalarField:
 
 def seed_jets(values: Sequence, order: int = 2):
     """Seed a fresh register: one jet per value, unit gradients, zero Hessians."""
-    n = len(values)
+    layout = _layout(len(values))
     level = next(_REGISTER)
-    zh = (0.0,) * (n * (n + 1) // 2) if order == 2 else None
-    return tuple(
-        Jet2(v, tuple(1.0 if j == i else 0.0 for j in range(n)), zh, level)
-        for i, v in enumerate(values)
-    )
+    zh = layout.zero_hess if order == 2 else None
+    return tuple([Jet2(v, g, zh, level) for v, g in zip(values, layout.units)])
 
 
 def lift(field, point: Sequence, active: Iterable[int] | None = None, order: int = 2):
@@ -319,12 +326,13 @@ def lift(field, point: Sequence, active: Iterable[int] | None = None, order: int
     args = list(point)
     for k, i in enumerate(idx):
         args[i] = seeds[k]
-    m = len(idx)
+    layout = _layout(len(idx))
+    zh = layout.zero_hess if order == 2 else None
 
     def promote(c):
         if isinstance(c, Jet2) and c.level == level:
             return c
-        return Jet2(c, (0.0,) * m, (0.0,) * (m * (m + 1) // 2) if order == 2 else None, level)
+        return Jet2(c, layout.zero_grad, zh, level)
 
     out = fn(*args)
     return tuple(promote(c) for c in out) if isinstance(out, tuple) else promote(out)

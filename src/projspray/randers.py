@@ -64,8 +64,9 @@ class MetricField:
         return np.array([[m[1, 1], -m[0, 1]], [-m[0, 1], m[0, 0]]]) / d
 
     def norm(self, x: float, y: float, w: Sequence[float]) -> float:
-        m = self.matrix(x, y)
-        q = float(w[0] * (m[0, 0] * w[0] + m[0, 1] * w[1]) + w[1] * (m[0, 1] * w[0] + m[1, 1] * w[1]))
+        e11, e12, e22 = (float(e) for e in self.entries(x, y))
+        w1, w2 = w
+        q = float(w1 * (e11 * w1 + e12 * w2) + w2 * (e12 * w1 + e22 * w2))
         if q < 0.0:
             raise EvaluationError("matrix field is not positive on this vector")
         return math.sqrt(q)
@@ -220,17 +221,35 @@ def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
 def christoffel(alpha: MetricField, x: float, y: float) -> np.ndarray:
     """Symbols Gamma[i][j][k] of the Levi-Civita connection at a point.
 
-    Gamma^i_jk = 1/2 alpha^il (d_j alpha_lk + d_k alpha_lj - d_l alpha_jk).
-    Raises ``EvaluationError`` where alpha is singular.
+    Gamma^i_jk = 1/2 alpha^il (d_j alpha_lk + d_k alpha_lj - d_l alpha_jk),
+    from one order-1 lift of the entries, in float arithmetic.  Raises
+    ``EvaluationError`` where alpha is singular.
     """
     j11, j12, j22 = lift(alpha.entries, (x, y), order=1)
-    m = np.array([[j11.value, j12.value], [j12.value, j22.value]], dtype=float)
-    det = m[0, 0] * m[1, 1] - m[0, 1] ** 2
+    a11, a12, a22 = float(j11.value), float(j12.value), float(j22.value)
+    det = a11 * a22 - a12 * a12
     if det == 0.0:
         raise EvaluationError(f"singular metric field at ({x}, {y})")
-    inv = np.array([[m[1, 1], -m[0, 1]], [-m[0, 1], m[0, 0]]]) / det
-    d = np.array([[j11.grad, j12.grad], [j12.grad, j22.grad]], dtype=float)  # d[i, j, l] = d_l alpha_ij
-    return 0.5 * np.einsum("il,ljk->ijk", inv, d.transpose(0, 2, 1) + d - d.transpose(2, 0, 1))
+    inv = ((a22 / det, -a12 / det), (-a12 / det, a11 / det))
+    d = ((j11.grad, j12.grad), (j12.grad, j22.grad))  # d[i][j][l] = d_l alpha_ij
+    # first[l][j][k] = d_j alpha_lk + d_k alpha_lj - d_l alpha_jk
+    first = [[[d[l][k][j] + d[l][j][k] - d[j][k][l] for k in (0, 1)] for j in (0, 1)] for l in (0, 1)]
+    return np.array(
+        [
+            [[0.5 * (row[0] * first[0][j][k] + row[1] * first[1][j][k]) for k in (0, 1)] for j in (0, 1)]
+            for row in inv
+        ]
+    )
+
+
+def _contract(gamma, u: float, v: float) -> tuple[float, float]:
+    """Gamma^i(w, w) = Gamma^i_jk w^j w^k for w = (u, v), as floats."""
+    (g000, g001), (g010, g011) = gamma[0]
+    (g100, g101), (g110, g111) = gamma[1]
+    return (
+        g000 * u * u + g001 * u * v + g010 * v * u + g011 * v * v,
+        g100 * u * u + g101 * u * v + g110 * v * u + g111 * v * v,
+    )
 
 
 @dataclass(frozen=True)
@@ -244,10 +263,10 @@ class CurveSample:
 
 def covariant_acceleration(alpha: MetricField, sample: CurveSample) -> np.ndarray:
     x, y = sample.pos
-    gamma = christoffel(alpha, x, y)
-    vel = np.asarray(sample.vel, dtype=float)
-    acc = np.asarray(sample.acc, dtype=float)
-    return acc + np.einsum("ijk,j,k->i", gamma, vel, vel)
+    u, v = (float(c) for c in sample.vel)
+    c1, c2 = _contract(christoffel(alpha, x, y).tolist(), u, v)
+    a1, a2 = (float(c) for c in sample.acc)
+    return np.array([a1 + c1, a2 + c2])
 
 
 def magnetic_residual(alpha: MetricField, omega: AreaForm, sample: CurveSample) -> float:
@@ -272,14 +291,20 @@ def geodesic_curvature(alpha: MetricField, sample: CurveSample, speed_tol: float
 
 
 def magnetic_rhs(alpha: MetricField, omega: AreaForm):
-    """Right-hand side of the magnetic flow (x, y, u, v) -> derivatives."""
-    J = LorentzOperator(alpha, omega)
+    """Right-hand side of the magnetic flow (x, y, u, v) -> (u, v, a1, a2),
+    with a = J (u, v) - Gamma((u, v), (u, v)), in float arithmetic.
+
+    J = alpha^{-1} Omega applied to (u, v) is (e22 w v + e12 w u, -e12 w v -
+    e11 w u) / det alpha, with w = Omega_12.
+    """
+    entries, omega12 = alpha.entries, omega.omega12
 
     def rhs(state):
         x, y, u, v = state
-        gamma = christoffel(alpha, x, y)
-        vel = np.array([u, v])
-        acc = J(x, y, vel) - np.einsum("ijk,j,k->i", gamma, vel, vel)
-        return np.array([u, v, acc[0], acc[1]])
+        c1, c2 = _contract(christoffel(alpha, x, y).tolist(), u, v)
+        e11, e12, e22 = (float(e) for e in entries(x, y))
+        w = float(omega12(x, y))
+        det = e11 * e22 - e12 * e12
+        return u, v, (e22 * w * v + e12 * w * u) / det - c1, (-e12 * w * v - e11 * w * u) / det - c2
 
     return rhs

@@ -3,7 +3,10 @@ post-processing: circle fitting, arc-length reparametrization, curvature
 sampling from the stored states.
 
 Classical RK4 throughout; trajectories here are short and smooth, and the
-fixed step keeps convergence-order measurements clean.  Because every trace
+fixed step keeps convergence-order measurements clean.  The integrator
+works on plain floats: a right-hand side receives the state as a tuple of
+floats and returns a sequence of the same length, and the states become
+arrays once, when the run ends.  Because every trace
 advances in equal steps, reparametrization needs no interpolant: the
 derivative of the alpha-speed comes from a seven-node differentiation
 stencil on the stored speeds, and arc length from the Hermite (corrected
@@ -73,34 +76,44 @@ class OdeCurve:
 def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
     """Classical RK4 of s' = rhs(t, s) from t0 to t1.
 
-    Takes n = ceil((t1 - t0) / step) equal steps (``step`` is an upper bound,
-    up to a relative 1e-9), at least one when t1 > t0, with times
-    t0 + i (t1 - t0) / n, so the last time is t1 exactly.  A state is kept
-    only if it is finite, ``stop`` does not fire on it and rhs evaluates
-    there; otherwise the run ends early.  An ``EvaluationError`` at ``init``
-    propagates.  Returns (times, states, derivatives at the states, stopped
-    early).  The derivative at a kept state is the next step's first stage,
-    so a run makes one evaluation more than 4 n.  Raises ``ValueError`` when t1 precedes t0 or ``step`` is not
-    finite and positive; t1 == t0 gives the initial state alone.
+    rhs receives the state as a tuple of floats and returns a sequence of
+    as many components; the stages and the update are computed on floats,
+    component by component.  Takes n = ceil((t1 - t0) / step) equal steps
+    (``step`` is an upper bound, up to a relative 1e-9), at least one when
+    t1 > t0, with times t0 + i (t1 - t0) / n, so the last time is t1
+    exactly.  A state is kept only if it is finite, ``stop`` does not fire on
+    it and rhs evaluates there; otherwise the run ends early.  An
+    ``EvaluationError`` at ``init`` propagates.  Returns (times, states,
+    derivatives at the states, stopped early) as arrays.  The derivative at
+    a kept state is the next step's first stage, so a run makes one
+    evaluation more than 4 n.  Raises ``ValueError`` when t1 precedes t0,
+    ``step`` is not finite and positive, or rhs at ``init`` returns a number
+    of components other than the state's; t1 == t0 gives the initial state
+    alone.
     """
     if t1 < t0:
         raise ValueError(f"integration end {t1} precedes its start {t0}")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step {step} is not finite and positive")
     n = max(math.ceil((t1 - t0) / step - 1e-9), 1) if t1 > t0 else 0
-    times = np.linspace(t0, t1, n + 1)
+    times = np.linspace(t0, t1, n + 1).tolist()
     h = (t1 - t0) / n if n else 0.0
-    state = np.asarray(init, dtype=float)
+    h2, h6 = 0.5 * h, h / 6.0
+    state = tuple([float(c) for c in init])
     k1 = rhs(t0, state)
+    if len(k1) != len(state):
+        raise ValueError(f"rhs returned {len(k1)} components for a state of {len(state)}")
     states, derivs = [state], [k1]
     stopped = False
-    for t, t_next in zip(times[:-1], times[1:]):
+    for t, t_next in zip(times, times[1:]):
         try:
-            k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2)
-            k4 = rhs(t_next, state + h * k3)
-            nxt = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(nxt)) or (stop is not None and stop(nxt)):
+            k2 = rhs(t + h2, tuple([s + h2 * k for s, k in zip(state, k1)]))
+            k3 = rhs(t + h2, tuple([s + h2 * k for s, k in zip(state, k2)]))
+            k4 = rhs(t_next, tuple([s + h * k for s, k in zip(state, k3)]))
+            nxt = tuple(
+                [s + h6 * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            )
+            if not all(map(math.isfinite, nxt)) or (stop is not None and stop(nxt)):
                 stopped = True
                 break
             k1 = rhs(t_next, nxt)
@@ -110,16 +123,18 @@ def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
         state = nxt
         states.append(state)
         derivs.append(k1)
-    return times[: len(states)], np.array(states), np.array(derivs), stopped
+    return np.array(times[: len(states)]), np.array(states), np.array(derivs), stopped
 
 
 def integrate_flow(rhs, init, tmax: float, step: float, stop=None):
     """Fixed-step RK4 of the autonomous flow s' = rhs(s) from t = 0 to ``tmax``.
 
-    ``step`` is an upper bound: the run takes ceil(tmax / step) equal steps
-    and, unless it stops early, ends at ``tmax`` exactly.  It stops early when
-    ``stop`` fires, a state is not finite or rhs raises ``EvaluationError``.
-    Returns (times, states, stopped early).
+    rhs receives the state as a tuple of floats and returns a sequence of
+    the same length; ``stop`` receives the same tuples.  ``step`` is an
+    upper bound: the run takes ceil(tmax / step) equal steps and, unless it
+    stops early, ends at ``tmax`` exactly.  It stops early when ``stop``
+    fires, a state is not finite or rhs raises ``EvaluationError``.
+    Returns (times, states, stopped early) as arrays.
     """
     times, states, _, stopped = _rk4(lambda t, s: rhs(s), init, 0.0, tmax, step, stop)
     return times, states, stopped
@@ -143,8 +158,8 @@ def integrate_spray(
 
     def rhs(t, state):
         x, y, u, v = state
-        g1, g2 = spray.coefficients(float(x), float(y), float(u), float(v))
-        return np.array([u, v, -2.0 * float(g1), -2.0 * float(g2)])
+        g1, g2 = spray.coefficients(x, y, u, v)
+        return u, v, -2.0 * float(g1), -2.0 * float(g2)
 
     def stop(state):
         x, y, u, v = state
@@ -172,7 +187,7 @@ def integrate_ode(
     x0, y0, z0 = (float(c) for c in init)
 
     def rhs(x, s):
-        return np.array([s[1], float(f(float(x), float(s[0]), float(s[1])))])
+        return s[1], float(f(x, s[0], s[1]))
 
     xs, states, _, blown = _rk4(rhs, (y0, z0), x0, xmax, step, lambda s: abs(s[1]) > 1e6)
     return OdeCurve(xs, states[:, 0], states[:, 1], blown_up=blown)

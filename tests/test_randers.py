@@ -7,6 +7,7 @@ from projspray.finsler import Rectangle
 from projspray.jets import EvaluationError
 from projspray.randers import (
     CurveSample,
+    LorentzOperator,
     MetricField,
     area_form,
     beta_for,
@@ -16,6 +17,7 @@ from projspray.randers import (
     geodesic_curvature,
     lorentz,
     magnetic_residual,
+    magnetic_rhs,
     one_form_norm,
     randers_metric,
 )
@@ -186,3 +188,33 @@ def test_singular_metric_raises_and_names_the_point():
     sample = CurveSample(pos=(0.1, 0.2), vel=(1.0, 0.0), acc=(0.0, 0.0))
     with pytest.raises(EvaluationError, match="singular"):
         geodesic_curvature(alpha, sample)
+
+
+def _sheared_metric():
+    """A metric with an off-diagonal entry, which the three backgrounds lack."""
+    return MetricField(
+        lambda x, y: (2.0 + x * x, 0.2 + 0.3 * x * y, 1.5 + y * y), Rectangle(-1.0, 1.0, -1.0, 1.0), "sheared"
+    )
+
+
+@pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic", "sheared"])
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_magnetic_rhs_matches_its_definition(model, k):
+    # (u, v)' = J (u, v) - Gamma((u, v), (u, v)), built with numpy
+    alpha = _sheared_metric() if model == "sheared" else constant_curvature_metric(model)
+    om = area_form(alpha, k)
+    rhs, J = magnetic_rhs(alpha, om), LorentzOperator(alpha, om)
+    for x, y in alpha.domain.grid(3, 3):
+        gamma = christoffel(alpha, x, y)
+        for vel in ((1.0, 0.0), (0.0, -0.7), (0.6, 0.8), (-1.3, 0.4)):
+            w = np.array(vel)
+            want = np.concatenate([w, J(x, y, w) - np.einsum("ijk,j,k->i", gamma, w, w)])
+            got = np.array(rhs((x, y, *vel)))
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), (x, y, vel)
+
+
+def test_magnetic_rhs_of_a_singular_metric_raises_and_names_the_point():
+    alpha = MetricField(lambda x, y: (1.0, 1.0, 1.0), Rectangle(-1.0, 1.0, -1.0, 1.0))
+    rhs = magnetic_rhs(alpha, area_form(alpha, 1.0))
+    with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
+        rhs((0.1, 0.2, 1.0, 0.0))

@@ -118,6 +118,65 @@ def test_integrators_reject_an_end_before_the_start_or_a_bad_step():
     assert len(tr) == 1 and not tr.domain_exit
 
 
+def _numpy_rk4(f, init, times):
+    """Textbook RK4 on numpy arrays over the given equally spaced times."""
+    h = (times[-1] - times[0]) / (len(times) - 1)
+    s = np.array(init, dtype=float)
+    states, derivs = [s], [f(times[0], s)]
+    for t, t_next in zip(times[:-1], times[1:]):
+        k1 = derivs[-1]
+        k2 = f(t + 0.5 * h, s + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, s + 0.5 * h * k2)
+        k4 = f(t_next, s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(s)
+        derivs.append(f(t_next, s))
+    return np.array(states), np.array(derivs)
+
+
+def test_rk4_core_matches_a_textbook_numpy_rk4():
+    spray = spray_entry("a").spray
+
+    def spray_rhs(t, s):
+        g1, g2 = spray.coefficients(*(float(c) for c in s))
+        return np.array([s[2], s[3], -2.0 * float(g1), -2.0 * float(g2)])
+
+    init = (0.1, -0.2, 0.8, 0.5)
+    tr = integrate_spray(spray, init, 5e-2, 1e-2)
+    assert len(tr) == 6
+    states, derivs = _numpy_rk4(spray_rhs, init, tr.t)
+    assert np.array_equal(np.hstack([tr.xy, tr.uv]), states)
+    assert np.array_equal(tr.acc, derivs[:, 2:])
+
+    f = induced_odes(spray_entry("c+").spray).fplus
+
+    def ode_rhs(x, s):
+        return np.array([s[1], float(f(float(x), float(s[0]), float(s[1])))])
+
+    c = integrate_ode(f, (0.1, 0.05, 0.3), 0.15, 1e-2)
+    assert len(c.x) == 6
+    states, _ = _numpy_rk4(ode_rhs, (0.05, 0.3), c.x)
+    assert np.array_equal(np.column_stack([c.y, c.z]), states)
+
+
+def test_rk4_core_stops_at_a_non_finite_state():
+    # the third step's first stage sits at s = 0.025, where rhs is NaN
+    times, states, stopped = integrate_flow(
+        lambda s: (math.nan if s[0] >= 0.025 else 1.0,), (0.0,), 0.1, 1e-2
+    )
+    assert stopped
+    assert len(times) == len(states) == 3
+    assert np.all(np.isfinite(states))
+    assert states[-1, 0] == pytest.approx(0.02, abs=1e-15)
+
+
+def test_rk4_core_rejects_an_rhs_of_another_length():
+    with pytest.raises(ValueError, match="rhs returned 2 components for a state of 1"):
+        integrate_flow(lambda s: (1.0, 2.0), (0.0,), 1.0, 1e-1)
+    with pytest.raises(ValueError, match="rhs returned 3 components for a state of 4"):
+        integrate_flow(lambda s: s[:3], (0.0, 0.0, 1.0, 0.0), 1.0, 1e-1)
+
+
 def test_integrate_ode_blowup_guard():
     from projspray.jets import ScalarField
 
