@@ -269,7 +269,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
         def pair(x, y, u, v):
             denom = 1.0 + s * (x * x + y * y)
             if jet_value(denom) <= 0.0:
-                raise EvaluationError("outside the unit disk")
+                raise EvaluationError(f"outside the unit disk at ({jet_value(x)}, {jet_value(y)})")
             q = (k * sqrt(u * u + v * v) - s * 2.0 * (y * u - x * v)) / denom
             return 0.5 * q * v, -0.5 * q * u
 
@@ -308,15 +308,11 @@ class MetricEntry:
     metric: FinslerMetric
     spray_key: str
     formula: str
+    domain: Rectangle  # where the entry's claims are verified
     alpha: MetricField | None = None  # background for Randers entries, g itself otherwise
     beta: OneFormField | None = None
     kcurv: float | None = None
     projective_basis: tuple = ()
-    verify_domain: Rectangle | None = None
-
-    @property
-    def domain(self) -> Rectangle:
-        return self.verify_domain or self.metric.domain
 
 
 def _metric_c(sign: float) -> MetricField:
@@ -329,7 +325,7 @@ def _metric_c(sign: float) -> MetricField:
         ex = exp(x)
         w = 2.0 * ex - 1.0
         if jet_value(w) <= 0.0:
-            raise EvaluationError("outside 2 e^x - 1 > 0")
+            raise EvaluationError(f"outside 2 e^x - 1 > 0 at ({jet_value(x)}, {jet_value(y)})")
         return exp(3.0 * x) / (w * w), 0.0, ex / w
 
     return MetricField(entries, Rectangle(-0.5, 0.5, -0.5, 0.5), name="c+")
@@ -373,7 +369,7 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
                 PlaneVectorField(lambda x, y: (0.0, 1.0), "dy"),
                 PlaneVectorField(lambda x, y: (y, -x), "rot"),
             ),
-            verify_domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
+            domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
         )
     if key == "a":
         alpha = constant_curvature_metric("euclidean")
@@ -388,7 +384,7 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
             beta=beta,
             kcurv=1.0,
             projective_basis=_c1_fields(0.0),
-            verify_domain=dom,
+            domain=dom,
         )
     if key in ("bk+", "bk-"):
         s = 1.0 if key == "bk+" else -1.0
@@ -405,7 +401,7 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
             beta=beta,
             kcurv=k,
             projective_basis=_c2_fields(s),
-            verify_domain=dom,
+            domain=dom,
         )
     if key in ("c+", "c-"):
         s = 1.0 if key == "c+" else -1.0
@@ -422,7 +418,7 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
             formula,
             alpha=g,
             projective_basis=_j2_fields(),
-            verify_domain=g.domain,
+            domain=g.domain,
         )
     raise KeyError(f"unknown metric {key!r}")
 

@@ -116,13 +116,15 @@ class TransposedOdePair:
     name: str = ""
 
 
-def fundamental_tensor(metric: FinslerMetric, at: Sequence[float]) -> np.ndarray:
-    """Half the fiber Hessian of F^2 as a 2x2 symmetric matrix."""
+def fundamental_tensor(metric: FinslerMetric, at: Sequence[float]) -> tuple:
+    """Half the fiber Hessian of F^2 as the rows ((g11, g12), (g12, g22)) of
+    a 2x2 symmetric matrix."""
     x, y, u, v = at
     if u == 0.0 and v == 0.0:
         raise EvaluationError("fundamental tensor is undefined on the zero section")
     h11, h12, h22 = lift(lambda *a: metric.F(*a) ** 2, (x, y, u, v), active=(2, 3)).hess_packed
-    return 0.5 * np.array(((h11, h12), (h12, h22)), dtype=float)
+    g11, g12, g22 = 0.5 * float(h11), 0.5 * float(h12), 0.5 * float(h22)
+    return (g11, g12), (g12, g22)
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def is_strongly_convex(
     directions = fiber_directions(ndirs)
     for (x, y) in region.grid(nx, ny, margin):
         for (u, v) in directions:
-            (a, b), (_, c) = fundamental_tensor(metric, (x, y, u, v)).tolist()
+            (a, b), (_, c) = fundamental_tensor(metric, (x, y, u, v))
             lo = min_eigenvalue_2x2(a, b, c)
             if lo < worst:
                 worst = lo

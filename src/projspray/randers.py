@@ -8,7 +8,10 @@ oriented curves of constant geodesic curvature k for alpha.
 
 A matrix field is one callable ``entries(x, y)`` returning (e11, e12, e22),
 and a one-form one callable ``at(x, y)`` returning (b1, b2); each is read,
-and lifted, as one register per point.
+and lifted, as one register per point.  Pointwise 2x2 algebra (the Lorentz
+operator, Christoffel symbols, the magnetic equation, norms) is done on
+floats through one kernel: one formula for J, one magnetic equation, and
+one determinant guard that names a singular point.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "magnetic_residual",
     "one_form_norm",
     "randers_metric",
+    "riemannian_metric",
 ]
 
 
@@ -56,19 +60,12 @@ class MetricField:
         e11, e12, e22 = (float(e) for e in self.entries(x, y))
         return np.array([[e11, e12], [e12, e22]])
 
-    def inverse(self, x: float, y: float) -> np.ndarray:
-        m = self.matrix(x, y)
-        d = m[0, 0] * m[1, 1] - m[0, 1] * m[0, 1]
-        if d == 0.0:
-            raise EvaluationError(f"singular matrix field at ({x}, {y})")
-        return np.array([[m[1, 1], -m[0, 1]], [-m[0, 1], m[0, 0]]]) / d
-
     def norm(self, x: float, y: float, w: Sequence[float]) -> float:
         e11, e12, e22 = (float(e) for e in self.entries(x, y))
         w1, w2 = w
         q = float(w1 * (e11 * w1 + e12 * w2) + w2 * (e12 * w1 + e22 * w2))
         if q < 0.0:
-            raise EvaluationError("matrix field is not positive on this vector")
+            raise EvaluationError(f"matrix field is not positive on this vector at ({x}, {y})")
         return math.sqrt(q)
 
 
@@ -87,9 +84,13 @@ class AreaForm:
     omega12: ScalarField
     k: float
 
-    def matrix(self, x, y) -> np.ndarray:
-        w = float(self.omega12(x, y))
-        return np.array([[0.0, w], [-w, 0.0]])
+
+def _det(e11: float, e12: float, e22: float, x: float, y: float) -> float:
+    """det alpha from float entries; raises ``EvaluationError`` where it is 0."""
+    det = e11 * e22 - e12 * e12
+    if det == 0.0:
+        raise EvaluationError(f"singular metric field at ({x}, {y})")
+    return det
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,17 @@ class LorentzOperator:
     alpha: MetricField
     omega: AreaForm
 
-    def matrix(self, x, y) -> np.ndarray:
-        return self.alpha.inverse(x, y) @ self.omega.matrix(x, y)
+    def __call__(self, x, y, vel) -> tuple[float, float]:
+        """J (u, v) = (e22 w v + e12 w u, -e12 w v - e11 w u) / det alpha,
+        with w = Omega_12."""
+        e11, e12, e22 = (float(e) for e in self.alpha.entries(x, y))
+        det = _det(e11, e12, e22, x, y)
+        w = float(self.omega.omega12(x, y))
+        u, v = vel
+        return (e22 * w * v + e12 * w * u) / det, (-e12 * w * v - e11 * w * u) / det
 
-    def __call__(self, x, y, w) -> np.ndarray:
-        return self.matrix(x, y) @ np.asarray(w, dtype=float)
+    def matrix(self, x, y) -> np.ndarray:
+        return np.column_stack((self(x, y, (1.0, 0.0)), self(x, y, (0.0, 1.0))))
 
 
 def constant_curvature_metric(model: str) -> MetricField:
@@ -120,7 +127,7 @@ def constant_curvature_metric(model: str) -> MetricField:
         def entries(x, y):
             w = 1.0 - x * x - y * y
             if jet_value(w) <= 0.0:
-                raise EvaluationError("outside the unit disk")
+                raise EvaluationError(f"outside the unit disk at ({jet_value(x)}, {jet_value(y)})")
             phi = 1.0 / (w * w)
             return phi, 0.0, phi
 
@@ -180,19 +187,19 @@ def lorentz(alpha: MetricField, omega: AreaForm) -> LorentzOperator:
 
 
 def one_form_norm(alpha: MetricField, beta: OneFormField, x: float, y: float) -> float:
-    """alpha-norm of the one-form (via the inverse metric)."""
-    b = np.array([float(c) for c in beta.at(x, y)])
-    return math.sqrt(float(b @ alpha.inverse(x, y) @ b))
+    """alpha-norm of the one-form: |b|^2 = (e22 b1^2 - 2 e12 b1 b2 + e11 b2^2) / det alpha."""
+    e11, e12, e22 = (float(e) for e in alpha.entries(x, y))
+    b1, b2 = (float(c) for c in beta.at(x, y))
+    return math.sqrt((e22 * b1 * b1 - 2.0 * e12 * b1 * b2 + e11 * b2 * b2) / _det(e11, e12, e22, x, y))
 
 
 def randers_metric(
     alpha: MetricField,
     beta: OneFormField,
-    domain: Rectangle | None = None,
+    domain: Rectangle,
     name: str = "",
 ) -> FinslerMetric:
-    """F = sqrt(alpha(xi, xi)) + beta(xi); requires |beta|_alpha < 1."""
-    domain = domain or alpha.domain
+    """F = sqrt(alpha(xi, xi)) + beta(xi); requires |beta|_alpha < 1 on ``domain``."""
     for (x, y) in domain.grid(5, 5, margin=1.0 - 1e-9):
         n = one_form_norm(alpha, beta, x, y)
         if n >= 1.0:
@@ -218,8 +225,9 @@ def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
     return FinslerMetric(ScalarField(4, F), "riemannian", alpha.domain, name=name)
 
 
-def christoffel(alpha: MetricField, x: float, y: float) -> np.ndarray:
-    """Symbols Gamma[i][j][k] of the Levi-Civita connection at a point.
+def christoffel(alpha: MetricField, x: float, y: float) -> tuple:
+    """Symbols Gamma[i][j][k] of the Levi-Civita connection at a point, as
+    nested tuples of floats.
 
     Gamma^i_jk = 1/2 alpha^il (d_j alpha_lk + d_k alpha_lj - d_l alpha_jk),
     from one order-1 lift of the entries, in float arithmetic.  Raises
@@ -227,18 +235,14 @@ def christoffel(alpha: MetricField, x: float, y: float) -> np.ndarray:
     """
     j11, j12, j22 = lift(alpha.entries, (x, y), order=1)
     a11, a12, a22 = float(j11.value), float(j12.value), float(j22.value)
-    det = a11 * a22 - a12 * a12
-    if det == 0.0:
-        raise EvaluationError(f"singular metric field at ({x}, {y})")
+    det = _det(a11, a12, a22, x, y)
     inv = ((a22 / det, -a12 / det), (-a12 / det, a11 / det))
     d = ((j11.grad, j12.grad), (j12.grad, j22.grad))  # d[i][j][l] = d_l alpha_ij
     # first[l][j][k] = d_j alpha_lk + d_k alpha_lj - d_l alpha_jk
     first = [[[d[l][k][j] + d[l][j][k] - d[j][k][l] for k in (0, 1)] for j in (0, 1)] for l in (0, 1)]
-    return np.array(
-        [
-            [[0.5 * (row[0] * first[0][j][k] + row[1] * first[1][j][k]) for k in (0, 1)] for j in (0, 1)]
-            for row in inv
-        ]
+    return tuple(
+        tuple((0.5 * (r0 * a0 + r1 * b0), 0.5 * (r0 * a1 + r1 * b1)) for (a0, a1), (b0, b1) in zip(*first))
+        for r0, r1 in inv
     )
 
 
@@ -261,22 +265,24 @@ class CurveSample:
     acc: tuple
 
 
-def covariant_acceleration(alpha: MetricField, sample: CurveSample) -> np.ndarray:
+def covariant_acceleration(alpha: MetricField, sample: CurveSample) -> tuple[float, float]:
     x, y = sample.pos
     u, v = (float(c) for c in sample.vel)
-    c1, c2 = _contract(christoffel(alpha, x, y).tolist(), u, v)
+    c1, c2 = _contract(christoffel(alpha, x, y), u, v)
     a1, a2 = (float(c) for c in sample.acc)
-    return np.array([a1 + c1, a2 + c2])
+    return a1 + c1, a2 + c2
 
 
 def magnetic_residual(alpha: MetricField, omega: AreaForm, sample: CurveSample) -> float:
-    """alpha-norm of (covariant acceleration - J velocity)."""
+    """alpha-norm of (acceleration - the magnetic flow's acceleration at
+    (pos, vel)), that is, of covariant acceleration - J velocity."""
     if sample.vel[0] == 0.0 and sample.vel[1] == 0.0:
         raise EvaluationError("magnetic residual needs a nonzero velocity")
     x, y = sample.pos
-    J = LorentzOperator(alpha, omega)
-    defect = covariant_acceleration(alpha, sample) - J(x, y, sample.vel)
-    return alpha.norm(x, y, defect)
+    u, v = (float(c) for c in sample.vel)
+    _, _, m1, m2 = magnetic_rhs(alpha, omega)((x, y, u, v))
+    a1, a2 = (float(c) for c in sample.acc)
+    return alpha.norm(x, y, (a1 - m1, a2 - m2))
 
 
 def geodesic_curvature(alpha: MetricField, sample: CurveSample, speed_tol: float = 1e-9) -> float:
@@ -293,18 +299,13 @@ def geodesic_curvature(alpha: MetricField, sample: CurveSample, speed_tol: float
 def magnetic_rhs(alpha: MetricField, omega: AreaForm):
     """Right-hand side of the magnetic flow (x, y, u, v) -> (u, v, a1, a2),
     with a = J (u, v) - Gamma((u, v), (u, v)), in float arithmetic.
-
-    J = alpha^{-1} Omega applied to (u, v) is (e22 w v + e12 w u, -e12 w v -
-    e11 w u) / det alpha, with w = Omega_12.
     """
-    entries, omega12 = alpha.entries, omega.omega12
+    J = LorentzOperator(alpha, omega)
 
     def rhs(state):
         x, y, u, v = state
-        c1, c2 = _contract(christoffel(alpha, x, y).tolist(), u, v)
-        e11, e12, e22 = (float(e) for e in entries(x, y))
-        w = float(omega12(x, y))
-        det = e11 * e22 - e12 * e12
-        return u, v, (e22 * w * v + e12 * w * u) / det - c1, (-e12 * w * v - e11 * w * u) / det - c2
+        c1, c2 = _contract(christoffel(alpha, x, y), u, v)
+        j1, j2 = J(x, y, (u, v))
+        return u, v, j1 - c1, j2 - c2
 
     return rhs

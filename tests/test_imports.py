@@ -1,7 +1,8 @@
-"""Every name a module imports is read in that module.
+"""Every name a module imports is read in that module, and every name one
+``projspray`` module imports from another is in the exporter's ``__all__``.
 
-``__init__.py`` files are exempt (they re-export), and so is every name a
-module lists in ``__all__``.
+``__init__.py`` files are exempt from the first check (they re-export), and
+so is every name a module lists in ``__all__``.
 """
 
 import ast
@@ -13,23 +14,43 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
 )
+PACKAGE = ROOT / "src" / "projspray"
+
+
+def exports(tree: ast.AST) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = set()
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names if a.name != "*")
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return sorted(imported - read - exported)
+    return sorted(imported - read - exports(tree))
+
+
+def unexported_imports(package: Path) -> list[str]:
+    """``importer: module.name`` for each name one module of ``package``
+    imports from a sibling whose ``__all__`` does not list it."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    listed = {stem: exports(tree) for stem, tree in trees.items()}
+    missing = []
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in listed:
+                missing += [
+                    f"{stem}: {node.module}.{a.name}" for a in node.names if a.name not in listed[node.module]
+                ]
+    return missing
 
 
 def test_checker_finds_an_unused_import():
@@ -43,3 +64,13 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_finds_an_unexported_import(tmp_path):
+    (tmp_path / "a.py").write_text("__all__ = ['f']\ndef f(): pass\ndef g(): pass\n")
+    (tmp_path / "b.py").write_text("from .a import f, g\nfrom math import pi\n")
+    assert unexported_imports(tmp_path) == ["b: a.g"]
+
+
+def test_package_imports_only_exported_names():
+    assert unexported_imports(PACKAGE) == []

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from projspray.catalog import metric_entry, spray_entry
 from projspray.finsler import Rectangle
-from projspray.jets import EvaluationError
+from projspray.jets import EvaluationError, lift
 from projspray.randers import (
     CurveSample,
     LorentzOperator,
     MetricField,
+    OneFormField,
     area_form,
     beta_for,
     christoffel,
@@ -33,6 +35,24 @@ def test_constant_curvature_values():
 def test_hyperbolic_outside_disk_raises():
     with pytest.raises(EvaluationError):
         constant_curvature_metric("hyperbolic").matrix(1.2, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: constant_curvature_metric("hyperbolic").entries(1.2, -0.3),
+        lambda: lift(constant_curvature_metric("hyperbolic").entries, (1.2, -0.3), order=1),
+        lambda: spray_entry("bk-").spray.pair(1.2, -0.3, 1.0, 0.0),
+        lambda: lift(spray_entry("bk-").spray.pair, (1.2, -0.3, 1.0, 0.0), order=2),
+        lambda: metric_entry("c+").alpha.entries(-1.2, -0.3),
+        lambda: lift(metric_entry("c+").alpha.entries, (-1.2, -0.3), order=1),
+        lambda: MetricField(lambda x, y: (1.0, 0.0, -1.0), Rectangle(-2, 2, -2, 2)).norm(1.2, -0.3, (0.0, 1.0)),
+    ],
+    ids=["hyperbolic", "hyperbolic-jet", "bk-", "bk--jet", "c+", "c+-jet", "norm"],
+)
+def test_domain_guards_name_the_point(call):
+    with pytest.raises(EvaluationError, match=r"at \(-?1\.2, -0\.3\)"):
+        call()
 
 
 def test_beta_values():
@@ -136,10 +156,10 @@ def test_christoffel_conformal_factor():
     r2 = x * x + y * y
     psi_x = -2.0 * x / (1.0 + r2)
     psi_y = -2.0 * y / (1.0 + r2)
-    assert g[0, 0, 0] == pytest.approx(psi_x, rel=1e-12)
-    assert g[0, 1, 1] == pytest.approx(-psi_x, rel=1e-12)
-    assert g[0, 0, 1] == pytest.approx(psi_y, rel=1e-12)
-    assert g[1, 0, 0] == pytest.approx(-psi_y, rel=1e-12)
+    assert g[0][0][0] == pytest.approx(psi_x, rel=1e-12)
+    assert g[0][1][1] == pytest.approx(-psi_x, rel=1e-12)
+    assert g[0][0][1] == pytest.approx(psi_y, rel=1e-12)
+    assert g[1][0][0] == pytest.approx(-psi_y, rel=1e-12)
 
 
 def test_magnetic_residual_circle_solution():
@@ -203,12 +223,14 @@ def test_magnetic_rhs_matches_its_definition(model, k):
     # (u, v)' = J (u, v) - Gamma((u, v), (u, v)), built with numpy
     alpha = _sheared_metric() if model == "sheared" else constant_curvature_metric(model)
     om = area_form(alpha, k)
-    rhs, J = magnetic_rhs(alpha, om), LorentzOperator(alpha, om)
+    rhs = magnetic_rhs(alpha, om)
     for x, y in alpha.domain.grid(3, 3):
         gamma = christoffel(alpha, x, y)
+        om12 = float(om.omega12(x, y))
+        J = np.linalg.solve(alpha.matrix(x, y), [[0.0, om12], [-om12, 0.0]])
         for vel in ((1.0, 0.0), (0.0, -0.7), (0.6, 0.8), (-1.3, 0.4)):
             w = np.array(vel)
-            want = np.concatenate([w, J(x, y, w) - np.einsum("ijk,j,k->i", gamma, w, w)])
+            want = np.concatenate([w, J @ w - np.einsum("ijk,j,k->i", gamma, w, w)])
             got = np.array(rhs((x, y, *vel)))
             assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), (x, y, vel)
 
@@ -218,3 +240,38 @@ def test_magnetic_rhs_of_a_singular_metric_raises_and_names_the_point():
     rhs = magnetic_rhs(alpha, area_form(alpha, 1.0))
     with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
         rhs((0.1, 0.2, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_lorentz_of_a_sheared_metric_matches_a_numpy_solve(k):
+    alpha = _sheared_metric()
+    om = area_form(alpha, k)
+    J = lorentz(alpha, om)
+    for x, y in alpha.domain.grid(3, 3):
+        om12 = float(om.omega12(x, y))
+        want = np.linalg.solve(alpha.matrix(x, y), [[0.0, om12], [-om12, 0.0]])
+        assert np.abs(J.matrix(x, y) - want).max() <= 1e-14 * np.abs(want).max(), (x, y)
+
+
+def test_one_form_norm_of_a_sheared_metric_matches_a_numpy_solve():
+    alpha = _sheared_metric()
+    beta = OneFormField(lambda x, y: (0.3 - 0.2 * y, 0.1 + 0.4 * x))
+    for x, y in alpha.domain.grid(3, 3):
+        b = np.array(beta.at(x, y))
+        want = math.sqrt(b @ np.linalg.solve(alpha.matrix(x, y), b))
+        assert one_form_norm(alpha, beta, x, y) == pytest.approx(want, rel=1e-14), (x, y)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alpha, om: one_form_norm(alpha, beta_for("euclidean", 1.0), 0.1, 0.2),
+        lambda alpha, om: LorentzOperator(alpha, om)(0.1, 0.2, (1.0, 0.0)),
+        lambda alpha, om: magnetic_residual(alpha, om, CurveSample((0.1, 0.2), (1.0, 0.0), (0.0, 0.0))),
+    ],
+    ids=["one_form_norm", "lorentz_operator", "magnetic_residual"],
+)
+def test_pointwise_algebra_of_a_singular_metric_names_the_point(call):
+    alpha = MetricField(lambda x, y: (1.0, 1.0, 1.0), Rectangle(-1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
+        call(alpha, area_form(alpha, 1.0))
