@@ -25,8 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .finsler import FinslerMetric, Rectangle, Spray
-from .jets import EvaluationError, ScalarField, arctan, exp, jet_value, power, sqrt
+from .jets import EvaluationError, ScalarField, arctan, exp, jet_value, power, reject_first, sqrt
 from .randers import (
     MetricField,
     OneFormField,
@@ -324,8 +326,9 @@ def _metric_c(sign: float) -> MetricField:
     def entries(x, y):
         ex = exp(x)
         w = 2.0 * ex - 1.0
-        if jet_value(w) <= 0.0:
-            raise EvaluationError(f"outside 2 e^x - 1 > 0 at ({jet_value(x)}, {jet_value(y)})")
+        wv = jet_value(w)
+        if isinstance(wv, np.ndarray) or wv <= 0.0:
+            reject_first(wv <= 0.0, "outside 2 e^x - 1 > 0", x, y)
         return exp(3.0 * x) / (w * w), 0.0, ex / w
 
     return MetricField(entries, Rectangle(-0.5, 0.5, -0.5, 0.5), name="c+")

@@ -121,7 +121,7 @@ def fundamental_tensor(metric: FinslerMetric, at: Sequence[float]) -> tuple:
     a 2x2 symmetric matrix."""
     x, y, u, v = at
     if u == 0.0 and v == 0.0:
-        raise EvaluationError("fundamental tensor is undefined on the zero section")
+        raise EvaluationError(f"fundamental tensor is undefined on the zero section at ({x}, {y})")
     h11, h12, h22 = lift(lambda *a: metric.F(*a) ** 2, (x, y, u, v), active=(2, 3)).hess_packed
     g11, g12, g22 = 0.5 * float(h11), 0.5 * float(h12), 0.5 * float(h22)
     return (g11, g12), (g12, g22)
@@ -363,7 +363,7 @@ def projective_residual(s1: Spray, s2: Spray, at: Sequence[float]) -> float:
     """
     x, y, u, v = (float(c) for c in at)
     if u == 0.0 and v == 0.0:
-        raise EvaluationError("projective residual needs a nonzero fiber vector")
+        raise EvaluationError(f"projective residual needs a nonzero fiber vector at ({x}, {y})")
     a1, b1 = s1.coefficients(x, y, u, v)
     a2, b2 = s2.coefficients(x, y, u, v)
     w1 = -2.0 * (float(a1) - float(a2))

@@ -15,6 +15,14 @@ Registers are seeded through :func:`lift`, once per point and object: a
 field whose components are computed together (a vector field's ``at``, a
 metric's ``entries``, a cubic fit) returns a tuple and is lifted as one.
 
+The elementary functions take a float or a jet; :func:`exp` and
+:func:`power` also take a float ndarray, evaluated entry by entry with the
+float path's libm call.  A closed-form field built from them (a metric's
+``entries``) thus evaluates at many points in one call and agrees bit for
+bit with its evaluations point by point.  Domain guards reduce over the
+array through :func:`reject_first` and name the first bad point; on floats
+and jets a guard stays one plain comparison.
+
 A jet stores the Hessian of its n seeded variables as the packed upper
 triangle: one flat tuple of n(n+1)/2 entries h_ij, i <= j, in row order,
 so (h00, h01, h11) for n = 2 and (h00, h01, h02, h11, h12, h22) for n = 3.
@@ -33,6 +41,8 @@ from dataclasses import dataclass
 from operator import add, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 __all__ = [
     "EvaluationError",
     "Jet2",
@@ -42,6 +52,7 @@ __all__ = [
     "jet_value",
     "lift",
     "power",
+    "reject_first",
     "seed_jets",
     "sqrt",
 ]
@@ -59,6 +70,26 @@ def jet_value(x):
     while isinstance(x, Jet2):
         x = x.value
     return x
+
+
+def reject_first(bad, message: str, *at):
+    """Raise ``EvaluationError(f"{message} at (a, b, ...)")`` at the first
+    point where a domain guard fails.
+
+    ``bad`` is the guard's comparison: a bool, or a boolean ndarray over
+    points, which is reduced here; then each coordinate in ``at`` (a float,
+    or an array that broadcasts against ``bad``) is read at the first true
+    entry.  Returns quietly when ``bad`` holds nowhere.  A jet coordinate is
+    named by its innermost value.
+    """
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        i = int(bad.argmax())
+        at = [np.broadcast_to(a, bad.shape).flat[i] for a in at]
+    elif not bad:
+        return
+    raise EvaluationError(f"{message} at ({', '.join(str(jet_value(a)) for a in at)})")
 
 
 class _Layout(NamedTuple):
@@ -244,11 +275,30 @@ def _recip_any(x):
     return 1.0 / x
 
 
+def _each(fn, x, *args):
+    """``fn(entry, *args)`` for every entry of the float ndarray ``x``, as an
+    array of its shape, filled in one pass.
+
+    These are the libm calls the float path makes, so an array evaluation
+    agrees bit for bit with evaluations at its points one by one; numpy's
+    own ``exp`` and ``power`` are 1 ulp away at about one point in twenty.
+    """
+    flat = x.ravel().tolist()
+    extra = (itertools.repeat(a, len(flat)) for a in args)
+    return np.fromiter(map(fn, flat, *extra), float, len(flat)).reshape(x.shape)
+
+
 def _pow_any(x, p):
     if p == 0.0:
         return 1.0
     if isinstance(x, Jet2):
         return x.__pow__(p)
+    if isinstance(x, np.ndarray):
+        if p < 0.0:
+            reject_first(x == 0.0, "zero raised to a negative power", x)
+        if not p.is_integer():
+            reject_first(x < 0.0, f"fractional power {p} of negative value", x)
+        return _each(math.pow, x, p)
     x = float(x)
     if x == 0.0 and p < 0.0:
         raise EvaluationError("zero raised to a negative power")
@@ -258,11 +308,14 @@ def _pow_any(x, p):
 
 
 def power(x, p):
-    """x**p with real-domain guards on plain floats (no silent complex values)."""
+    """x**p for a float, a jet or a float ndarray, with real-domain guards
+    (no silent complex values or NaN): a negative base with a fractional
+    exponent, or zero with a negative one, raises ``EvaluationError``."""
     return _pow_any(x, float(p))
 
 
 def sqrt(x):
+    """Square root of a positive float or jet."""
     if isinstance(x, Jet2):
         return x**0.5
     if x <= 0.0:
@@ -271,13 +324,17 @@ def sqrt(x):
 
 
 def exp(x):
+    """Exponential of a float, a jet or a float ndarray."""
     if isinstance(x, Jet2):
         f0 = exp(x.value)
         return x._chain(f0, f0, f0)
+    if isinstance(x, np.ndarray):
+        return _each(math.exp, x)
     return math.exp(x)
 
 
 def arctan(x):
+    """Arctangent of a float or a jet."""
     if isinstance(x, Jet2):
         v = x.value
         w = _recip_any(1.0 + v * v)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .finsler import FinslerMetric, Rectangle
-from .jets import EvaluationError, ScalarField, jet_value, lift, sqrt
+from .jets import EvaluationError, ScalarField, jet_value, lift, reject_first, sqrt
 
 __all__ = [
     "AreaForm",
@@ -60,10 +60,20 @@ class MetricField:
         e11, e12, e22 = (float(e) for e in self.entries(x, y))
         return np.array([[e11, e12], [e12, e22]])
 
-    def norm(self, x: float, y: float, w: Sequence[float]) -> float:
-        e11, e12, e22 = (float(e) for e in self.entries(x, y))
+    def norm(self, x, y, w):
+        """The length sqrt(q), q = w1 (e11 w1 + e12 w2) + w2 (e12 w1 + e22 w2),
+        of the vector w = (w1, w2) at (x, y).
+
+        Takes floats, or float arrays of one shape: then the entries are
+        evaluated once on the arrays and the lengths come back as an array.
+        Raises ``EvaluationError`` naming the (first) point where q < 0.
+        """
+        e11, e12, e22 = self.entries(x, y)
         w1, w2 = w
-        q = float(w1 * (e11 * w1 + e12 * w2) + w2 * (e12 * w1 + e22 * w2))
+        q = w1 * (e11 * w1 + e12 * w2) + w2 * (e12 * w1 + e22 * w2)
+        if isinstance(q, np.ndarray):
+            reject_first(q < 0.0, "matrix field is not positive on this vector", x, y)
+            return np.sqrt(q)
         if q < 0.0:
             raise EvaluationError(f"matrix field is not positive on this vector at ({x}, {y})")
         return math.sqrt(q)
@@ -126,8 +136,9 @@ def constant_curvature_metric(model: str) -> MetricField:
     if model == "hyperbolic":
         def entries(x, y):
             w = 1.0 - x * x - y * y
-            if jet_value(w) <= 0.0:
-                raise EvaluationError(f"outside the unit disk at ({jet_value(x)}, {jet_value(y)})")
+            wv = jet_value(w)
+            if isinstance(wv, np.ndarray) or wv <= 0.0:
+                reject_first(wv <= 0.0, "outside the unit disk", x, y)
             phi = 1.0 / (w * w)
             return phi, 0.0, phi
 
@@ -276,9 +287,9 @@ def covariant_acceleration(alpha: MetricField, sample: CurveSample) -> tuple[flo
 def magnetic_residual(alpha: MetricField, omega: AreaForm, sample: CurveSample) -> float:
     """alpha-norm of (acceleration - the magnetic flow's acceleration at
     (pos, vel)), that is, of covariant acceleration - J velocity."""
-    if sample.vel[0] == 0.0 and sample.vel[1] == 0.0:
-        raise EvaluationError("magnetic residual needs a nonzero velocity")
     x, y = sample.pos
+    if sample.vel[0] == 0.0 and sample.vel[1] == 0.0:
+        raise EvaluationError(f"magnetic residual needs a nonzero velocity at ({x}, {y})")
     u, v = (float(c) for c in sample.vel)
     _, _, m1, m2 = magnetic_rhs(alpha, omega)((x, y, u, v))
     a1, a2 = (float(c) for c in sample.acc)

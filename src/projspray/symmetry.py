@@ -131,7 +131,7 @@ def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[fl
     """
     x, y, u, v = (float(c) for c in at)
     if u == 0.0 and v == 0.0:
-        raise EvaluationError("projective field residual needs a nonzero fiber vector")
+        raise EvaluationError(f"projective field residual needs a nonzero fiber vector at ({x}, {y})")
     ja, jb = lift(X.at, (x, y), order=2)
     a, (ax, ay) = ja.value, ja.grad
     b, (bx, by) = jb.value, jb.grad

@@ -6,15 +6,17 @@ Classical RK4 throughout; trajectories here are short and smooth, and the
 fixed step keeps convergence-order measurements clean.  The integrator
 works on plain floats: a right-hand side receives the state as a tuple of
 floats and returns a sequence of the same length, and the states become
-arrays once, when the run ends.  Because every trace
+arrays once, in one pass, when the run ends.  Because every trace
 advances in equal steps, reparametrization needs no interpolant: the
-derivative of the alpha-speed comes from a seven-node differentiation
-stencil on the stored speeds, and arc length from the Hermite (corrected
-trapezoidal) rule, which is O(h^4) like the RK4 states it starts from.
+alpha-speeds at all nodes come from one array evaluation of the metric,
+their derivative from a seven-node differentiation stencil on them, and
+arc length from the Hermite (corrected trapezoidal) rule, which is O(h^4)
+like the RK4 states it starts from.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -123,7 +125,13 @@ def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
         state = nxt
         states.append(state)
         derivs.append(k1)
-    return np.array(times[: len(states)]), np.array(states), np.array(derivs), stopped
+    m, d = len(states), len(state)
+    return np.array(times[:m]), _rows(states, m, d), _rows(derivs, m, d), stopped
+
+
+def _rows(rows, m: int, d: int) -> np.ndarray:
+    """The (m, d) float array of m rows of d numbers, filled in one pass."""
+    return np.fromiter(itertools.chain.from_iterable(rows), float, m * d).reshape(m, d)
 
 
 def integrate_flow(rhs, init, tmax: float, step: float, stop=None):
@@ -156,14 +164,16 @@ def integrate_spray(
     if u0 * u0 + v0 * v0 <= 1e-24:
         raise DomainError("initial fiber vector is (numerically) zero")
 
+    coefficients, contains = spray.coefficients, spray.domain.contains
+
     def rhs(t, state):
         x, y, u, v = state
-        g1, g2 = spray.coefficients(x, y, u, v)
+        g1, g2 = coefficients(x, y, u, v)
         return u, v, -2.0 * float(g1), -2.0 * float(g2)
 
     def stop(state):
         x, y, u, v = state
-        return (not spray.domain.contains(x, y)) or (u * u + v * v < 1e-24)
+        return (not contains(x, y)) or (u * u + v * v < 1e-24)
 
     times, states, derivs, exited = _rk4(rhs, (x0, y0, u0, v0), 0.0, tmax, step, stop)
     return GeodesicTrace(
@@ -234,12 +244,6 @@ def winding_orientation(trace: GeodesicTrace) -> int:
     return 1 if total > 0 else -1
 
 
-def _alpha_speeds(trace: GeodesicTrace, alpha: MetricField) -> np.ndarray:
-    return np.array(
-        [alpha.norm(x, y, (u, v)) for (x, y), (u, v) in zip(trace.xy, trace.uv)]
-    )
-
-
 def _diff_weights(m: int) -> np.ndarray:
     """Row p: the weights that give, from values at m nodes one step apart,
     the derivative per step at node p of the polynomial through them."""
@@ -255,7 +259,8 @@ _DIFF_WEIGHTS = {m: _diff_weights(m) for m in range(2, 8)}
 def unit_speed_resample(trace: GeodesicTrace, alpha: MetricField) -> GeodesicTrace:
     """Reparametrize a trace by its alpha-arc-length, at the trace's own nodes.
 
-    With sigma the alpha-speed, the velocity becomes u / sigma, which has
+    The alpha-speeds sigma at all nodes come from one ``alpha.norm`` call on
+    the trace's arrays.  The velocity becomes u / sigma, which has
     alpha-norm 1 up to rounding, and the acceleration (a - (sigma' / sigma) u)
     / sigma^2; the acceleration is None when the trace carries none.  sigma'
     at each node is the derivative of the polynomial through the 7 nearest
@@ -273,9 +278,12 @@ def unit_speed_resample(trace: GeodesicTrace, alpha: MetricField) -> GeodesicTra
     h = (trace.t[-1] - trace.t[0]) / (n - 1)
     if not (h > 0.0 and np.abs(np.diff(trace.t) - h).max() <= 1e-9 * h):
         raise ValueError(f"trace times do not advance in equal steps of {h}")
-    speeds = _alpha_speeds(trace, alpha)
-    if np.any(speeds <= 0):
-        raise EvaluationError("trace has a vanishing velocity sample")
+    xs, ys = trace.xy.T
+    speeds = alpha.norm(xs, ys, trace.uv.T)
+    zero = np.flatnonzero(speeds <= 0.0)
+    if zero.size:
+        i = zero[0]
+        raise EvaluationError(f"trace has a vanishing velocity sample at node {i}, at ({xs[i]}, {ys[i]})")
     m = min(n, 7)
     starts = np.clip(np.arange(n) - m // 2, 0, n - m)
     rows = _DIFF_WEIGHTS[m][np.arange(n) - starts]

@@ -12,6 +12,7 @@ from projspray.jets import (
     exp,
     jet_value,
     lift,
+    power,
     seed_jets,
     sqrt,
 )
@@ -233,3 +234,19 @@ def test_first_order_lift_has_no_hessian():
     assert j.grad == (2.0, 1.0)
     assert j.hess_packed is None
     assert j.hess is None
+
+
+def test_exp_and_power_of_arrays_match_their_floats_bit_for_bit():
+    xs = np.linspace(0.05, 2.0, 40).reshape(8, 5)
+    for fn in (exp, lambda x: power(x, 1.5), lambda x: power(x, -2.0 / 3.0), lambda x: power(x, 3)):
+        out = fn(xs)
+        assert out.shape == xs.shape and out.dtype == np.float64
+        assert np.array_equal(out, [[fn(float(x)) for x in row] for row in xs])
+
+
+def test_power_of_an_array_with_a_negative_entry_names_it():
+    with pytest.raises(EvaluationError, match=r"fractional power 1\.5 of negative value at \(-0\.25\)"):
+        power(np.array([0.5, -0.25, -1.0]), 1.5)
+    with pytest.raises(EvaluationError, match=r"zero raised to a negative power at \(0\.0\)"):
+        power(np.array([0.5, 0.0]), -1.0)
+    assert np.array_equal(power(np.array([-2.0, 3.0]), 2), [4.0, 9.0])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from projspray.catalog import metric_entry, spray_entry
-from projspray.finsler import Rectangle
+from projspray.classify import liouville_candidate
+from projspray.finsler import Rectangle, fundamental_tensor, projective_residual
 from projspray.jets import EvaluationError, lift
 from projspray.randers import (
     CurveSample,
@@ -23,6 +24,8 @@ from projspray.randers import (
     one_form_norm,
     randers_metric,
 )
+from projspray.symmetry import projective_field_residual
+from projspray.trace import GeodesicTrace, unit_speed_resample
 
 
 def test_constant_curvature_values():
@@ -47,12 +50,72 @@ def test_hyperbolic_outside_disk_raises():
         lambda: metric_entry("c+").alpha.entries(-1.2, -0.3),
         lambda: lift(metric_entry("c+").alpha.entries, (-1.2, -0.3), order=1),
         lambda: MetricField(lambda x, y: (1.0, 0.0, -1.0), Rectangle(-2, 2, -2, 2)).norm(1.2, -0.3, (0.0, 1.0)),
+        lambda: constant_curvature_metric("hyperbolic").entries(np.array([0.1, 1.2]), np.array([0.2, -0.3])),
+        lambda: metric_entry("c+").alpha.entries(np.array([0.1, -1.2]), np.array([0.2, -0.3])),
+        lambda: MetricField(lambda x, y: (1.0, 0.0, -1.0), Rectangle(-2, 2, -2, 2)).norm(
+            np.array([0.1, 1.2]), np.array([0.2, -0.3]), (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        ),
     ],
-    ids=["hyperbolic", "hyperbolic-jet", "bk-", "bk--jet", "c+", "c+-jet", "norm"],
+    ids=[
+        "hyperbolic", "hyperbolic-jet", "bk-", "bk--jet", "c+", "c+-jet", "norm",
+        "hyperbolic-array", "c+-array", "norm-array",
+    ],
 )
 def test_domain_guards_name_the_point(call):
     with pytest.raises(EvaluationError, match=r"at \(-?1\.2, -0\.3\)"):
         call()
+
+
+def _vanishing_velocity_trace():
+    """A trace whose velocity is zero at node 4, the point (0.4, -0.5)."""
+    t = np.linspace(0.0, 1.0, 11)
+    uv = np.column_stack([np.ones_like(t), np.zeros_like(t)])
+    uv[4] = 0.0
+    return GeodesicTrace(t=t, xy=np.column_stack([t, np.full_like(t, -0.5)]), uv=uv)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fundamental_tensor(metric_entry("a").metric, (0.4, -0.5, 0.0, 0.0)),
+        lambda: projective_residual(spray_entry("a").spray, spray_entry("flat").spray, (0.4, -0.5, 0.0, 0.0)),
+        lambda: projective_field_residual(
+            metric_entry("a").projective_basis[0], spray_entry("a").spray, (0.4, -0.5, 0.0, 0.0)
+        ),
+        lambda: magnetic_residual(
+            constant_curvature_metric("euclidean"),
+            area_form(constant_curvature_metric("euclidean"), 1.0),
+            CurveSample((0.4, -0.5), (0.0, 0.0), (0.0, 0.0)),
+        ),
+        lambda: unit_speed_resample(_vanishing_velocity_trace(), constant_curvature_metric("euclidean")),
+    ],
+    ids=["fundamental_tensor", "projective_residual", "projective_field_residual", "magnetic_residual", "trace"],
+)
+def test_zero_vector_guards_name_the_point(call):
+    with pytest.raises(EvaluationError, match=r"at \(0\.4, -0\.5\)"):
+        call()
+
+
+_NORM_FIELDS = {
+    **{m: lambda m=m: constant_curvature_metric(m) for m in ("euclidean", "sphere", "hyperbolic")},
+    "c+": lambda: metric_entry("c+").alpha,
+    "c-": lambda: metric_entry("c-").alpha,
+    "liouville[c+]": lambda: liouville_candidate(metric_entry("c+").alpha),
+    "sheared": lambda: _sheared_metric(),
+}
+
+
+@pytest.mark.parametrize("name", list(_NORM_FIELDS))
+def test_norm_on_arrays_matches_the_scalar_path_within_one_ulp(name):
+    alpha = _NORM_FIELDS[name]()
+    r = alpha.domain.shrunk(0.95)
+    rng = np.random.default_rng(11)
+    xs, ys = rng.uniform(r.x0, r.x1, 2000), rng.uniform(r.y0, r.y1, 2000)
+    us, vs = rng.normal(size=2000), rng.normal(size=2000)
+    got = alpha.norm(xs, ys, (us, vs))
+    want = np.array([alpha.norm(*map(float, p), (float(u), float(v))) for *p, u, v in zip(xs, ys, us, vs)])
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.all(np.abs(got - want) <= np.spacing(want)), name
 
 
 def test_beta_values():

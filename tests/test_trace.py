@@ -17,6 +17,7 @@ from projspray.trace import (
     DegenerateFitError,
     DomainError,
     GeodesicTrace,
+    _rk4,
     circle_fit,
     curve_samples,
     integrate_flow,
@@ -175,6 +176,21 @@ def test_rk4_core_rejects_an_rhs_of_another_length():
         integrate_flow(lambda s: (1.0, 2.0), (0.0,), 1.0, 1e-1)
     with pytest.raises(ValueError, match="rhs returned 3 components for a state of 4"):
         integrate_flow(lambda s: s[:3], (0.0, 0.0, 1.0, 0.0), 1.0, 1e-1)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize(
+    "t1,stop,m",
+    [(0.1, lambda s: True, 1), (0.0, None, 1), (0.1, None, 6)],
+    ids=["stops-at-first-step", "t1-equals-t0", "full-run"],
+)
+def test_rk4_core_returns_float_arrays_of_one_row_per_state(d, t1, stop, m):
+    times, states, derivs, stopped = _rk4(lambda t, s: [-c for c in s], range(1, d + 1), 0.0, t1, 0.02, stop)
+    assert stopped == (stop is not None)
+    assert times.shape == (m,) and states.shape == derivs.shape == (m, d)
+    assert times.dtype == states.dtype == derivs.dtype == np.float64
+    assert np.array_equal(states[0], np.arange(1.0, d + 1.0))
+    assert np.array_equal(derivs, -states)
 
 
 def test_integrate_ode_blowup_guard():
