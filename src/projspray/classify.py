@@ -118,7 +118,6 @@ def flatness_residuals(cf: CubicForm, at: Sequence[float]):
 class FlatnessVerdict:
     flat: bool
     witness: tuple | None = None
-    reason: str = ""
     worst: float = 0.0
 
 
@@ -136,19 +135,15 @@ def is_projectively_flat(
     for (x, y) in region.grid(nx, ny, margin):
         try:
             cf = extract_cubic(f, (x, y), tol=cubic_tol)
-        except EvaluationError as err:
-            return FlatnessVerdict(False, (x, y), f"not evaluable at cubic nodes: {err}")
+        except EvaluationError:
+            return FlatnessVerdict(False, (x, y))
         if isinstance(cf, NotCubic):
-            return FlatnessVerdict(
-                False, (x, y), f"not cubic (residual {cf.residual:.3e} at z={cf.node})", cf.residual
-            )
+            return FlatnessVerdict(False, (x, y), cf.residual)
         r1, r2 = flatness_residuals(cf, (x, y))
         worst = max(worst, abs(r1), abs(r2))
         if abs(r1) > tol or abs(r2) > tol:
-            return FlatnessVerdict(
-                False, (x, y), f"obstruction ({r1:.3e}, {r2:.3e})", max(abs(r1), abs(r2))
-            )
-    return FlatnessVerdict(True, None, "", worst)
+            return FlatnessVerdict(False, (x, y), max(abs(r1), abs(r2)))
+    return FlatnessVerdict(True, None, worst)
 
 
 class ProjectiveConnectionCoeffs(CubicForm):

@@ -368,6 +368,4 @@ def projective_residual(s1: Spray, s2: Spray, at: Sequence[float]) -> float:
     a2, b2 = s2.coefficients(x, y, u, v)
     w1 = -2.0 * (float(a1) - float(a2))
     w2 = -2.0 * (float(b1) - float(b2))
-    n2 = u * u + v * v
-    lam = (w1 * u + w2 * v) / n2
-    return math.hypot(w1 - lam * u, w2 - lam * v)
+    return abs(w1 * v - w2 * u) / math.hypot(u, v)

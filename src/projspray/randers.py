@@ -129,7 +129,8 @@ def constant_curvature_metric(model: str) -> MetricField:
         return MetricField(lambda x, y: (1.0, 0.0, 1.0), Rectangle(-3.0, 3.0, -3.0, 3.0), "euclidean")
     if model == "sphere":
         def entries(x, y):
-            phi = 1.0 / (1.0 + x * x + y * y) ** 2
+            d = 1.0 + x * x + y * y
+            phi = 1.0 / (d * d)
             return phi, 0.0, phi
 
         return MetricField(entries, Rectangle(-3.0, 3.0, -3.0, 3.0), "sphere")
@@ -302,7 +303,7 @@ def geodesic_curvature(alpha: MetricField, sample: CurveSample, speed_tol: float
     speed = alpha.norm(x, y, sample.vel)
     if abs(speed - 1.0) > speed_tol:
         raise EvaluationError(
-            f"sample has alpha-speed {speed:.12f}; reparametrize to unit speed first"
+            f"sample has alpha-speed {speed:.12f} at ({x}, {y}); reparametrize to unit speed first"
         )
     return alpha.norm(x, y, covariant_acceleration(alpha, sample))
 

@@ -149,10 +149,7 @@ def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[fl
     gamma_b3 = u * (bxx * u + bxy * v) + v * (bxy * u + byy * v) - 2.0 * G1 * bx - 2.0 * G2 * by
     comp3 = -2.0 * xhat_g1 - gamma_a3
     comp4 = -2.0 * xhat_g2 - gamma_b3
-
-    n2 = u * u + v * v
-    lam = (comp3 * u + comp4 * v) / n2
-    return math.hypot(comp3 - lam * u, comp4 - lam * v)
+    return abs(comp3 * v - comp4 * u) / math.hypot(u, v)
 
 
 @dataclass(frozen=True)
@@ -179,15 +176,20 @@ class LieAlgebraCase:
 
 
 _SAMPLE_POOL = (
-    (0.137, 0.291, 0.713),
-    (-0.218, 0.117, -0.437),
-    (0.301, -0.157, 1.213),
-    (-0.113, -0.271, 0.517),
-    (0.243, 0.193, -0.871),
-    (0.061, -0.329, 1.531),
-    (-0.307, 0.251, -1.117),
-    (0.173, 0.077, 0.337),
+    (0.137, 0.291),
+    (-0.218, 0.117),
+    (0.301, -0.157),
+    (-0.113, -0.271),
+    (0.243, 0.193),
+    (0.061, -0.329),
+    (-0.307, 0.251),
+    (0.173, 0.077),
 )
+"""The (x, y) points at which ``structure_constants`` reads the fields, in
+order.  At the first five, every catalog basis gives a matrix A whose
+smallest singular value is at least 0.2 times its largest."""
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,7 @@ class StructureConstants:
     residual: float
 
     def table(self):
-        return {key: tuple(self.constants[key]) for key in ((0, 1), (0, 2), (1, 2))}
+        return {key: tuple(self.constants[key]) for key in _PAIRS}
 
 
 def structure_constants(
@@ -206,68 +208,53 @@ def structure_constants(
 ) -> StructureConstants:
     """Expand the three brackets of a basis in the basis itself.
 
-    At each sample point (x, y, z) the prolonged fields give a 3x3 system
-    (components a, b, c), solved exactly; the constants must agree across
-    points to ``tol``.  Singular sample points are skipped and replaced
-    from a fixed pool of eight; a larger ``npoints`` raises ``ValueError``.
+    Prolongation is a Lie-algebra homomorphism, so the plane components
+    fix the constants.  At the first ``npoints`` points of a fixed pool of
+    eight, the fields' (a, b) fill the columns of A, two rows per point, and
+    the brackets' (a, b) the columns of R; one least-squares solve gives
+    A C = R.  A singular value of A at most 1e-10 times the largest raises
+    ``DegenerateBasisError``, max|A C - R| above ``tol`` raises
+    ``NotClosedError`` and is otherwise the residual.  ``npoints`` outside
+    [2, 8] raises ``ValueError``; two points leave one equation per bracket
+    beyond the three unknowns, the default five leave seven.
     """
-    if npoints > len(_SAMPLE_POOL):
-        raise ValueError(f"npoints {npoints} exceeds the sample pool of {len(_SAMPLE_POOL)} points")
+    if not 2 <= npoints <= len(_SAMPLE_POOL):
+        raise ValueError(
+            f"npoints {npoints} must lie between 2 and the sample pool of {len(_SAMPLE_POOL)} points"
+        )
     basis = case_or_basis.basis if isinstance(case_or_basis, LieAlgebraCase) else tuple(case_or_basis)
-    prolonged = [prolong(X) for X in basis]
-    brackets = {
-        (i, j): prolong(lie_bracket(basis[i], basis[j]))
-        for (i, j) in ((0, 1), (0, 2), (1, 2))
-    }
+    brackets = [lie_bracket(basis[i], basis[j]) for (i, j) in _PAIRS]
+    pts = _SAMPLE_POOL[:npoints]
 
-    per_point = []
-    used = 0
-    for (x, y, z) in _SAMPLE_POOL:
-        if used >= npoints:
-            break
-        A = np.array([P.at(x, y, z) for P in prolonged], dtype=float).T  # one column per field
-        if abs(np.linalg.det(A)) < 1e-10 * max(1.0, float(np.abs(A).max()) ** 3):
-            continue
-        rhs = {key: np.array(B.at(x, y, z), dtype=float) for key, B in brackets.items()}
-        per_point.append((A, rhs, {key: np.linalg.solve(A, r) for key, r in rhs.items()}))
-        used += 1
-    if used < npoints:
+    def stacked(fields):
+        # (point, field, component) -> rows (point, component), one column per field
+        values = np.array([[F.at(x, y) for F in fields] for (x, y) in pts], dtype=float)
+        return values.transpose(0, 2, 1).reshape(2 * npoints, 3)
+
+    A, R = stacked(basis), stacked(brackets)
+    C, _, _, sv = np.linalg.lstsq(A, R)
+    if sv[-1] <= 1e-10 * sv[0]:
         raise DegenerateBasisError(
-            f"only {used} of {npoints} sample points gave an invertible prolonged basis"
+            f"basis fields are dependent at {npoints} sample points "
+            f"(singular values {sv[-1]:.3e} against {sv[0]:.3e})"
         )
+    residual = float(np.abs(A @ C - R).max())
+    if residual > tol:
+        raise NotClosedError(f"brackets leave the span of the basis (residual {residual:.3e})")
 
-    keys = ((0, 1), (0, 2), (1, 2))
-    mean = {k: np.mean([pc[k] for (_, _, pc) in per_point], axis=0) for k in keys}
-    spread = max(
-        float(np.abs(pc[k] - mean[k]).max()) for (_, _, pc) in per_point for k in keys
-    )
-    residual = max(
-        float(np.abs(A @ mean[k] - rhs[k]).max()) for (A, rhs, _) in per_point for k in keys
-    )
-    if spread > tol or residual > max(tol, 10 * spread):
-        raise NotClosedError(
-            f"bracket expansion disagrees across sample points "
-            f"(spread {spread:.3e}, residual {residual:.3e})"
-        )
-
-    C = np.zeros((3, 3, 3))
-    for (i, j) in keys:
-        C[i, j] = mean[(i, j)]
-        C[j, i] = -mean[(i, j)]
-    return StructureConstants(constants=C, residual=max(residual, spread))
+    constants = np.zeros((3, 3, 3))
+    for col, (i, j) in enumerate(_PAIRS):
+        constants[i, j] = C[:, col]
+        constants[j, i] = -C[:, col]
+    return StructureConstants(constants=constants, residual=residual)
 
 
 def jacobi_residual(constants) -> float:
-    """Largest defect of the three Jacobi-identity relations.
+    """Largest component of the Jacobiator [[X0,X1],X2] + [[X1,X2],X0] + [[X2,X0],X1].
 
-    With [X0,X1] = sum a_i X_i, [X0,X2] = sum b_i X_i, [X1,X2] = sum g_i X_i
-    the identity reduces to three bilinear relations in the coefficients.
+    With [Xi, Xj] = C[i, j, l] Xl, J[i, j, k, m] = C[i, j, l] C[l, k, m] is
+    the Xm-component of [[Xi, Xj], Xk].
     """
     C = constants.constants if isinstance(constants, StructureConstants) else np.asarray(constants)
-    a = C[0, 1]
-    b = C[0, 2]
-    g = C[1, 2]
-    eq1 = a[0] * g[1] + b[0] * g[2] - b[2] * g[0] - a[1] * g[0]
-    eq2 = b[1] * g[2] + a[1] * b[0] - b[2] * g[1] - a[0] * b[1]
-    eq3 = a[2] * g[1] + a[2] * b[0] - a[0] * b[2] - a[1] * g[2]
-    return float(max(abs(eq1), abs(eq2), abs(eq3)))
+    J = np.einsum("ijl,lkm->ijkm", C, C)
+    return float(np.abs(J[0, 1, 2] + J[1, 2, 0] + J[2, 0, 1]).max())

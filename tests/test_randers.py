@@ -88,8 +88,14 @@ def _vanishing_velocity_trace():
             CurveSample((0.4, -0.5), (0.0, 0.0), (0.0, 0.0)),
         ),
         lambda: unit_speed_resample(_vanishing_velocity_trace(), constant_curvature_metric("euclidean")),
+        lambda: geodesic_curvature(
+            constant_curvature_metric("euclidean"), CurveSample((0.4, -0.5), (0.0, 0.0), (0.0, 0.0))
+        ),
     ],
-    ids=["fundamental_tensor", "projective_residual", "projective_field_residual", "magnetic_residual", "trace"],
+    ids=[
+        "fundamental_tensor", "projective_residual", "projective_field_residual", "magnetic_residual", "trace",
+        "geodesic_curvature",
+    ],
 )
 def test_zero_vector_guards_name_the_point(call):
     with pytest.raises(EvaluationError, match=r"at \(0\.4, -0\.5\)"):
@@ -110,12 +116,12 @@ def test_norm_on_arrays_matches_the_scalar_path_within_one_ulp(name):
     alpha = _NORM_FIELDS[name]()
     r = alpha.domain.shrunk(0.95)
     rng = np.random.default_rng(11)
-    xs, ys = rng.uniform(r.x0, r.x1, 2000), rng.uniform(r.y0, r.y1, 2000)
-    us, vs = rng.normal(size=2000), rng.normal(size=2000)
+    xs, ys = rng.uniform(r.x0, r.x1, 20000), rng.uniform(r.y0, r.y1, 20000)
+    us, vs = rng.normal(size=20000), rng.normal(size=20000)
     got = alpha.norm(xs, ys, (us, vs))
     want = np.array([alpha.norm(*map(float, p), (float(u), float(v))) for *p, u, v in zip(xs, ys, us, vs)])
     assert got.shape == want.shape and got.dtype == np.float64
-    assert np.all(np.abs(got - want) <= np.spacing(want)), name
+    assert np.array_equal(got, want), name
 
 
 def test_beta_values():

@@ -163,6 +163,24 @@ def test_structure_constants_degenerate_basis():
         structure_constants((X0, X0, X1))
 
 
+@pytest.mark.parametrize("key", ["C2+", "C2-", "J3"])
+def test_structure_constants_transform_as_a_tensor_under_change_of_basis(key):
+    # Y_a = P[a, i] X_i gives [Y_a, Y_b] = P[a, i] P[b, j] C[i, j, l] X_l = C'[a, b, d] P[d, l] X_l
+    P = np.array([[1.0, 0.5, -0.25], [0.0, 2.0, 0.75], [-1.0, 0.25, 1.5]])
+    basis = lie_case(key).basis
+
+    def combined(row):
+        return PlaneVectorField(
+            lambda x, y: tuple(sum(p * X.at(x, y)[c] for p, X in zip(row, basis)) for c in (0, 1))
+        )
+
+    C = structure_constants(basis).constants
+    want = np.einsum("ai,bj,ijl,ld->abd", P, P, C, np.linalg.inv(P))
+    got = structure_constants([combined(row) for row in P])
+    assert np.allclose(got.constants, want, rtol=0.0, atol=1e-12)
+    assert got.residual <= 1e-12
+
+
 def test_jacobi_zero_for_abelian():
     assert jacobi_residual(np.zeros((3, 3, 3))) == 0.0
 
@@ -317,7 +335,14 @@ def test_structure_constants_refuses_more_points_than_the_pool():
     assert not isinstance(err.value, DegenerateBasisError)
 
 
-def test_structure_constants_c2_plus_makes_60_lifts(monkeypatch):
+@pytest.mark.parametrize("npoints", [-1, 0, 1])
+def test_structure_constants_refuses_fewer_than_two_points(npoints):
+    with pytest.raises(ValueError, match="sample pool of 8 points") as err:
+        structure_constants(lie_case("D1"), npoints=npoints)
+    assert not isinstance(err.value, DegenerateBasisError)
+
+
+def test_structure_constants_c2_plus_makes_30_lifts(monkeypatch):
     from projspray import symmetry
 
     calls = []
@@ -329,7 +354,7 @@ def test_structure_constants_c2_plus_makes_60_lifts(monkeypatch):
 
     monkeypatch.setattr(symmetry, "lift", counted)
     structure_constants(lie_case("C2+"))
-    assert len(calls) == 60
+    assert len(calls) == 30
 
 
 def test_bracket_reads_each_operand_once():
