@@ -215,12 +215,14 @@ def structure_constants(
     A C = R.  A singular value of A at most 1e-10 times the largest raises
     ``DegenerateBasisError``, max|A C - R| above ``tol`` raises
     ``NotClosedError`` and is otherwise the residual.  ``npoints`` outside
-    [2, 8] raises ``ValueError``; two points leave one equation per bracket
-    beyond the three unknowns, the default five leave seven.
+    [3, 8] raises ``ValueError``: each point gives two equations per
+    bracket, so three points leave three equations beyond the three
+    unknowns and the default five leave seven, while two points leave one,
+    too few to tell a non-closed basis from a closed one.
     """
-    if not 2 <= npoints <= len(_SAMPLE_POOL):
+    if not 3 <= npoints <= len(_SAMPLE_POOL):
         raise ValueError(
-            f"npoints {npoints} must lie between 2 and the sample pool of {len(_SAMPLE_POOL)} points"
+            f"npoints {npoints} must lie between 3 and the sample pool of {len(_SAMPLE_POOL)} points"
         )
     basis = case_or_basis.basis if isinstance(case_or_basis, LieAlgebraCase) else tuple(case_or_basis)
     brackets = [lie_bracket(basis[i], basis[j]) for (i, j) in _PAIRS]

@@ -3,10 +3,14 @@ post-processing: circle fitting, arc-length reparametrization, curvature
 sampling from the stored states.
 
 Classical RK4 throughout; trajectories here are short and smooth, and the
-fixed step keeps convergence-order measurements clean.  The integrator
-works on plain floats: a right-hand side receives the state as a tuple of
-floats and returns a sequence of the same length, and the states become
-arrays once, in one pass, when the run ends.  Because every trace
+fixed step keeps convergence-order measurements clean.  The integrator has
+one kind of state, a point of the tangent bundle (x, y, u, v), and works on
+plain floats: a right-hand side receives the state as a tuple of four floats
+and returns four numbers, the step is written out component by component,
+and the states become arrays once, in one pass, when the run ends.  Sprays
+and magnetic flows live there already; a scalar equation y'' = f(x, y, y')
+is integrated as its lift (x, y, 1, y'), with x read from the time grid.  A
+state of any other length raises ``ValueError``.  Because every trace
 advances in equal steps, reparametrization needs no interpolant: the
 alpha-speeds at all nodes come from one array evaluation of the metric,
 their derivative from a seven-node differentiation stencil on them, and
@@ -76,73 +80,85 @@ class OdeCurve:
 
 
 def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
-    """Classical RK4 of s' = rhs(t, s) from t0 to t1.
+    """Classical RK4 of s' = rhs(t, s) on the state s = (x, y, u, v) from t0 to t1.
 
-    rhs receives the state as a tuple of floats and returns a sequence of
-    as many components; the stages and the update are computed on floats,
-    component by component.  Takes n = ceil((t1 - t0) / step) equal steps
+    rhs receives the state as a tuple of four floats and returns four
+    numbers; the stages and the update are written out component by
+    component on floats.  Takes n = ceil((t1 - t0) / step) equal steps
     (``step`` is an upper bound, up to a relative 1e-9), at least one when
     t1 > t0, with times t0 + i (t1 - t0) / n, so the last time is t1
     exactly.  A state is kept only if it is finite, ``stop`` does not fire on
     it and rhs evaluates there; otherwise the run ends early.  An
     ``EvaluationError`` at ``init`` propagates.  Returns (times, states,
-    derivatives at the states, stopped early) as arrays.  The derivative at
-    a kept state is the next step's first stage, so a run makes one
-    evaluation more than 4 n.  Raises ``ValueError`` when t1 precedes t0,
-    ``step`` is not finite and positive, or rhs at ``init`` returns a number
-    of components other than the state's; t1 == t0 gives the initial state
-    alone.
+    derivatives at the states, stopped early) as arrays, the last two of
+    shape (m, 4).  The derivative at a kept state is the next step's first
+    stage, so a run makes one evaluation more than 4 n.  Raises
+    ``ValueError``, checked in this order, when t1 precedes t0, ``step`` is
+    not finite and positive, ``init`` does not have four components, or rhs
+    at ``init`` returns a number of components other than four; t1 == t0
+    gives the initial state alone.
     """
     if t1 < t0:
         raise ValueError(f"integration end {t1} precedes its start {t0}")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step {step} is not finite and positive")
+    state = tuple([float(c) for c in init])
+    if len(state) != 4:
+        raise ValueError(f"state of {len(state)} components; RK4 integrates (x, y, u, v)")
     n = max(math.ceil((t1 - t0) / step - 1e-9), 1) if t1 > t0 else 0
     times = np.linspace(t0, t1, n + 1).tolist()
     h = (t1 - t0) / n if n else 0.0
     h2, h6 = 0.5 * h, h / 6.0
-    state = tuple([float(c) for c in init])
+    x, y, u, v = state
     k1 = rhs(t0, state)
-    if len(k1) != len(state):
-        raise ValueError(f"rhs returned {len(k1)} components for a state of {len(state)}")
+    if len(k1) != 4:
+        raise ValueError(f"rhs returned {len(k1)} components for a state of 4")
     states, derivs = [state], [k1]
     stopped = False
+    isfinite = math.isfinite
     for t, t_next in zip(times, times[1:]):
+        a1, b1, c1, d1 = k1
+        tm = t + h2
         try:
-            k2 = rhs(t + h2, tuple([s + h2 * k for s, k in zip(state, k1)]))
-            k3 = rhs(t + h2, tuple([s + h2 * k for s, k in zip(state, k2)]))
-            k4 = rhs(t_next, tuple([s + h * k for s, k in zip(state, k3)]))
-            nxt = tuple(
-                [s + h6 * (a + 2.0 * b + 2.0 * c + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-            )
-            if not all(map(math.isfinite, nxt)) or (stop is not None and stop(nxt)):
+            a2, b2, c2, d2 = rhs(tm, (x + h2 * a1, y + h2 * b1, u + h2 * c1, v + h2 * d1))
+            a3, b3, c3, d3 = rhs(tm, (x + h2 * a2, y + h2 * b2, u + h2 * c2, v + h2 * d2))
+            a4, b4, c4, d4 = rhs(t_next, (x + h * a3, y + h * b3, u + h * c3, v + h * d3))
+            x1 = x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            y1 = y + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            u1 = u + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            v1 = v + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            state = (x1, y1, u1, v1)
+            if not (isfinite(x1) and isfinite(y1) and isfinite(u1) and isfinite(v1)) or (
+                stop is not None and stop(state)
+            ):
                 stopped = True
                 break
-            k1 = rhs(t_next, nxt)
+            k1 = rhs(t_next, state)
         except EvaluationError:
             stopped = True
             break
-        state = nxt
+        x, y, u, v = state
         states.append(state)
         derivs.append(k1)
-    m, d = len(states), len(state)
-    return np.array(times[:m]), _rows(states, m, d), _rows(derivs, m, d), stopped
+    return np.array(times[: len(states)]), _rows(states), _rows(derivs), stopped
 
 
-def _rows(rows, m: int, d: int) -> np.ndarray:
-    """The (m, d) float array of m rows of d numbers, filled in one pass."""
-    return np.fromiter(itertools.chain.from_iterable(rows), float, m * d).reshape(m, d)
+def _rows(rows) -> np.ndarray:
+    """The (m, 4) float array of a list of m rows of 4 numbers, filled in one pass."""
+    return np.fromiter(itertools.chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
 
 
 def integrate_flow(rhs, init, tmax: float, step: float, stop=None):
-    """Fixed-step RK4 of the autonomous flow s' = rhs(s) from t = 0 to ``tmax``.
+    """Fixed-step RK4 of an autonomous flow on the tangent bundle from t = 0 to ``tmax``.
 
-    rhs receives the state as a tuple of floats and returns a sequence of
-    the same length; ``stop`` receives the same tuples.  ``step`` is an
-    upper bound: the run takes ceil(tmax / step) equal steps and, unless it
-    stops early, ends at ``tmax`` exactly.  It stops early when ``stop``
-    fires, a state is not finite or rhs raises ``EvaluationError``.
-    Returns (times, states, stopped early) as arrays.
+    The state is (x, y, u, v): rhs receives it as a tuple of four floats
+    and returns four numbers (``randers.magnetic_rhs`` is such a flow), and
+    ``stop`` receives the same tuples.  ``step`` is an upper bound: the run
+    takes ceil(tmax / step) equal steps and, unless it stops early, ends at
+    ``tmax`` exactly.  It stops early when ``stop`` fires, a state is not
+    finite or rhs raises ``EvaluationError``.  Returns (times, states of
+    shape (m, 4), stopped early) as arrays.  Raises ``ValueError`` when
+    ``init`` or rhs at ``init`` has other than four components.
     """
     times, states, _, stopped = _rk4(lambda t, s: rhs(s), init, 0.0, tmax, step, stop)
     return times, states, stopped
@@ -190,17 +206,21 @@ def integrate_ode(
 ) -> OdeCurve:
     """Integrate y'' = f(x, y, y') from (x0, y0, z0) up to xmax.
 
-    Steps and abscissae are those of ``integrate_flow``, from x0: the curve
-    ends at ``xmax`` exactly unless it blows up first, that is unless |y'|
-    exceeds 1e6, a value is not finite or f raises ``EvaluationError``.
+    The equation is integrated as its lift to the tangent bundle, the state
+    (x, y, 1, y') with (x, y, 1, y')' = (1, y', 0, f), from (x0, y0, 1, z0).
+    x is read from the time grid, not from the state, so the abscissae are
+    those of ``integrate_flow`` from x0 exactly, and y and y' round as a
+    two-component RK4 of (y, y') would.  The curve ends at ``xmax`` exactly
+    unless it blows up first, that is unless |y'| exceeds 1e6, a value is
+    not finite or f raises ``EvaluationError``.
     """
     x0, y0, z0 = (float(c) for c in init)
 
     def rhs(x, s):
-        return s[1], float(f(x, s[0], s[1]))
+        return 1.0, s[3], 0.0, float(f(x, s[1], s[3]))
 
-    xs, states, _, blown = _rk4(rhs, (y0, z0), x0, xmax, step, lambda s: abs(s[1]) > 1e6)
-    return OdeCurve(xs, states[:, 0], states[:, 1], blown_up=blown)
+    xs, states, _, blown = _rk4(rhs, (x0, y0, 1.0, z0), x0, xmax, step, lambda s: abs(s[3]) > 1e6)
+    return OdeCurve(xs, states[:, 1], states[:, 3], blown_up=blown)
 
 
 @dataclass(frozen=True)

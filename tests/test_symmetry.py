@@ -342,6 +342,21 @@ def test_structure_constants_refuses_fewer_than_two_points(npoints):
     assert not isinstance(err.value, DegenerateBasisError)
 
 
+def test_structure_constants_refuses_two_points():
+    # two points fit the non-closed basis (x^2 dy, dx, dy) of
+    # test_structure_constants_not_closed to rounding; three expose it
+    basis = [
+        VF(lambda x, y: 0.0, lambda x, y: x * x),
+        VF(lambda x, y: 1.0, lambda x, y: 0.0),
+        VF(lambda x, y: 0.0, lambda x, y: 1.0),
+    ]
+    with pytest.raises(ValueError, match="between 3 and the sample pool of 8 points") as err:
+        structure_constants(basis, npoints=2)
+    assert not isinstance(err.value, (DegenerateBasisError, NotClosedError))
+    with pytest.raises(NotClosedError):
+        structure_constants(basis, npoints=3)
+
+
 def test_structure_constants_c2_plus_makes_30_lifts(monkeypatch):
     from projspray import symmetry
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projspray.catalog import metric_entry, spray_entry
-from projspray.finsler import geodesic_spray, induced_odes
+from projspray.finsler import Spray, geodesic_spray, induced_odes
 from projspray.randers import (
     CurveSample,
     area_form,
@@ -159,11 +159,22 @@ def test_rk4_core_matches_a_textbook_numpy_rk4():
     states, _ = _numpy_rk4(ode_rhs, (0.05, 0.3), c.x)
     assert np.array_equal(np.column_stack([c.y, c.z]), states)
 
+    alpha = constant_curvature_metric("sphere")
+    flow = magnetic_rhs(alpha, area_form(alpha, 1.0))
+
+    def flow_rhs(t, s):
+        return np.array(flow(tuple(float(c) for c in s)))
+
+    times, got, stopped = integrate_flow(flow, (0.0, 0.0, 1.0, 0.0), 5e-2, 1e-2)
+    assert len(times) == 6 and not stopped
+    states, _ = _numpy_rk4(flow_rhs, (0.0, 0.0, 1.0, 0.0), times)
+    assert np.array_equal(got, states)
+
 
 def test_rk4_core_stops_at_a_non_finite_state():
-    # the third step's first stage sits at s = 0.025, where rhs is NaN
+    # the third step's first stage sits at x = 0.025, where rhs is NaN
     times, states, stopped = integrate_flow(
-        lambda s: (math.nan if s[0] >= 0.025 else 1.0,), (0.0,), 0.1, 1e-2
+        lambda s: (math.nan if s[0] >= 0.025 else 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), 0.1, 1e-2
     )
     assert stopped
     assert len(times) == len(states) == 3
@@ -172,25 +183,56 @@ def test_rk4_core_stops_at_a_non_finite_state():
 
 
 def test_rk4_core_rejects_an_rhs_of_another_length():
-    with pytest.raises(ValueError, match="rhs returned 2 components for a state of 1"):
-        integrate_flow(lambda s: (1.0, 2.0), (0.0,), 1.0, 1e-1)
+    with pytest.raises(ValueError, match="rhs returned 2 components for a state of 4"):
+        integrate_flow(lambda s: (1.0, 2.0), (0.0, 0.0, 1.0, 0.0), 1.0, 1e-1)
     with pytest.raises(ValueError, match="rhs returned 3 components for a state of 4"):
         integrate_flow(lambda s: s[:3], (0.0, 0.0, 1.0, 0.0), 1.0, 1e-1)
 
 
-@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_rk4_core_refuses_a_state_of_another_length(d):
+    def rhs(s):
+        raise AssertionError("rhs called on a refused state")
+
+    with pytest.raises(ValueError, match=f"state of {d} components"):
+        integrate_flow(rhs, (0.0,) * d, 1.0, 1e-1)
+
+
+@pytest.mark.parametrize("moving", [2, 4])
 @pytest.mark.parametrize(
     "t1,stop,m",
     [(0.1, lambda s: True, 1), (0.0, None, 1), (0.1, None, 6)],
     ids=["stops-at-first-step", "t1-equals-t0", "full-run"],
 )
-def test_rk4_core_returns_float_arrays_of_one_row_per_state(d, t1, stop, m):
-    times, states, derivs, stopped = _rk4(lambda t, s: [-c for c in s], range(1, d + 1), 0.0, t1, 0.02, stop)
+def test_rk4_core_returns_float_arrays_of_one_row_per_state(moving, t1, stop, m):
+    # rhs decays the first ``moving`` components and holds the others, as
+    # the lift (x, y, 1, y') of a scalar equation holds its third
+    def rhs(t, s):
+        return [-c for c in s[:moving]] + [0.0] * (4 - moving)
+
+    times, states, derivs, stopped = _rk4(rhs, range(1, 5), 0.0, t1, 0.02, stop)
     assert stopped == (stop is not None)
-    assert times.shape == (m,) and states.shape == derivs.shape == (m, d)
+    assert times.shape == (m,) and states.shape == derivs.shape == (m, 4)
     assert times.dtype == states.dtype == derivs.dtype == np.float64
-    assert np.array_equal(states[0], np.arange(1.0, d + 1.0))
-    assert np.array_equal(derivs, -states)
+    assert np.array_equal(states[0], np.arange(1.0, 5.0))
+    assert np.array_equal(derivs[:, :moving], -states[:, :moving])
+    assert np.all(derivs[:, moving:] == 0.0) and np.all(states[:, moving:] == states[0, moving:])
+
+
+def test_integrate_spray_evaluates_the_spray_through_coefficients(monkeypatch):
+    # n steps take 4 evaluations each, plus one at the initial state;
+    # perfbench's tracer counts spray evaluations by wrapping this method
+    calls = []
+    coefficients = Spray.coefficients
+
+    def counted(self, x, y, u, v):
+        calls.append((x, y, u, v))
+        return coefficients(self, x, y, u, v)
+
+    monkeypatch.setattr(Spray, "coefficients", counted)
+    tr = integrate_spray(spray_entry("a").spray, (0.0, 0.0, 1.0, 0.0), 0.1, 1e-2)
+    assert len(tr) == 11 and not tr.domain_exit
+    assert len(calls) == 4 * 10 + 1
 
 
 def test_integrate_ode_blowup_guard():
