@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import EvaluationError, Jet2, ScalarField, jet_value, lift
+from .jets import EvaluationError, Jet2, ScalarField, jet_value, lift, reject_first
 
 __all__ = [
     "ConvexityReport",
@@ -24,12 +24,15 @@ __all__ = [
     "SmoothnessReport",
     "Spray",
     "TransposedOdePair",
+    "checked_det",
     "fundamental_tensor",
     "geodesic_spray",
     "induced_ode_direct",
     "induced_odes",
     "is_strongly_convex",
+    "levi_civita",
     "min_eigenvalue_2x2",
+    "non_radial",
     "projective_residual",
     "smoothness_at_zero",
     "transpose_odes",
@@ -184,16 +187,45 @@ def is_strongly_convex(
     return ConvexityReport(ok=worst > 0.0, min_eigenvalue=worst, witness=witness)
 
 
+def checked_det(h11, h12, h22, field: str, at: Sequence) -> float:
+    """det h = h11 h22 - h12^2, on floats or jets; raises ``EvaluationError``
+    "singular <field> at (<at>)" where |det| <= 1e-15 max(|h11|, |h22|)^2."""
+    det = h11 * h22 - h12 * h12
+    scale = max(abs(jet_value(h11)), abs(jet_value(h22)))
+    reject_first(abs(jet_value(det)) <= 1e-15 * scale * scale, "singular " + field, *at)
+    return det
+
+
+def levi_civita(h: Sequence, xi: Sequence, field: str, at: Sequence) -> tuple:
+    """The connection formula K = h^{-1} t, jet-transparent, for the order-1
+    lift h = (j11, j12, j22) of a symmetric 2x2 field and xi = (u, v), with
+    t1 = h11_x u^2 + 2 h11_y uv + (2 h12_y - h22_x) v^2 and
+    t2 = (2 h12_x - h11_y) u^2 + 2 h22_x uv + h22_y v^2.
+
+    A metric alpha has Gamma(xi, xi) = 1/2 K; the fiber Hessian of F^2 has
+    spray coefficients G = 1/4 K.  :func:`checked_det` guards h and names
+    ``field`` and ``at``.
+    """
+    j11, j12, j22 = h
+    h11, h12, h22 = j11.value, j12.value, j22.value
+    det = checked_det(h11, h12, h22, field, at)
+    (a_x, a_y), (b_x, b_y), (c_x, c_y) = j11.grad, j12.grad, j22.grad
+    u, v = xi
+    uu, uv, vv = u * u, u * v, v * v
+    t1 = a_x * uu + 2.0 * a_y * uv + (2.0 * b_y - c_x) * vv
+    t2 = (2.0 * b_x - a_y) * uu + 2.0 * c_x * uv + c_y * vv
+    return (h22 * t1 - h12 * t2) / det, (h11 * t2 - h12 * t1) / det
+
+
 def geodesic_spray(metric: FinslerMetric) -> Spray:
     """Spray whose integral curves project to the geodesics of ``metric``.
 
-    With h = 2g the fiber Hessian of F^2,
-    G^i = 1/4 h^{ij} (2 dh_{jk}/dx^l - dh_{kl}/dx^j) xi^k xi^l.
-    Two nested lifts give h and its base derivatives: the outer one, of
-    order 1 in (x, y), lifts the entries of h, which an inner lift of F^2
-    in (u, v) computes.  A fiber-constant F has h = 0 and raises
-    ``EvaluationError`` as a singular tensor.  The whole evaluation stays
-    jet-transparent, so derived sprays can be lifted again
+    G = 1/4 K, with K the :func:`levi_civita` formula of h = 2g, the fiber
+    Hessian of F^2.  Two nested lifts give h and its base derivatives: the
+    outer one, of order 1 in (x, y), lifts the entries of h, which an inner
+    lift of F^2 in (u, v) computes.  A fiber-constant F has h = 0 and raises
+    ``EvaluationError`` as a singular fundamental tensor.  The whole
+    evaluation stays jet-transparent, so derived sprays can be lifted again
     (projective-field residuals, induced-equation coefficients).
     """
     Ffn = metric.F.fn
@@ -202,29 +234,8 @@ def geodesic_spray(metric: FinslerMetric) -> Spray:
         def entries(xb, yb):
             return lift(lambda uf, vf: Ffn(xb, yb, uf, vf) ** 2, (u, v)).hess_packed
 
-        j11, j12, j22 = lift(entries, (x, y), order=1)
-        h11, h12, h22 = j11.value, j12.value, j22.value
-        det = h11 * h22 - h12 * h12
-        scale = max(abs(jet_value(h11)), abs(jet_value(h22)), 1e-30)
-        if abs(jet_value(det)) <= 1e-15 * scale * scale:
-            raise EvaluationError(
-                f"singular fundamental tensor at ({jet_value(x)}, {jet_value(y)}, "
-                f"{jet_value(u)}, {jet_value(v)})"
-            )
-        inv = [[h22 / det, -(h12 / det)], [-(h12 / det), h11 / det]]
-        # dh[l][i][j] = d_l h_ij
-        dh = [[[e.grad[l] for e in row] for row in ((j11, j12), (j12, j22))] for l in range(2)]
-        xi = (u, v)
-        term = []
-        for j in range(2):
-            t = 0.0
-            for k in range(2):
-                for l in range(2):
-                    t = t + (2.0 * dh[l][j][k] - dh[j][k][l]) * (xi[k] * xi[l])
-            term.append(t)
-        g1 = 0.25 * (inv[0][0] * term[0] + inv[0][1] * term[1])
-        g2 = 0.25 * (inv[1][0] * term[0] + inv[1][1] * term[1])
-        return g1, g2
+        k1, k2 = levi_civita(lift(entries, (x, y), order=1), (u, v), "fundamental tensor", (x, y, u, v))
+        return 0.25 * k1, 0.25 * k2
 
     return Spray(pair, metric.domain, name=f"geodesic({metric.name})" if metric.name else "geodesic")
 
@@ -355,17 +366,27 @@ def smoothness_at_zero(
     return SmoothnessReport(smooth=not mism, mismatches=mism)
 
 
+def non_radial(fiber: Callable, at: Sequence[float], what: str) -> float:
+    """Signed non-radial part (w1 v - w2 u) / |xi| of w = fiber(x, y, u, v) at
+    at = (x, y, u, v), zero exactly when w is parallel to xi = (u, v).  On the
+    zero section it raises ``EvaluationError`` naming ``what``, unevaluated."""
+    x, y, u, v = (float(c) for c in at)
+    if u == 0.0 and v == 0.0:
+        raise EvaluationError(f"{what} needs a nonzero fiber vector at ({x}, {y})")
+    w1, w2 = fiber(x, y, u, v)
+    return (w1 * v - w2 * u) / math.hypot(u, v)
+
+
 def projective_residual(s1: Spray, s2: Spray, at: Sequence[float]) -> float:
     """Size of the non-radial part of the difference of two sprays at a point.
 
     Zero exactly when the sprays differ by a multiple of the radial field,
     i.e. when they share oriented geodesics through the point.
     """
-    x, y, u, v = (float(c) for c in at)
-    if u == 0.0 and v == 0.0:
-        raise EvaluationError(f"projective residual needs a nonzero fiber vector at ({x}, {y})")
-    a1, b1 = s1.coefficients(x, y, u, v)
-    a2, b2 = s2.coefficients(x, y, u, v)
-    w1 = -2.0 * (float(a1) - float(a2))
-    w2 = -2.0 * (float(b1) - float(b2))
-    return abs(w1 * v - w2 * u) / math.hypot(u, v)
+
+    def difference(x, y, u, v):
+        a1, b1 = s1.coefficients(x, y, u, v)
+        a2, b2 = s2.coefficients(x, y, u, v)
+        return -2.0 * (float(a1) - float(a2)), -2.0 * (float(b1) - float(b2))
+
+    return abs(non_radial(difference, at, "projective residual"))

@@ -8,10 +8,10 @@ oriented curves of constant geodesic curvature k for alpha.
 
 A matrix field is one callable ``entries(x, y)`` returning (e11, e12, e22),
 and a one-form one callable ``at(x, y)`` returning (b1, b2); each is read,
-and lifted, as one register per point.  Pointwise 2x2 algebra (the Lorentz
-operator, Christoffel symbols, the magnetic equation, norms) is done on
-floats through one kernel: one formula for J, one magnetic equation, and
-one determinant guard that names a singular point.
+and lifted, as one register per point.  Pointwise 2x2 algebra is done on
+floats: one J formula, one magnetic equation, Gamma(xi, xi) = 1/2 K from
+``finsler.levi_civita`` (whose 1/4 K are geodesic sprays), and the
+determinant guard ``finsler.checked_det``, which names a singular point.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .finsler import FinslerMetric, Rectangle
+from .finsler import FinslerMetric, Rectangle, checked_det, levi_civita
 from .jets import EvaluationError, ScalarField, jet_value, lift, reject_first, sqrt
 
 __all__ = [
@@ -95,14 +95,6 @@ class AreaForm:
     k: float
 
 
-def _det(e11: float, e12: float, e22: float, x: float, y: float) -> float:
-    """det alpha from float entries; raises ``EvaluationError`` where it is 0."""
-    det = e11 * e22 - e12 * e12
-    if det == 0.0:
-        raise EvaluationError(f"singular metric field at ({x}, {y})")
-    return det
-
-
 @dataclass(frozen=True)
 class LorentzOperator:
     """J = alpha^{-1} Omega; squares to -k^2 Id."""
@@ -114,7 +106,7 @@ class LorentzOperator:
         """J (u, v) = (e22 w v + e12 w u, -e12 w v - e11 w u) / det alpha,
         with w = Omega_12."""
         e11, e12, e22 = (float(e) for e in self.alpha.entries(x, y))
-        det = _det(e11, e12, e22, x, y)
+        det = checked_det(e11, e12, e22, "metric field", (x, y))
         w = float(self.omega.omega12(x, y))
         u, v = vel
         return (e22 * w * v + e12 * w * u) / det, (-e12 * w * v - e11 * w * u) / det
@@ -177,7 +169,7 @@ def area_form(alpha: MetricField, k: float) -> AreaForm:
 
     def w(x, y):
         e11, e12, e22 = alpha.entries(x, y)
-        return -k * sqrt(e11 * e22 - e12**2)
+        return -k * sqrt(checked_det(e11, e12, e22, "metric field", (x, y)))
 
     return AreaForm(ScalarField(2, w), k)
 
@@ -202,7 +194,8 @@ def one_form_norm(alpha: MetricField, beta: OneFormField, x: float, y: float) ->
     """alpha-norm of the one-form: |b|^2 = (e22 b1^2 - 2 e12 b1 b2 + e11 b2^2) / det alpha."""
     e11, e12, e22 = (float(e) for e in alpha.entries(x, y))
     b1, b2 = (float(c) for c in beta.at(x, y))
-    return math.sqrt((e22 * b1 * b1 - 2.0 * e12 * b1 * b2 + e11 * b2 * b2) / _det(e11, e12, e22, x, y))
+    q = e22 * b1 * b1 - 2.0 * e12 * b1 * b2 + e11 * b2 * b2
+    return math.sqrt(q / checked_det(e11, e12, e22, "metric field", (x, y)))
 
 
 def randers_metric(
@@ -239,33 +232,19 @@ def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
 
 def christoffel(alpha: MetricField, x: float, y: float) -> tuple:
     """Symbols Gamma[i][j][k] of the Levi-Civita connection at a point, as
-    nested tuples of floats.
+    nested tuples.
 
-    Gamma^i_jk = 1/2 alpha^il (d_j alpha_lk + d_k alpha_lj - d_l alpha_jk),
-    from one order-1 lift of the entries, in float arithmetic.  Raises
-    ``EvaluationError`` where alpha is singular.
+    Gamma^i(xi, xi) = Gamma^i_jk xi^j xi^k is 1/2 K^i(xi), with K the
+    ``levi_civita`` formula; the symbols are its polarization at
+    xi = (1, 0), (0, 1) and (1, 1), all from one order-1 lift of the
+    entries.  Raises ``EvaluationError`` where alpha is singular.
     """
-    j11, j12, j22 = lift(alpha.entries, (x, y), order=1)
-    a11, a12, a22 = float(j11.value), float(j12.value), float(j22.value)
-    det = _det(a11, a12, a22, x, y)
-    inv = ((a22 / det, -a12 / det), (-a12 / det, a11 / det))
-    d = ((j11.grad, j12.grad), (j12.grad, j22.grad))  # d[i][j][l] = d_l alpha_ij
-    # first[l][j][k] = d_j alpha_lk + d_k alpha_lj - d_l alpha_jk
-    first = [[[d[l][k][j] + d[l][j][k] - d[j][k][l] for k in (0, 1)] for j in (0, 1)] for l in (0, 1)]
-    return tuple(
-        tuple((0.5 * (r0 * a0 + r1 * b0), 0.5 * (r0 * a1 + r1 * b1)) for (a0, a1), (b0, b1) in zip(*first))
-        for r0, r1 in inv
+    h = lift(alpha.entries, (x, y), order=1)
+    (p1, p2), (q1, q2), (s1, s2) = (
+        levi_civita(h, xi, "metric field", (x, y)) for xi in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
     )
-
-
-def _contract(gamma, u: float, v: float) -> tuple[float, float]:
-    """Gamma^i(w, w) = Gamma^i_jk w^j w^k for w = (u, v), as floats."""
-    (g000, g001), (g010, g011) = gamma[0]
-    (g100, g101), (g110, g111) = gamma[1]
-    return (
-        g000 * u * u + g001 * u * v + g010 * v * u + g011 * v * v,
-        g100 * u * u + g101 * u * v + g110 * v * u + g111 * v * v,
-    )
+    m1, m2 = 0.25 * (s1 - p1 - q1), 0.25 * (s2 - p2 - q2)
+    return ((0.5 * p1, m1), (m1, 0.5 * q1)), ((0.5 * p2, m2), (m2, 0.5 * q2))
 
 
 @dataclass(frozen=True)
@@ -280,9 +259,9 @@ class CurveSample:
 def covariant_acceleration(alpha: MetricField, sample: CurveSample) -> tuple[float, float]:
     x, y = sample.pos
     u, v = (float(c) for c in sample.vel)
-    c1, c2 = _contract(christoffel(alpha, x, y), u, v)
+    k1, k2 = levi_civita(lift(alpha.entries, (x, y), order=1), (u, v), "metric field", (x, y))
     a1, a2 = (float(c) for c in sample.acc)
-    return a1 + c1, a2 + c2
+    return a1 + 0.5 * k1, a2 + 0.5 * k2
 
 
 def magnetic_residual(alpha: MetricField, omega: AreaForm, sample: CurveSample) -> float:
@@ -310,14 +289,13 @@ def geodesic_curvature(alpha: MetricField, sample: CurveSample, speed_tol: float
 
 def magnetic_rhs(alpha: MetricField, omega: AreaForm):
     """Right-hand side of the magnetic flow (x, y, u, v) -> (u, v, a1, a2),
-    with a = J (u, v) - Gamma((u, v), (u, v)), in float arithmetic.
-    """
+    with a = J (u, v) - Gamma((u, v), (u, v)), in float arithmetic."""
     J = LorentzOperator(alpha, omega)
 
     def rhs(state):
         x, y, u, v = state
-        c1, c2 = _contract(christoffel(alpha, x, y), u, v)
+        k1, k2 = levi_civita(lift(alpha.entries, (x, y), order=1), (u, v), "metric field", (x, y))
         j1, j2 = J(x, y, (u, v))
-        return u, v, j1 - c1, j2 - c2
+        return u, v, j1 - 0.5 * k1, j2 - 0.5 * k2
 
     return rhs

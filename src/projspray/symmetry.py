@@ -12,14 +12,13 @@ jets, so bracket fields and prolongations remain liftable themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .finsler import Spray
-from .jets import EvaluationError, ScalarField, jet_value, lift
+from .finsler import Spray, non_radial
+from .jets import ScalarField, jet_value, lift
 
 __all__ = [
     "DegenerateBasisError",
@@ -129,27 +128,25 @@ def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[fl
     Zero (up to roundoff) exactly when the flow of X permutes the spray's
     oriented geodesics.
     """
-    x, y, u, v = (float(c) for c in at)
-    if u == 0.0 and v == 0.0:
-        raise EvaluationError(f"projective field residual needs a nonzero fiber vector at ({x}, {y})")
-    ja, jb = lift(X.at, (x, y), order=2)
-    a, (ax, ay) = ja.value, ja.grad
-    b, (bx, by) = jb.value, jb.grad
-    axx, axy, ayy = ja.hess_packed
-    bxx, bxy, byy = jb.hess_packed
 
-    A3 = ax * u + ay * v
-    B3 = bx * u + by * v
-    jg1, jg2 = lift(
-        lambda t: spray.coefficients(x + a * t, y + b * t, u + A3 * t, v + B3 * t), (0.0,), order=1
-    )
-    G1, G2 = jet_value(jg1), jet_value(jg2)
-    xhat_g1, xhat_g2 = jet_value(jg1.grad[0]), jet_value(jg2.grad[0])
-    gamma_a3 = u * (axx * u + axy * v) + v * (axy * u + ayy * v) - 2.0 * G1 * ax - 2.0 * G2 * ay
-    gamma_b3 = u * (bxx * u + bxy * v) + v * (bxy * u + byy * v) - 2.0 * G1 * bx - 2.0 * G2 * by
-    comp3 = -2.0 * xhat_g1 - gamma_a3
-    comp4 = -2.0 * xhat_g2 - gamma_b3
-    return abs(comp3 * v - comp4 * u) / math.hypot(u, v)
+    def fiber(x, y, u, v):
+        ja, jb = lift(X.at, (x, y), order=2)
+        a, (ax, ay) = ja.value, ja.grad
+        b, (bx, by) = jb.value, jb.grad
+        axx, axy, ayy = ja.hess_packed
+        bxx, bxy, byy = jb.hess_packed
+        A3 = ax * u + ay * v
+        B3 = bx * u + by * v
+        jg1, jg2 = lift(
+            lambda t: spray.coefficients(x + a * t, y + b * t, u + A3 * t, v + B3 * t), (0.0,), order=1
+        )
+        G1, G2 = jet_value(jg1), jet_value(jg2)
+        xhat_g1, xhat_g2 = jet_value(jg1.grad[0]), jet_value(jg2.grad[0])
+        gamma_a3 = u * (axx * u + axy * v) + v * (axy * u + ayy * v) - 2.0 * G1 * ax - 2.0 * G2 * ay
+        gamma_b3 = u * (bxx * u + bxy * v) + v * (bxy * u + byy * v) - 2.0 * G1 * bx - 2.0 * G2 * by
+        return -2.0 * xhat_g1 - gamma_a3, -2.0 * xhat_g2 - gamma_b3
+
+    return abs(non_radial(fiber, at, "projective field residual"))
 
 
 @dataclass(frozen=True)

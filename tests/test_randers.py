@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from projspray.catalog import metric_entry, spray_entry
 from projspray.classify import liouville_candidate
@@ -16,6 +18,7 @@ from projspray.randers import (
     beta_for,
     christoffel,
     constant_curvature_metric,
+    covariant_acceleration,
     exterior_derivative,
     geodesic_curvature,
     lorentz,
@@ -286,6 +289,47 @@ def _sheared_metric():
     )
 
 
+def _symbolic_christoffel(alpha):
+    """Gamma(x, y) from sympy's derivatives of alpha's entries, solved in
+    mpmath at 30 digits: an oracle that no jet enters."""
+    x, y = sympy.symbols("x y")
+    e11, e12, e22 = alpha.entries(x, y)
+    a = sympy.Matrix([[e11, e12], [e12, e22]])
+    d = (x, y)
+    # first[l][j][k] = d_j a_lk + d_k a_lj - d_l a_jk
+    first = [
+        [[sympy.diff(a[l, k], d[j]) + sympy.diff(a[l, j], d[k]) - sympy.diff(a[j, k], d[l]) for k in (0, 1)]
+         for j in (0, 1)]
+        for l in (0, 1)
+    ]
+    fn = sympy.lambdify((x, y), (a, first), "mpmath")
+
+    def gamma(px, py):
+        with mpmath.workdps(30):
+            m, f = fn(mpmath.mpf(px), mpmath.mpf(py))
+            inv = mpmath.inverse(mpmath.matrix(m))
+            return np.array(
+                [[[float((inv[i, 0] * f[0][j][k] + inv[i, 1] * f[1][j][k]) / 2) for k in (0, 1)] for j in (0, 1)]
+                 for i in (0, 1)]
+            )
+
+    return gamma
+
+
+@pytest.mark.parametrize("model", ["sphere", "sheared"])
+def test_connection_matches_a_symbolic_oracle(model):
+    alpha = _sheared_metric() if model == "sheared" else constant_curvature_metric(model)
+    gamma = _symbolic_christoffel(alpha)
+    acc = np.array([0.25, -0.5])
+    for x, y in alpha.domain.grid(3, 3):
+        want = gamma(x, y)
+        assert np.abs(np.array(christoffel(alpha, x, y)) - want).max() <= 1e-13 * np.abs(want).max(), (x, y)
+        for vel in ((1.0, 0.0), (0.6, -0.8), (-1.3, 0.4)):
+            want_acc = acc + np.einsum("ijk,j,k->i", want, vel, vel)
+            got = np.array(covariant_acceleration(alpha, CurveSample((x, y), vel, tuple(acc))))
+            assert np.abs(got - want_acc).max() <= 1e-13 * np.abs(want_acc).max(), (x, y, vel)
+
+
 @pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic", "sheared"])
 @pytest.mark.parametrize("k", [0.5, 2.0])
 def test_magnetic_rhs_matches_its_definition(model, k):
@@ -337,10 +381,28 @@ def test_one_form_norm_of_a_sheared_metric_matches_a_numpy_solve():
         lambda alpha, om: one_form_norm(alpha, beta_for("euclidean", 1.0), 0.1, 0.2),
         lambda alpha, om: LorentzOperator(alpha, om)(0.1, 0.2, (1.0, 0.0)),
         lambda alpha, om: magnetic_residual(alpha, om, CurveSample((0.1, 0.2), (1.0, 0.0), (0.0, 0.0))),
+        lambda alpha, om: om.omega12(0.1, 0.2),
     ],
-    ids=["one_form_norm", "lorentz_operator", "magnetic_residual"],
+    ids=["one_form_norm", "lorentz_operator", "magnetic_residual", "area_form"],
 )
 def test_pointwise_algebra_of_a_singular_metric_names_the_point(call):
     alpha = MetricField(lambda x, y: (1.0, 1.0, 1.0), Rectangle(-1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
+        call(alpha, area_form(alpha, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alpha, om: christoffel(alpha, 0.1, 0.2),
+        lambda alpha, om: LorentzOperator(alpha, om)(0.1, 0.2, (1.0, 0.0)),
+        lambda alpha, om: one_form_norm(alpha, beta_for("euclidean", 1.0), 0.1, 0.2),
+        lambda alpha, om: magnetic_rhs(alpha, om)((0.1, 0.2, 1.0, 0.0)),
+    ],
+    ids=["christoffel", "lorentz_operator", "one_form_norm", "magnetic_rhs"],
+)
+def test_numerically_singular_metric_names_the_point(call):
+    # det = 3 * (1/3) - (1 + 2^-52)^2 rounds to -2^-51, not to 0
+    alpha = MetricField(lambda x, y: (3.0, 1.0 + 2.0**-52, 1.0 / 3.0), Rectangle(-1.0, 1.0, -1.0, 1.0))
     with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
         call(alpha, area_form(alpha, 1.0))
