@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .finsler import Rectangle
+from .finsler import Rectangle, checked_det
 from .jets import EvaluationError, ScalarField, lift, power
 from .randers import MetricField
 
@@ -160,7 +160,7 @@ def _det_scaled(m: MetricField, p: float, name: str) -> MetricField:
 
     def entries(x, y):
         e11, e12, e22 = m.entries(x, y)
-        scale = power(e11 * e22 - e12 * e12, p)
+        scale = power(checked_det(e11, e12, e22, "metric field", (x, y)), p)
         return scale * e11, scale * e12, scale * e22
 
     return MetricField(entries, m.domain, name=name)

@@ -187,18 +187,21 @@ def is_strongly_convex(
     return ConvexityReport(ok=worst > 0.0, min_eigenvalue=worst, witness=witness)
 
 
-def checked_det(h11, h12, h22, field: str, at: Sequence) -> float:
-    """det h = h11 h22 - h12^2, on floats or jets; raises ``EvaluationError``
-    "singular <field> at (<at>)" where |det| <= 1e-15 max(|h11|, |h22|)^2."""
+def checked_det(h11, h12, h22, field: str, at: Sequence):
+    """det h = h11 h22 - h12^2, on floats, jets or float arrays; raises
+    ``EvaluationError`` "singular <field> at (<at>)" where
+    |det| <= 1e-15 max(|h11|, |h22|)^2, at the first such point of an array."""
     det = h11 * h22 - h12 * h12
-    scale = max(abs(jet_value(h11)), abs(jet_value(h22)))
-    reject_first(abs(jet_value(det)) <= 1e-15 * scale * scale, "singular " + field, *at)
+    d, a, c = jet_value(det), abs(jet_value(h11)), abs(jet_value(h22))
+    scale = np.maximum(a, c) if isinstance(d, np.ndarray) else max(a, c)
+    reject_first(abs(d) <= 1e-15 * scale * scale, "singular " + field, *at)
     return det
 
 
-def levi_civita(h: Sequence, xi: Sequence, field: str, at: Sequence) -> tuple:
-    """The connection formula K = h^{-1} t, jet-transparent, for the order-1
-    lift h = (j11, j12, j22) of a symmetric 2x2 field and xi = (u, v), with
+def levi_civita(h: Sequence, h_x: Sequence, h_y: Sequence, xi: Sequence, field: str, at: Sequence) -> tuple:
+    """The connection formula K = h^{-1} t, jet-transparent, for a symmetric
+    2x2 field h = (h11, h12, h22) with base derivatives h_x and h_y (each a
+    packed triple in the same order) and xi = (u, v), with
     t1 = h11_x u^2 + 2 h11_y uv + (2 h12_y - h22_x) v^2 and
     t2 = (2 h12_x - h11_y) u^2 + 2 h22_x uv + h22_y v^2.
 
@@ -206,10 +209,10 @@ def levi_civita(h: Sequence, xi: Sequence, field: str, at: Sequence) -> tuple:
     spray coefficients G = 1/4 K.  :func:`checked_det` guards h and names
     ``field`` and ``at``.
     """
-    j11, j12, j22 = h
-    h11, h12, h22 = j11.value, j12.value, j22.value
+    h11, h12, h22 = h
     det = checked_det(h11, h12, h22, field, at)
-    (a_x, a_y), (b_x, b_y), (c_x, c_y) = j11.grad, j12.grad, j22.grad
+    a_x, b_x, c_x = h_x
+    a_y, b_y, c_y = h_y
     u, v = xi
     uu, uv, vv = u * u, u * v, v * v
     t1 = a_x * uu + 2.0 * a_y * uv + (2.0 * b_y - c_x) * vv
@@ -221,20 +224,26 @@ def geodesic_spray(metric: FinslerMetric) -> Spray:
     """Spray whose integral curves project to the geodesics of ``metric``.
 
     G = 1/4 K, with K the :func:`levi_civita` formula of h = 2g, the fiber
-    Hessian of F^2.  Two nested lifts give h and its base derivatives: the
-    outer one, of order 1 in (x, y), lifts the entries of h, which an inner
-    lift of F^2 in (u, v) computes.  A fiber-constant F has h = 0 and raises
-    ``EvaluationError`` as a singular fundamental tensor.  The whole
-    evaluation stays jet-transparent, so derived sprays can be lifted again
-    (projective-field residuals, induced-equation coefficients).
+    Hessian of F^2.  One order-2 lift in (u, v) gives h and its base
+    derivatives: it lifts a function that lifts F^2 in (x, y) to order 1 and
+    returns (F^2, d_x F^2, d_y F^2), so h, h_x and h_y are the packed fiber
+    Hessians of those three.  The (x, y) register is the newer, so it is the
+    outer object: 3 components, each a (u, v) jet of 6 (see
+    :mod:`projspray.jets`).
+    A fiber-constant F has h = 0 and raises ``EvaluationError`` as a
+    singular fundamental tensor.  The whole evaluation stays
+    jet-transparent, so derived sprays can be lifted again (projective-field
+    residuals, induced-equation coefficients).
     """
     Ffn = metric.F.fn
 
     def pair(x, y, u, v):
-        def entries(xb, yb):
-            return lift(lambda uf, vf: Ffn(xb, yb, uf, vf) ** 2, (u, v)).hess_packed
+        def base_jet(uf, vf):
+            j = lift(lambda xb, yb: Ffn(xb, yb, uf, vf) ** 2, (x, y), order=1)
+            return j.value, *j.grad
 
-        k1, k2 = levi_civita(lift(entries, (x, y), order=1), (u, v), "fundamental tensor", (x, y, u, v))
+        h, h_x, h_y = (j.hess_packed for j in lift(base_jet, (u, v)))
+        k1, k2 = levi_civita(h, h_x, h_y, (u, v), "fundamental tensor", (x, y, u, v))
         return 0.25 * k1, 0.25 * k2
 
     return Spray(pair, metric.domain, name=f"geodesic({metric.name})" if metric.name else "geodesic")

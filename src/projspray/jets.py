@@ -11,6 +11,14 @@ jet as a scalar coefficient.  This is what lets derivative-backed fields
 spray coefficients of a metric) be lifted and differentiated again
 without ever requesting third-order data from a single register.
 
+The newest register is the outer object: its value, gradient and Hessian
+entries are jets of the older registers.  So the nesting order sets the
+cost.  An order-2 register in two variables has 6 components and an
+order-1 one has 3; with the order-1 register as the newer, each nested
+value is 1 + 3 objects, each holding 6 floats, against 1 + 6 objects of 3
+floats the other way round.  Nest the register with fewer components as
+the newer one (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+
 Registers are seeded through :func:`lift`, once per point and object: a
 field whose components are computed together (a vector field's ``at``, a
 metric's ``entries``, a cubic fit) returns a tuple and is lifted as one.

@@ -230,6 +230,14 @@ def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
     return FinslerMetric(ScalarField(4, F), "riemannian", alpha.domain, name=name)
 
 
+def _entries_lift(alpha: MetricField, x, y) -> tuple:
+    """alpha's entries h, h_x and h_y at (x, y) as packed triples, read off
+    one order-1 lift: the arguments of ``levi_civita`` before xi."""
+    j11, j12, j22 = lift(alpha.entries, (x, y), order=1)
+    (a_x, a_y), (b_x, b_y), (c_x, c_y) = j11.grad, j12.grad, j22.grad
+    return (j11.value, j12.value, j22.value), (a_x, b_x, c_x), (a_y, b_y, c_y)
+
+
 def christoffel(alpha: MetricField, x: float, y: float) -> tuple:
     """Symbols Gamma[i][j][k] of the Levi-Civita connection at a point, as
     nested tuples.
@@ -239,9 +247,9 @@ def christoffel(alpha: MetricField, x: float, y: float) -> tuple:
     xi = (1, 0), (0, 1) and (1, 1), all from one order-1 lift of the
     entries.  Raises ``EvaluationError`` where alpha is singular.
     """
-    h = lift(alpha.entries, (x, y), order=1)
+    h = _entries_lift(alpha, x, y)
     (p1, p2), (q1, q2), (s1, s2) = (
-        levi_civita(h, xi, "metric field", (x, y)) for xi in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+        levi_civita(*h, xi, "metric field", (x, y)) for xi in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
     )
     m1, m2 = 0.25 * (s1 - p1 - q1), 0.25 * (s2 - p2 - q2)
     return ((0.5 * p1, m1), (m1, 0.5 * q1)), ((0.5 * p2, m2), (m2, 0.5 * q2))
@@ -259,7 +267,7 @@ class CurveSample:
 def covariant_acceleration(alpha: MetricField, sample: CurveSample) -> tuple[float, float]:
     x, y = sample.pos
     u, v = (float(c) for c in sample.vel)
-    k1, k2 = levi_civita(lift(alpha.entries, (x, y), order=1), (u, v), "metric field", (x, y))
+    k1, k2 = levi_civita(*_entries_lift(alpha, x, y), (u, v), "metric field", (x, y))
     a1, a2 = (float(c) for c in sample.acc)
     return a1 + 0.5 * k1, a2 + 0.5 * k2
 
@@ -294,7 +302,7 @@ def magnetic_rhs(alpha: MetricField, omega: AreaForm):
 
     def rhs(state):
         x, y, u, v = state
-        k1, k2 = levi_civita(lift(alpha.entries, (x, y), order=1), (u, v), "metric field", (x, y))
+        k1, k2 = levi_civita(*_entries_lift(alpha, x, y), (u, v), "metric field", (x, y))
         j1, j2 = J(x, y, (u, v))
         return u, v, j1 - 0.5 * k1, j2 - 0.5 * k2
 

@@ -106,15 +106,27 @@ def point_symmetry_residual(X: PlaneVectorField, f: ScalarField, at: Sequence[fl
     """Defect of the prolonged field against the direction field of y'' = f.
 
     Zero when the flow of X takes solution trajectories to solution
-    trajectories.
+    trajectories.  The prolongation coefficient c and its first derivatives
+    come from one order-2 lift of ``X.at``:
+    c = b_x + z b_y - z (a_x + z a_y),
+    c_x = b_xx + z b_xy - z (a_xx + z a_xy),
+    c_y = b_xy + z b_yy - z (a_xy + z a_yy),
+    c_z = b_y - (a_x + z a_y + z a_y),
+    in the order of operations that lifting :func:`prolong` would take.
     """
     x, y, z = at
     jf = lift(f, (x, y, z), order=1)
     fval, fx, fy, fz = jf.value, jf.grad[0], jf.grad[1], jf.grad[2]
-    ja, jb, jc = lift(prolong(X).at, (x, y, z), order=1)
-    a, ax, ay = ja.value, ja.grad[0], ja.grad[1]
-    b = jb.value
-    c, cx, cy, cz = jc.value, jc.grad[0], jc.grad[1], jc.grad[2]
+    ja, jb = lift(X.at, (x, y))
+    a, (ax, ay) = ja.value, ja.grad
+    b, (bx, by) = jb.value, jb.grad
+    axx, axy, ayy = ja.hess_packed
+    bxx, bxy, byy = jb.hess_packed
+    s = ax + z * ay
+    c = bx + z * by - z * s
+    cx = bxx + z * bxy - z * (axx + z * axy)
+    cy = bxy + z * byy - z * (axy + z * ayy)
+    cz = by - (s + z * ay)
     return abs(a * fx + b * fy + c * fz - (cz - ax - z * ay) * fval - cx - z * cy)
 
 

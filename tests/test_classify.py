@@ -16,7 +16,7 @@ from projspray.classify import (
     reconstruct_metric,
 )
 from projspray.finsler import Rectangle, induced_ode_direct
-from projspray.jets import ScalarField, exp
+from projspray.jets import EvaluationError, ScalarField, exp
 from projspray.randers import MetricField, constant_curvature_metric
 
 BOX = Rectangle(-0.3, 0.3, -0.3, 0.3)
@@ -99,6 +99,18 @@ def test_liouville_candidate_c_minus():
         assert m[0, 0] == pytest.approx(math.exp(x / 3.0), rel=1e-12)
         assert m[1, 1] == pytest.approx(math.exp(-5.0 * x / 3.0), rel=1e-12)
         assert m[0, 1] == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    # det = 3 * (1/3) - (1 + 2^-52)^2 rounds to -2^-51, not to 0
+    [(3.0, 1.0 + 2.0**-52, 1.0 / 3.0), (1.0, 1.0, 1.0)],
+    ids=["numerically_singular", "singular"],
+)
+def test_liouville_candidate_of_a_singular_metric_names_the_point(entries):
+    g = MetricField(lambda x, y: entries, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
+        liouville_candidate(g).entries(0.1, 0.2)
 
 
 def _k_c_minus():

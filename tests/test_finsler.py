@@ -3,12 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from projspray.finsler import (
     FinslerMetric,
     OdePair,
     Rectangle,
     Spray,
+    checked_det,
     fundamental_tensor,
     geodesic_spray,
     induced_ode_direct,
@@ -186,6 +188,57 @@ def test_singular_fundamental_tensor_names_point():
     s = geodesic_spray(m)
     with pytest.raises(EvaluationError, match="singular"):
         s.coefficients(0.0, 0.0, 1.0, 0.5)
+
+
+def _symbolic_bk_spray(s, k):
+    """G(x, y, u, v) of F = (|xi| + k (y u - x v)/2) / (1 + s (x^2 + y^2)),
+    written out here, from sympy's derivatives of F^2 solved in mpmath at 30
+    digits: G = 1/2 h^{-1} (M xi - grad_x F^2), with h the fiber Hessian of
+    F^2 and M_lk = d^2 F^2 / d xi_l d x_k.  An oracle that no jet enters."""
+    x, y, u, v = sympy.symbols("x y u v", real=True)
+    F = (sympy.sqrt(u * u + v * v) + sympy.Rational(k) * (y * u - x * v) / 2) / (1 + s * (x * x + y * y))
+    L = F * F
+    fiber, base = (u, v), (x, y)
+    h = [[sympy.diff(L, a, b) for b in fiber] for a in fiber]
+    m = [[sympy.diff(L, a, b) for b in base] for a in fiber]
+    grad = [sympy.diff(L, b) for b in base]
+    fn = sympy.lambdify((x, y, u, v), (F, h, m, grad), "mpmath")
+
+    def spray(*at):
+        with mpmath.workdps(30):
+            p = [mpmath.mpf(c) for c in at]
+            f, hv, mv, gv = fn(*p)
+            rhs = mpmath.matrix([mv[i][0] * p[2] + mv[i][1] * p[3] - gv[i] for i in (0, 1)])
+            G = mpmath.lu_solve(mpmath.matrix(hv), rhs) / 2
+            return float(f), np.array([float(G[0]), float(G[1])])
+
+    return spray
+
+
+@pytest.mark.parametrize("key", ["bk+", "bk-"])
+def test_geodesic_spray_matches_a_symbolic_oracle(key):
+    entry = metric_entry(key, k=0.5)
+    oracle = _symbolic_bk_spray(1 if key == "bk+" else -1, 0.5)
+    spray = geodesic_spray(entry.metric)
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        x, y = rng.uniform(-0.4, 0.4, 2)
+        t, r = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5)
+        at = (x, y, r * math.cos(t), r * math.sin(t))
+        F, want = oracle(*at)
+        assert entry.metric(*at) == pytest.approx(F, rel=1e-14), at
+        got = np.array(spray.coefficients(*at))
+        assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max(), at
+
+
+def test_checked_det_on_arrays_matches_floats_and_names_the_first_singular_point():
+    xs, ys = np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])
+    h11, h12, h22 = np.array([2.0, 1.5, 3.0]), np.array([0.5, -0.2, 0.2]), np.array([1.0, 1.0, 2.0])
+    det = checked_det(h11, h12, h22, "metric field", (xs, ys))
+    assert det.tolist() == [checked_det(*e, "metric field", (0.0, 0.0)) for e in zip(h11, h12, h22)]
+    h12[1:] = np.sqrt(h11[1:] * h22[1:])
+    with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.2, 0\.5\)"):
+        checked_det(h11, h12, h22, "metric field", (xs, ys))
 
 
 def test_geodesic_spray_of_fiber_constant_metric_raises():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projspray.catalog import lie_case
+from projspray.catalog import lie_case, symmetry_pairs
 from projspray.finsler import Rectangle, Spray
-from projspray.jets import ScalarField, arctan, exp, sqrt
+from projspray.jets import ScalarField, arctan, exp, lift, sqrt
 from projspray.symmetry import (
     DegenerateBasisError,
     NotClosedError,
@@ -203,6 +203,47 @@ def test_jacobi_detects_bad_constants():
 def test_point_symmetry_trivial_translation():
     f = ScalarField(3, lambda x, y, z: x * z + z**3)
     assert point_symmetry_residual(D_Y, f, (0.2, 0.5, 1.0)) == pytest.approx(0.0, abs=1e-14)
+
+
+def _prolonged_residual(X, f, at):
+    """The point-symmetry residual from an order-1 lift of the prolonged
+    field, whose coefficient c lifts X once more."""
+    x, y, z = at
+    jf = lift(f, (x, y, z), order=1)
+    fval, fx, fy, fz = jf.value, jf.grad[0], jf.grad[1], jf.grad[2]
+    ja, jb, jc = lift(prolong(X).at, (x, y, z), order=1)
+    a, ax, ay = ja.value, ja.grad[0], ja.grad[1]
+    c, cx, cy, cz = jc.value, jc.grad[0], jc.grad[1], jc.grad[2]
+    return abs(a * fx + jb.value * fy + c * fz - (cz - ax - z * ay) * fval - cx - z * cy)
+
+
+def test_point_symmetry_residual_matches_the_prolonged_field_bit_for_bit():
+    # The grids' z values make every product with z exact; seeded z pin the operation order.
+    rng = np.random.default_rng(16)
+    for label, case, entry in symmetry_pairs():
+        f_pert, filt = entry.perturbed(0.01)
+        pts = entry.grid() + [(x, y, float(rng.uniform(-2.0, 2.0))) for (x, y, _) in entry.grid()]
+        pts = [pt for pt in pts if entry.point_filter is None or entry.point_filter(*pt)]
+        for X in case.basis:
+            for pt in pts:
+                for f in (entry.f, f_pert) if filt is None or filt(*pt) else (entry.f,):
+                    assert point_symmetry_residual(X, f, pt) == _prolonged_residual(X, f, pt), (label, pt)
+
+
+def test_point_symmetry_residual_makes_2_lifts(monkeypatch):
+    from projspray import symmetry
+
+    calls = []
+    lift = symmetry.lift
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "lift", counted)
+    f = ScalarField(3, lambda x, y, z: x * z + z**3)
+    point_symmetry_residual(lie_case("C2+").basis[1], f, (0.1, 0.2, 0.5))
+    assert len(calls) == 2
 
 
 def test_point_symmetry_c2_sphere_ode():
