@@ -11,6 +11,15 @@ jet as a scalar coefficient.  This is what lets derivative-backed fields
 spray coefficients of a metric) be lifted and differentiated again
 without ever requesting third-order data from a single register.
 
+Each operation has one rule across registers.  ``+`` and ``*`` hand the
+other operand, a float or an older jet, to the newer register's jet as
+one scalar coefficient; ``a - b`` with b of another register is
+``a + (-b)``, and ``a / b`` is ``a * (1 / b)`` for every b, the reciprocal
+taken in b's own register.  A jet has no float value and no order:
+``float(jet)``, ``math.sqrt(jet)`` and ``jet < 0.0`` raise ``TypeError``
+instead of dropping the derivatives, so a guard reads the innermost value
+through :func:`jet_value`.
+
 The newest register is the outer object: its value, gradient and Hessian
 entries are jets of the older registers.  So the nesting order sets the
 cost.  An order-2 register in two variables has 6 components and an
@@ -124,6 +133,11 @@ class Jet2:
     n(n+1)/2 entries in row order ((h00, h01, h11) for n = 2), or ``None``
     for a first-order jet; ``hess`` unfolds it into the full symmetric
     tuple of rows.  Components may themselves be jets of an older register.
+
+    Across registers the newer jet is the outer object and the other
+    operand one scalar coefficient of it; subtraction goes through ``+`` and
+    negation, division through ``*`` and the reciprocal.  A jet defines no
+    ``float`` and no ordering: read ``jet_value`` for either.
     """
 
     __slots__ = ("value", "grad", "hess_packed", "level")
@@ -174,15 +188,14 @@ class Jet2:
         return Jet2(-self.value, tuple(map(neg, self.grad)), h, self.level)
 
     def __sub__(self, other):
-        if isinstance(other, Jet2):
-            if other.level > self.level:
-                return other.__rsub__(self)
-            if other.level == self.level:
-                h1, h2 = self.hess_packed, other.hess_packed
-                h = None if h1 is None or h2 is None else tuple(map(sub, h1, h2))
-                g = tuple(map(sub, self.grad, other.grad))
-                return Jet2(self.value - other.value, g, h, self.level)
-        return Jet2(self.value - other, self.grad, self.hess_packed, self.level)
+        if not isinstance(other, Jet2):
+            return Jet2(self.value - other, self.grad, self.hess_packed, self.level)
+        if other.level != self.level:
+            return self + (-other)
+        h1, h2 = self.hess_packed, other.hess_packed
+        h = None if h1 is None or h2 is None else tuple(map(sub, h1, h2))
+        g = tuple(map(sub, self.grad, other.grad))
+        return Jet2(self.value - other.value, g, h, self.level)
 
     def __rsub__(self, s):
         return (-self)._add_scalar(s)
@@ -216,25 +229,16 @@ class Jet2:
     __rmul__ = _mul_scalar
 
     def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            if other.level > self.level:
-                return other.__rtruediv__(self)
-            if other.level == self.level:
-                return self * other._reciprocal()
         return self * _recip_any(other)
 
     def __rtruediv__(self, s):
         return self._reciprocal()._mul_scalar(s)
 
     def _reciprocal(self):
-        if jet_value(self.value) == 0.0:
-            raise EvaluationError("division by zero")
         r = _recip_any(self.value)
         return self._chain(r, -(r * r), 2.0 * r * r * r)
 
     def __pow__(self, p):
-        if isinstance(p, Jet2):
-            raise TypeError("jet exponents are not supported")
         p = float(p)
         if p == 0.0:
             return 1.0
@@ -256,23 +260,6 @@ class Jet2:
         if h is not None:
             h = tuple([d1 * a + d2 * (g[i] * g[j]) for (i, j), a in zip(_layout(len(g)).pairs, h)])
         return Jet2(f0, tuple([d1 * a for a in g]), h, self.level)
-
-    # -- comparisons look at the innermost value ------------------------
-
-    def __lt__(self, other):
-        return jet_value(self) < jet_value(other)
-
-    def __le__(self, other):
-        return jet_value(self) <= jet_value(other)
-
-    def __gt__(self, other):
-        return jet_value(self) > jet_value(other)
-
-    def __ge__(self, other):
-        return jet_value(self) >= jet_value(other)
-
-    def __float__(self):
-        return float(jet_value(self))
 
 
 def _recip_any(x):

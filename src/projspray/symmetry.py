@@ -167,21 +167,22 @@ class LieAlgebraCase:
 
     ``expected`` maps the pairs (0,1), (0,2), (1,2) to expansion
     coefficients in the basis.  The first basis field spans the isotropy
-    at the origin; the other two span the tangent plane there.
+    at the origin (``isotropy_ok``: it vanishes there to 1e-12); the other
+    two span the tangent plane there (``transitive_ok``: |det| > 1e-9).
     """
 
     name: str
     basis: tuple  # three PlaneVectorFields
     expected: dict  # {(i, j): (c0, c1, c2)}
 
-    def isotropy_ok(self, tol: float = 1e-12) -> bool:
+    def isotropy_ok(self) -> bool:
         a0, b0 = self.basis[0].at(0.0, 0.0)
-        return abs(a0) <= tol and abs(b0) <= tol
+        return abs(a0) <= 1e-12 and abs(b0) <= 1e-12
 
-    def transitive_ok(self, tol: float = 1e-9) -> bool:
+    def transitive_ok(self) -> bool:
         v1 = self.basis[1].at(0.0, 0.0)
         v2 = self.basis[2].at(0.0, 0.0)
-        return abs(v1[0] * v2[1] - v1[1] * v2[0]) > tol
+        return abs(v1[0] * v2[1] - v1[1] * v2[0]) > 1e-9
 
 
 _SAMPLE_POOL = (
@@ -223,17 +224,20 @@ def structure_constants(
     the brackets' (a, b) the columns of R; one least-squares solve gives
     A C = R.  A singular value of A at most 1e-10 times the largest raises
     ``DegenerateBasisError``, max|A C - R| above ``tol`` raises
-    ``NotClosedError`` and is otherwise the residual.  ``npoints`` outside
-    [3, 8] raises ``ValueError``: each point gives two equations per
+    ``NotClosedError`` and is otherwise the residual.  A basis of other
+    than three fields raises ``ValueError`` before anything is evaluated,
+    and so does ``npoints`` outside [3, 8]: each point gives two equations per
     bracket, so three points leave three equations beyond the three
     unknowns and the default five leave seven, while two points leave one,
     too few to tell a non-closed basis from a closed one.
     """
+    basis = case_or_basis.basis if isinstance(case_or_basis, LieAlgebraCase) else tuple(case_or_basis)
+    if len(basis) != 3:
+        raise ValueError(f"a basis of {len(basis)} fields; structure constants need three")
     if not 3 <= npoints <= len(_SAMPLE_POOL):
         raise ValueError(
             f"npoints {npoints} must lie between 3 and the sample pool of {len(_SAMPLE_POOL)} points"
         )
-    basis = case_or_basis.basis if isinstance(case_or_basis, LieAlgebraCase) else tuple(case_or_basis)
     brackets = [lie_bracket(basis[i], basis[j]) for (i, j) in _PAIRS]
     pts = _SAMPLE_POOL[:npoints]
 

@@ -148,19 +148,19 @@ def _rows(rows) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
 
 
-def integrate_flow(rhs, init, tmax: float, step: float, stop=None):
+def integrate_flow(rhs, init, tmax: float, step: float):
     """Fixed-step RK4 of an autonomous flow on the tangent bundle from t = 0 to ``tmax``.
 
     The state is (x, y, u, v): rhs receives it as a tuple of four floats
-    and returns four numbers (``randers.magnetic_rhs`` is such a flow), and
-    ``stop`` receives the same tuples.  ``step`` is an upper bound: the run
-    takes ceil(tmax / step) equal steps and, unless it stops early, ends at
-    ``tmax`` exactly.  It stops early when ``stop`` fires, a state is not
-    finite or rhs raises ``EvaluationError``.  Returns (times, states of
-    shape (m, 4), stopped early) as arrays.  Raises ``ValueError`` when
-    ``init`` or rhs at ``init`` has other than four components.
+    and returns four numbers (``randers.magnetic_rhs`` is such a flow).
+    ``step`` is an upper bound: the run takes ceil(tmax / step) equal steps
+    and, unless it stops early, ends at ``tmax`` exactly.  It stops early
+    when a state is not finite or rhs raises ``EvaluationError``.  Returns
+    (times, states of shape (m, 4), stopped early) as arrays.  Raises
+    ``ValueError`` when ``init`` or rhs at ``init`` has other than four
+    components.
     """
-    times, states, _, stopped = _rk4(lambda t, s: rhs(s), init, 0.0, tmax, step, stop)
+    times, states, _, stopped = _rk4(lambda t, s: rhs(s), init, 0.0, tmax, step)
     return times, states, stopped
 
 

@@ -22,6 +22,7 @@ from projspray.finsler import (
     projective_residual,
 )
 from projspray.jets import power
+from projspray.randers import area_form, beta_for, constant_curvature_metric
 from projspray.symmetry import (
     jacobi_residual,
     point_symmetry_residual,
@@ -251,3 +252,35 @@ def test_catalog_key_listings():
     assert len(SPRAY_KEYS) == 6
     assert len(METRIC_KEYS) == 6
     assert len(LIE_CASE_KEYS) == 8
+
+
+@pytest.mark.parametrize(
+    "build,error,match",
+    [
+        (lambda: ode_entry("flat").perturbed(), ValueError, "no structural perturbation defined for flat"),
+        (lambda: ode_entry("J3").perturbed(), ValueError, "no structural perturbation defined for J3"),
+        (lambda: ode_entry("D2", lam=1.0), ValueError, "undefined for lam = 1"),
+        (lambda: spray_entry("bk+", k=0.0), ValueError, "needs k > 0"),
+        (lambda: area_form(constant_curvature_metric("sphere"), 0.0), ValueError, "k must be positive"),
+        (lambda: ode_entry("D3"), KeyError, "unknown equation family 'D3'"),
+        (lambda: spray_entry("b"), KeyError, "unknown spray 'b'"),
+        (lambda: metric_entry("sphere"), KeyError, "unknown metric 'sphere'"),
+        (lambda: lie_case("C3"), KeyError, "unknown symmetry algebra 'C3'"),
+        (lambda: constant_curvature_metric("torus"), ValueError, "unknown model 'torus'"),
+        (lambda: beta_for("torus", 1.0), ValueError, "unknown model 'torus'"),
+    ],
+    ids=[
+        "perturbed-flat", "perturbed-J3", "D2-lam-1", "bk+-k-0", "area-form-k-0", "ode-key",
+        "spray-key", "metric-key", "lie-case-key", "curvature-model", "beta-model",
+    ],
+)
+def test_catalog_refuses_undefined_entries(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_flat_equation_is_zero_on_its_grid():
+    entry = ode_entry("flat")
+    pts = entry.grid()
+    assert len(pts) == 9 * len(entry.z_values)
+    assert all(entry.f(*p) == 0.0 for p in pts)

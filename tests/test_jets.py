@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from projspray.jets import (
     EvaluationError,
+    Jet2,
     ScalarField,
     arctan,
     exp,
@@ -250,3 +251,62 @@ def test_power_of_an_array_with_a_negative_entry_names_it():
     with pytest.raises(EvaluationError, match=r"zero raised to a negative power at \(0\.0\)"):
         power(np.array([0.5, 0.0]), -1.0)
     assert np.array_equal(power(np.array([-2.0, 3.0]), 2), [4.0, 9.0])
+
+
+# Cross-register operations: x is seeded in the older register, y in the
+# newer one, so each result is a jet in y whose entries are jets in x (or
+# floats), and its parts give f, f_x, f_y, f_xx, f_xy and f_yy.
+X0, Y0 = 0.7, 1.3
+
+
+def _nested_parts(j):
+    def dx(c):
+        return c.grad[0] if isinstance(c, Jet2) else 0.0
+
+    def dxx(c):
+        return c.hess_packed[0] if isinstance(c, Jet2) else 0.0
+
+    v, gy, hyy = j.value, j.grad[0], j.hess_packed[0]
+    return (jet_value(v), dx(v), jet_value(gy), dxx(v), dx(gy), jet_value(hyy))
+
+
+@pytest.mark.parametrize(
+    "op,expected",
+    [
+        (lambda X, Y: X * X - X * Y, (X0 * X0 - X0 * Y0, 2 * X0 - Y0, -X0, 2.0, -1.0, 0.0)),
+        (lambda X, Y: X * Y - X * X, (X0 * Y0 - X0 * X0, Y0 - 2 * X0, X0, -2.0, 1.0, 0.0)),
+        (lambda X, Y: X / Y, (X0 / Y0, 1 / Y0, -X0 / Y0**2, 0.0, -1 / Y0**2, 2 * X0 / Y0**3)),
+        (lambda X, Y: Y / X, (Y0 / X0, -Y0 / X0**2, 1 / X0, 2 * Y0 / X0**3, -1 / X0**2, 0.0)),
+        (lambda X, Y: X * Y / 2.5, (X0 * Y0 / 2.5, Y0 / 2.5, X0 / 2.5, 0.0, 1 / 2.5, 0.0)),
+        (
+            lambda X, Y: 2.5 / (X * Y),
+            (2.5 / (X0 * Y0), -2.5 / (X0**2 * Y0), -2.5 / (X0 * Y0**2), 5.0 / (X0**3 * Y0), 2.5 / (X0 * Y0) ** 2, 5.0 / (X0 * Y0**3)),
+        ),
+    ],
+    ids=["older-newer", "newer-older", "older/newer", "newer/older", "jet/float", "float/jet"],
+)
+def test_cross_register_operations_match_closed_form_derivatives(op, expected):
+    (X,) = seed_jets((X0,))
+    (Y,) = seed_jets((Y0,))
+    j = op(X, Y)
+    assert j.level == Y.level and j.value.level == X.level
+    assert _nested_parts(j) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+
+def test_cross_register_division_by_a_zero_value_raises():
+    (X,) = seed_jets((0.0,))
+    (Y,) = seed_jets((1.0,))
+    for num in (Y, 1.0):
+        with pytest.raises(EvaluationError, match="division by zero"):
+            num / (X * Y)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [float, math.sqrt, lambda j: j < 0.0, lambda j: 0.0 >= j, lambda j: j ** j],
+    ids=["float", "math.sqrt", "lt", "ge", "jet-exponent"],
+)
+def test_a_jet_has_no_float_value_and_no_order(use):
+    (j,) = seed_jets((0.5,))
+    with pytest.raises(TypeError):
+        use(j)

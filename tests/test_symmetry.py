@@ -427,3 +427,10 @@ def test_bracket_reads_each_operand_once():
     Y = PlaneVectorField(counted("Y", lambda x, y: (exp(x), x - y)), "Y")
     lie_bracket(X, Y).at(0.3, -0.2)
     assert calls == {"X": 1, "Y": 1}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_structure_constants_refuse_a_basis_of_other_than_three_fields(n):
+    basis = lie_case("C2+").basis + (PlaneVectorField(lambda x, y: (x, y), "X3"),)
+    with pytest.raises(ValueError, match=f"a basis of {n} fields; structure constants need three"):
+        structure_constants(basis[:n])

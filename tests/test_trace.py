@@ -5,6 +5,7 @@ import pytest
 
 from projspray.catalog import metric_entry, spray_entry
 from projspray.finsler import Spray, geodesic_spray, induced_odes
+from projspray.jets import EvaluationError
 from projspray.randers import (
     CurveSample,
     area_form,
@@ -420,3 +421,18 @@ def test_magnetic_residual_along_resampled_b_trace():
     resampled = unit_speed_resample(tr, alpha)
     res = [magnetic_residual(alpha, om, s) for s in curve_samples(resampled, 25)]
     assert max(res) <= 1e-6
+
+
+def test_rk4_core_stops_where_rhs_raises_mid_run():
+    # the third step's second stage sits at x = 0.025, outside rhs's domain
+    def rhs(t, s):
+        if s[0] >= 0.025:
+            raise EvaluationError(f"outside the domain at ({s[0]}, {s[1]})")
+        return 1.0, 0.5, 0.0, 0.0
+
+    times, states, derivs, stopped = _rk4(rhs, (0.0, 0.0, 1.0, 0.5), 0.0, 0.1, 1e-2)
+    assert stopped
+    assert np.array_equal(times, np.linspace(0.0, 0.1, 11)[:3])
+    assert states.shape == derivs.shape == (3, 4)
+    assert states[-1, :2] == pytest.approx((0.02, 0.01), abs=1e-15)
+    assert np.array_equal(derivs, np.tile([1.0, 0.5, 0.0, 0.0], (3, 1)))
