@@ -15,10 +15,11 @@ Each operation has one rule across registers.  ``+`` and ``*`` hand the
 other operand, a float or an older jet, to the newer register's jet as
 one scalar coefficient; ``a - b`` with b of another register is
 ``a + (-b)``, and ``a / b`` is ``a * (1 / b)`` for every b, the reciprocal
-taken in b's own register.  A jet has no float value and no order:
-``float(jet)``, ``math.sqrt(jet)`` and ``jet < 0.0`` raise ``TypeError``
-instead of dropping the derivatives, so a guard reads the innermost value
-through :func:`jet_value`.
+taken in b's own register.  A jet has no float value, no order, no
+equality and no truth value: ``float(jet)``, ``math.sqrt(jet)``,
+``jet < 0.0``, ``jet == 0.0`` and ``bool(jet)`` raise ``TypeError`` instead
+of dropping the derivatives, so a guard reads the innermost value through
+:func:`jet_value`.
 
 The newest register is the outer object: its value, gradient and Hessian
 entries are jets of the older registers.  So the nesting order sets the
@@ -43,8 +44,12 @@ and jets a guard stays one plain comparison.
 A jet stores the Hessian of its n seeded variables as the packed upper
 triangle: one flat tuple of n(n+1)/2 entries h_ij, i <= j, in row order,
 so (h00, h01, h11) for n = 2 and (h00, h01, h02, h11, h12, h22) for n = 3.
-Every operation maps that tuple entry by entry and never touches a
-mirrored lower half (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+No operation touches a mirrored lower half.  The order-2 product, the
+product by a scalar and the chain rule are written out entry by entry, in
+that row order, for each register size on first use; each entry is the
+plain loop's expression in the loop's operation order, so the written-out
+kernels and a loop agree bit for bit (Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).
 ``Jet2.hess`` is a read-only view that unfolds the full symmetric matrix;
 the residuals read ``hess_packed`` directly.
 """
@@ -125,6 +130,54 @@ def _layout(n):
     return _Layout(pairs, units, (0.0,) * n, (0.0,) * len(pairs))
 
 
+class _Kernels(NamedTuple):
+    """Order-2 arithmetic of an n-variable register, written out entry by entry."""
+
+    mul: Callable  # (v1, g1, h1, v2, g2, h2) -> (grad, packed Hessian) of the product
+    scale: Callable  # (g1, h1, s) -> (grad, packed Hessian) times the scalar s
+    chain: Callable  # (g1, h1, d1, d2) -> (grad, packed Hessian) of f(jet), f' = d1, f'' = d2
+
+
+def _kernel(name, params, unpack, grad, hess):
+    """Source of one kernel: unpack each operand tuple into locals, return
+    the written-out gradient and packed Hessian."""
+    body = "".join(f"    {', '.join(names)}, = {operand}\n" for names, operand in unpack)
+    return f"def {name}({params}):\n{body}    return ({', '.join(grad)},), ({', '.join(hess)},)\n"
+
+
+@functools.cache
+def _kernels(n):
+    """Generate the n-variable kernels from ``_layout(n).pairs``.  Each entry
+    is the loop's expression over unpacked locals, in the loop's order."""
+    pairs = _layout(n).pairs
+    p, q = [f"p{i}" for i in range(n)], [f"q{i}" for i in range(n)]  # gradient entries
+    a, b = [f"a{k}" for k in range(len(pairs))], [f"b{k}" for k in range(len(pairs))]  # Hessian entries
+    first = ((p, "g1"), (a, "h1"))
+    source = (
+        _kernel(
+            "mul",
+            "v1, g1, h1, v2, g2, h2",
+            first + ((q, "g2"), (b, "h2")),
+            [f"{p[i]} * v2 + v1 * {q[i]}" for i in range(n)],
+            [
+                f"{a[k]} * v2 + {p[i]} * {q[j]} + {q[i]} * {p[j]} + v1 * {b[k]}"
+                for k, (i, j) in enumerate(pairs)
+            ],
+        )
+        + _kernel("scale", "g1, h1, s", first, [f"{e} * s" for e in p], [f"{e} * s" for e in a])
+        + _kernel(
+            "chain",
+            "g1, h1, d1, d2",
+            first,
+            [f"d1 * {e}" for e in p],
+            [f"d1 * {a[k]} + d2 * ({p[i]} * {p[j]})" for k, (i, j) in enumerate(pairs)],
+        )
+    )
+    namespace = {}
+    exec(source, namespace)
+    return _Kernels(*(namespace[name] for name in _Kernels._fields))
+
+
 class Jet2:
     """Truncated second-order Taylor data: value, gradient, Hessian.
 
@@ -137,7 +190,8 @@ class Jet2:
     Across registers the newer jet is the outer object and the other
     operand one scalar coefficient of it; subtraction goes through ``+`` and
     negation, division through ``*`` and the reciprocal.  A jet defines no
-    ``float`` and no ordering: read ``jet_value`` for either.
+    ``float``, no ordering, no equality and no truth value, and is
+    unhashable: read ``jet_value`` for any of them.
     """
 
     __slots__ = ("value", "grad", "hess_packed", "level")
@@ -150,6 +204,14 @@ class Jet2:
 
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad!r}, level={self.level})"
+
+    def __eq__(self, other):
+        raise TypeError("a jet has no equality; compare jet_value(jet)")
+
+    __hash__ = None
+
+    def __bool__(self):
+        raise TypeError("a jet has no truth value; test jet_value(jet)")
 
     @property
     def hess(self):
@@ -208,23 +270,19 @@ class Jet2:
                 v1, v2 = self.value, other.value
                 g1, g2 = self.grad, other.grad
                 h1, h2 = self.hess_packed, other.hess_packed
-                h = None
                 if h1 is not None and h2 is not None:
-                    h = tuple(
-                        [
-                            a * v2 + g1[i] * g2[j] + g2[i] * g1[j] + v1 * b
-                            for (i, j), a, b in zip(_layout(len(g1)).pairs, h1, h2)
-                        ]
-                    )
+                    g, h = _kernels(len(g1)).mul(v1, g1, h1, v2, g2, h2)
+                    return Jet2(v1 * v2, g, h, self.level)
                 g = tuple([a * v2 + v1 * b for a, b in zip(g1, g2)])
-                return Jet2(v1 * v2, g, h, self.level)
+                return Jet2(v1 * v2, g, None, self.level)
         return self._mul_scalar(other)
 
     def _mul_scalar(self, s):
-        h = self.hess_packed
+        g, h = self.grad, self.hess_packed
         if h is not None:
-            h = tuple([a * s for a in h])
-        return Jet2(self.value * s, tuple([a * s for a in self.grad]), h, self.level)
+            g, h = _kernels(len(g)).scale(g, h, s)
+            return Jet2(self.value * s, g, h, self.level)
+        return Jet2(self.value * s, tuple([a * s for a in g]), None, self.level)
 
     __rmul__ = _mul_scalar
 
@@ -255,11 +313,11 @@ class Jet2:
     # -- chain rule through a scalar function ---------------------------
 
     def _chain(self, f0, d1, d2):
-        g = self.grad
-        h = self.hess_packed
+        g, h = self.grad, self.hess_packed
         if h is not None:
-            h = tuple([d1 * a + d2 * (g[i] * g[j]) for (i, j), a in zip(_layout(len(g)).pairs, h)])
-        return Jet2(f0, tuple([d1 * a for a in g]), h, self.level)
+            g, h = _kernels(len(g)).chain(g, h, d1, d2)
+            return Jet2(f0, g, h, self.level)
+        return Jet2(f0, tuple([d1 * a for a in g]), None, self.level)
 
 
 def _recip_any(x):
@@ -354,7 +412,10 @@ class ScalarField:
 
 
 def seed_jets(values: Sequence, order: int = 2):
-    """Seed a fresh register: one jet per value, unit gradients, zero Hessians."""
+    """Seed a fresh register: one jet per value, unit gradients, zero Hessians
+    (``order`` 2) or none (``order`` 1)."""
+    if order not in (1, 2):
+        raise ValueError(f"jets have order 1 or 2, not {order!r}")
     layout = _layout(len(values))
     level = next(_REGISTER)
     zh = layout.zero_hess if order == 2 else None
@@ -368,23 +429,21 @@ def lift(field, point: Sequence, active: Iterable[int] | None = None, order: int
     jets of an enclosing register; they pass through untouched.  A field that
     returns a tuple gives a tuple of jets, all of one register.  A component
     that turns out not to depend on the active variables is promoted to a
-    constant jet, so callers can always read ``grad``/``hess``.
+    constant jet, so callers can always read ``grad``/``hess``.  ``order`` is
+    2, or 1 for gradients only; any other raises ``ValueError``.
     """
     fn = field.fn if isinstance(field, ScalarField) else field
-    point = tuple(point)
-    idx = tuple(range(len(point))) if active is None else tuple(active)
-    seeds = seed_jets(tuple(point[i] for i in idx), order=order)
-    level = seeds[0].level
     args = list(point)
-    for k, i in enumerate(idx):
-        args[i] = seeds[k]
-    layout = _layout(len(idx))
-    zh = layout.zero_hess if order == 2 else None
-
-    def promote(c):
-        if isinstance(c, Jet2) and c.level == level:
-            return c
-        return Jet2(c, layout.zero_grad, zh, level)
-
+    idx = range(len(args)) if active is None else tuple(active)
+    seeds = seed_jets([args[i] for i in idx], order)
+    for i, s in zip(idx, seeds):
+        args[i] = s
+    # a seed's Hessian is the register's zero Hessian, or None at order 1
+    level, zg, zh = seeds[0].level, _layout(len(seeds)).zero_grad, seeds[0].hess_packed
     out = fn(*args)
-    return tuple(promote(c) for c in out) if isinstance(out, tuple) else promote(out)
+    many = isinstance(out, tuple)
+    comps = [
+        c if isinstance(c, Jet2) and c.level == level else Jet2(c, zg, zh, level)
+        for c in (out if many else (out,))
+    ]
+    return tuple(comps) if many else comps[0]

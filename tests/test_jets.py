@@ -310,3 +310,111 @@ def test_a_jet_has_no_float_value_and_no_order(use):
     (j,) = seed_jets((0.5,))
     with pytest.raises(TypeError):
         use(j)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda j: j == 0.0,
+        lambda j: 0.0 == j,
+        lambda j: j != 0.0,
+        lambda j: j == j,
+        bool,
+        lambda j: 1 if j else 0,
+        lambda j: not j,
+        hash,
+        lambda j: {j},
+    ],
+    ids=["eq", "req", "ne", "eq-self", "bool", "if", "not", "hash", "set"],
+)
+def test_a_jet_has_no_equality_and_no_truth_value(use):
+    (j,) = seed_jets((0.0,))
+    with pytest.raises(TypeError):
+        use(j)
+
+
+@pytest.mark.parametrize("order", [0, 3, -1, 2.5])
+def test_seeding_any_order_but_1_or_2_raises(order):
+    with pytest.raises(ValueError, match=f"not {order}"):
+        seed_jets((0.5,), order=order)
+    with pytest.raises(ValueError, match=f"not {order}"):
+        lift(lambda x: x**3, (0.5,), order=order)
+
+
+# --- the written-out order-2 kernels against the loops they replace ---------
+
+
+def _pairs(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _loop_product(x, y):
+    v1, v2, g1, g2, h1, h2 = x.value, y.value, x.grad, y.grad, x.hess_packed, y.hess_packed
+    h = tuple(
+        [a * v2 + g1[i] * g2[j] + g2[i] * g1[j] + v1 * b for (i, j), a, b in zip(_pairs(len(g1)), h1, h2)]
+    )
+    return Jet2(v1 * v2, tuple([a * v2 + v1 * b for a, b in zip(g1, g2)]), h, x.level)
+
+
+def _loop_scalar_product(x, s):
+    h = tuple([a * s for a in x.hess_packed])
+    return Jet2(x.value * s, tuple([a * s for a in x.grad]), h, x.level)
+
+
+def _loop_chain(x, f0, d1, d2):
+    g = x.grad
+    h = tuple([d1 * a + d2 * (g[i] * g[j]) for (i, j), a in zip(_pairs(len(g)), x.hess_packed)])
+    return Jet2(f0, tuple([d1 * a for a in g]), h, x.level)
+
+
+def _floats(x):
+    """Every innermost float of a possibly nested jet, with its levels."""
+    if not isinstance(x, Jet2):
+        return [x]
+    parts = (x.value, *x.grad, *x.hess_packed)
+    return [("level", x.level)] + [f for c in parts for f in _floats(c)]
+
+
+def _random_jet(n, level, component):
+    grad = tuple(component() for _ in range(n))
+    return Jet2(component(), grad, tuple(component() for _ in range(n * (n + 1) // 2)), level)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
+    # The loops are the per-entry comprehensions the kernels replaced.  With
+    # float components they are an independent reference; with components
+    # of an older register, that register's arithmetic runs the same way on
+    # both sides and the outer entries are checked.
+    rng = np.random.default_rng(1000 * n + nested)
+    (older_seed,) = seed_jets((0.0,))
+    (newer_seed,) = seed_jets((0.0,))
+
+    def real():
+        return float(rng.uniform(0.5, 2.0))
+
+    def older():
+        return _random_jet(2, older_seed.level, real)
+
+    component = older if nested else real
+    level = newer_seed.level
+    x, y = (_random_jet(n, level, component) for _ in range(2))
+    s, o = real(), older()
+    v = x.value
+    cases = [
+        (x * y, _loop_product(x, y)),
+        (x * x, _loop_product(x, x)),
+        (x * s, _loop_scalar_product(x, s)),
+        (s * x, _loop_scalar_product(x, s)),
+        (x * o, _loop_scalar_product(x, o)),
+        (o * x, _loop_scalar_product(x, o)),
+        (x**1.5, _loop_chain(x, power(v, 1.5), 1.5 * power(v, 0.5), (1.5 * 0.5) * power(v, -0.5))),
+        (exp(x), _loop_chain(x, exp(v), exp(v), exp(v))),
+    ]
+    r = 1.0 / v
+    reciprocal = _loop_chain(x, r, -(r * r), 2.0 * r * r * r)
+    cases.append((1.0 / x, _loop_scalar_product(reciprocal, 1.0)))
+    cases.append((y / x, _loop_product(y, reciprocal)))
+    for got, want in cases:
+        assert _floats(got) == _floats(want)

@@ -246,6 +246,38 @@ def test_point_symmetry_residual_makes_2_lifts(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize(
+    "what, jets_created",
+    [("fundamental_tensor", 16), ("geodesic_spray", 78), ("projective_field_residual", 813)],
+)
+def test_jet_construction_counts_at_one_bk_point(monkeypatch, what, jets_created):
+    # Pins the Jet2 objects each evaluation builds, counted the way the
+    # benchmark's tracer counts them, so a kernel that skipped Jet2.__init__
+    # or a change that builds more jets shows here.
+    from projspray import jets
+    from projspray.catalog import metric_entry
+    from projspray.finsler import fundamental_tensor, geodesic_spray
+
+    entry = metric_entry("bk+", k=1.0)
+    spray = geodesic_spray(entry.metric)
+    at = (0.1, 0.2, 0.6, 0.8)
+    run = {
+        "fundamental_tensor": lambda: fundamental_tensor(entry.metric, at),
+        "geodesic_spray": lambda: spray.pair(*at),
+        "projective_field_residual": lambda: projective_field_residual(entry.projective_basis[0], spray, at),
+    }[what]
+    created = []
+    init = jets.Jet2.__init__
+
+    def counted(jet, *args):
+        created.append(None)
+        init(jet, *args)
+
+    monkeypatch.setattr(jets.Jet2, "__init__", counted)
+    run()
+    assert len(created) == jets_created
+
+
 def test_point_symmetry_c2_sphere_ode():
     C = 1.0
 
