@@ -31,7 +31,6 @@ from .finsler import FinslerMetric, Rectangle, Spray
 from .jets import EvaluationError, ScalarField, arctan, exp, jet_value, power, reject_first, sqrt
 from .randers import (
     MetricField,
-    OneFormField,
     beta_for,
     constant_curvature_metric,
     randers_metric,
@@ -65,11 +64,10 @@ class OdeEntry:
     key: str
     f: ScalarField  # arity 3, the forward (xdot > 0) normal form
     params: dict
-    base_domain: Rectangle
     z_values: tuple
-    formula: str
     point_filter: Callable | None = None
     perturbed_factory: Callable | None = None  # eps -> (ScalarField, point_filter)
+    base_domain = Rectangle(-0.3, 0.3, -0.3, 0.3)  # not a field: every family shares this box
 
     def grid(self, n_spatial: int = 3):
         pts = []
@@ -85,7 +83,6 @@ class OdeEntry:
         return self.perturbed_factory(eps)
 
 
-_SMALL_BOX = Rectangle(-0.3, 0.3, -0.3, 0.3)
 _Z_FULL = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _Z_POS = (0.5, 1.0, 2.0)
 
@@ -97,9 +94,7 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
             "flat",
             ScalarField(3, lambda x, y, z: 0.0, name="0"),
             {},
-            _SMALL_BOX,
             _Z_FULL,
-            "y'' = 0",
         )
     if key == "D1":
         def make(scale):
@@ -113,9 +108,7 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
             "D1",
             make(1.0),
             {"C": C},
-            _SMALL_BOX,
             _Z_FULL,
-            "y'' = C (y^2 - 2 y')^{3/2} - y^3 + 3 y y'",
             point_filter=lambda x, y, z: y * y - 2.0 * z > 1e-6,
             perturbed_factory=lambda eps: (make(1.0 + eps), lambda x, y, z: y * y - 2.0 * z > 1e-6),
         )
@@ -136,9 +129,7 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
             "D2",
             make(k),
             {"C": C, "lam": lam, "exponent": k},
-            _SMALL_BOX,
             _Z_FULL if integer_exp else _Z_POS,
-            f"y'' = C y'^({k:g})",
             point_filter=filt,
             perturbed_factory=lambda eps: (
                 make(k + eps * max(abs(k), 1.0)),
@@ -158,9 +149,7 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
             "J1",
             make(1.0),
             {"C": C},
-            _SMALL_BOX,
             _Z_POS,
-            "y'' = C y'^3 exp(-1/y')  (0 for y' <= 0)",
             point_filter=lambda x, y, z: z > 0.0,
             perturbed_factory=lambda eps: (make(1.0 + eps), lambda x, y, z: z > 0.0),
         )
@@ -175,9 +164,7 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
             "J2",
             make(0.5),
             {"C": C},
-            _SMALL_BOX,
             _Z_FULL,
-            "y'' = y'/2 + C exp(-2x) y'^3",
             perturbed_factory=lambda eps: (make(0.5 * (1.0 + eps)), None),
         )
     if key == "J3":
@@ -188,9 +175,7 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
             "J3",
             ScalarField(3, f, name="J3"),
             {"h": "1 + y"},
-            _SMALL_BOX,
             _Z_FULL,
-            "y'' = (1 + y) y'^3",
         )
     if key == "C1":
         def make(expo):
@@ -203,9 +188,7 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
             "C1",
             make(1.5),
             {"C": C, "lam": lam},
-            _SMALL_BOX,
             _Z_FULL,
-            f"y'' = C (y'^2+1)^{{3/2}} exp(-{lam:g} arctan y')",
             perturbed_factory=lambda eps: (make(1.5 * (1.0 + eps)), None),
         )
     if key in ("C2+", "C2-"):
@@ -223,9 +206,7 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
             key,
             make(2.0),
             {"C": C, "sign": s},
-            _SMALL_BOX,
             _Z_FULL,
-            f"y'' = (C (y'^2+1)^{{3/2}} {'+' if s > 0 else '-'} 2(x y' - y)(y'^2+1)) / (1 {'+' if s > 0 else '-'} (x^2+y^2))",
             perturbed_factory=lambda eps: (make(2.0 * (1.0 + eps)), None),
         )
     raise KeyError(f"unknown equation family {key!r}")
@@ -243,7 +224,6 @@ ODE_KEYS = ("flat", "D1", "D2", "J1", "J2", "J3", "C1", "C2+", "C2-")
 class SprayEntry:
     key: str
     spray: Spray
-    formula: str
 
 
 def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
@@ -251,7 +231,6 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
         return SprayEntry(
             "flat",
             Spray(lambda *a: (0.0, 0.0), Rectangle(-3.0, 3.0, -3.0, 3.0), "flat"),
-            "u dx + v dy",
         )
     if key == "a":
         def pair(x, y, u, v):
@@ -261,7 +240,6 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
         return SprayEntry(
             "a",
             Spray(pair, Rectangle(-2.5, 2.5, -1.5, 3.5), "a"),
-            "u dx + v dy - |xi| (v du - u dv)",
         )
     if key in ("bk+", "bk-"):
         s = 1.0 if key == "bk+" else -1.0
@@ -276,11 +254,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
             return 0.5 * q * v, -0.5 * q * u
 
         dom = Rectangle(-2.0, 2.0, -2.0, 2.0) if s > 0 else Rectangle(-0.68, 0.68, -0.68, 0.68)
-        return SprayEntry(
-            key,
-            Spray(pair, dom, key),
-            f"u dx + v dy - (k|xi| {'-' if s > 0 else '+'} 2(yu - xv))/(1 {'+' if s > 0 else '-'} (x^2+y^2)) (v du - u dv), k={k:g}",
-        )
+        return SprayEntry(key, Spray(pair, dom, key))
     if key in ("c+", "c-"):
         s = 1.0 if key == "c+" else -1.0
 
@@ -288,11 +262,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
             return 0.25 * (3.0 * u * u + s * exp(-2.0 * x) * v * v), 0.5 * u * v
 
         dom = Rectangle(-math.log(2.0) + 1e-9, 2.0, -2.0, 2.0) if s > 0 else Rectangle(-2.0, 2.0, -2.0, 2.0)
-        return SprayEntry(
-            key,
-            Spray(pair, dom, key),
-            f"u dx + v dy - (3u^2 {'+' if s > 0 else '-'} exp(-2x) v^2)/2 du - uv dv",
-        )
+        return SprayEntry(key, Spray(pair, dom, key))
     raise KeyError(f"unknown spray {key!r}")
 
 
@@ -309,11 +279,8 @@ class MetricEntry:
     key: str
     metric: FinslerMetric
     spray_key: str
-    formula: str
     domain: Rectangle  # where the entry's claims are verified
     alpha: MetricField | None = None  # background for Randers entries, g itself otherwise
-    beta: OneFormField | None = None
-    kcurv: float | None = None
     projective_basis: tuple = ()
 
 
@@ -365,7 +332,6 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
             "euclidean",
             riemannian_metric(alpha, name="euclidean"),
             "flat",
-            "sqrt(dx^2 + dy^2)",
             alpha=alpha,
             projective_basis=(
                 PlaneVectorField(lambda x, y: (1.0, 0.0), "dx"),
@@ -382,10 +348,7 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
             "a",
             randers_metric(alpha, beta, domain=dom, name="a"),
             "a",
-            "sqrt(dx^2 + dy^2) + (y dx - x dy)/2",
             alpha=alpha,
-            beta=beta,
-            kcurv=1.0,
             projective_basis=_c1_fields(0.0),
             domain=dom,
         )
@@ -399,26 +362,17 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
             key,
             randers_metric(alpha, beta, domain=dom, name=key),
             key,
-            f"sqrt(dx^2+dy^2)/(1{'+' if s > 0 else '-'}(x^2+y^2)) + k(y dx - x dy)/(2(1{'+' if s > 0 else '-'}(x^2+y^2))), k={k:g}",
             alpha=alpha,
-            beta=beta,
-            kcurv=k,
             projective_basis=_c2_fields(s),
             domain=dom,
         )
     if key in ("c+", "c-"):
         s = 1.0 if key == "c+" else -1.0
         g = _metric_c(s)
-        formula = (
-            "sqrt(e^{3x}/(2e^x-1)^2 dx^2 + e^x/(2e^x-1) dy^2)"
-            if s > 0
-            else "sqrt(e^{3x} dx^2 + e^x dy^2)"
-        )
         return MetricEntry(
             key,
             riemannian_metric(g, name=key),
             key,
-            formula,
             alpha=g,
             projective_basis=_j2_fields(),
             domain=g.domain,

@@ -430,16 +430,26 @@ def lift(field, point: Sequence, active: Iterable[int] | None = None, order: int
     returns a tuple gives a tuple of jets, all of one register.  A component
     that turns out not to depend on the active variables is promoted to a
     constant jet, so callers can always read ``grad``/``hess``.  ``order`` is
-    2, or 1 for gradients only; any other raises ``ValueError``.
+    2, or 1 for gradients only; any other raises ``ValueError``, as do
+    ``active`` indices that repeat or fall outside ``point`` and a lift
+    with no variable to seed.
     """
     fn = field.fn if isinstance(field, ScalarField) else field
     args = list(point)
-    idx = range(len(args)) if active is None else tuple(active)
+    if active is None:
+        idx = range(len(args))
+    else:
+        idx = tuple(active)
+        if len(set(idx)) < len(idx) or not all(0 <= i < len(args) for i in idx):
+            raise ValueError(f"active indices {idx} are not distinct indices of a {len(args)}-variable point")
     seeds = seed_jets([args[i] for i in idx], order)
     for i, s in zip(idx, seeds):
         args[i] = s
-    # a seed's Hessian is the register's zero Hessian, or None at order 1
-    level, zg, zh = seeds[0].level, _layout(len(seeds)).zero_grad, seeds[0].hess_packed
+    try:
+        # a seed's Hessian is the register's zero Hessian, or None at order 1
+        level, zg, zh = seeds[0].level, _layout(len(seeds)).zero_grad, seeds[0].hess_packed
+    except IndexError:
+        raise ValueError(f"active indices {tuple(idx)} of a {len(args)}-variable point seed nothing") from None
     out = fn(*args)
     many = isinstance(out, tuple)
     comps = [

@@ -44,6 +44,11 @@ def test_extract_cubic_rejects_c1():
     out = extract_cubic(f, (0.0, 0.0))
     assert isinstance(out, NotCubic)
     assert out.residual > 1e-9
+    # the witness node is a check node, and the residual is the misfit there
+    nodes = (0.0, 1.0, -1.0, 2.0)
+    cubic = np.polyfit(nodes, [f(0.0, 0.0, z) for z in nodes], 3)
+    assert out.node in (-2.0, 3.0)
+    assert out.residual == pytest.approx(abs(f(0.0, 0.0, out.node) - np.polyval(cubic, out.node)), rel=1e-12)
 
 
 def test_flatness_residuals_zero_equation():

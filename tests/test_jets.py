@@ -171,6 +171,11 @@ def test_domain_violations_raise_not_nan():
         lift(lambda x: 1.0 / x, (0.0,))
     with pytest.raises(EvaluationError):
         lift(lambda x: x ** 1.5, (-2.0,))
+    for bad in (0.0, -1.0):
+        with pytest.raises(EvaluationError, match="sqrt of non-positive value"):
+            sqrt(bad)
+    with pytest.raises(EvaluationError, match="zero raised to a negative power"):
+        power(0.0, -1.0)
 
 
 def test_inactive_variables_held_constant():
@@ -178,6 +183,28 @@ def test_inactive_variables_held_constant():
     assert j.value == pytest.approx(22.0)
     assert len(j.grad) == 1
     assert j.grad[0] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize(
+    "point,active,message",
+    [
+        ((0.5, 0.7), (0, 0), r"active indices \(0, 0\) are not distinct"),
+        ((0.5, 0.7), (0, 2), r"active indices \(0, 2\) are not distinct indices of a 2-variable point"),
+        ((0.5, 0.7), (-1,), r"active indices \(-1,\) are not distinct indices"),
+        ((0.5, 0.7), (), r"active indices \(\) of a 2-variable point seed nothing"),
+        ((), None, r"active indices \(\) of a 0-variable point seed nothing"),
+    ],
+    ids=["repeated", "past-the-end", "negative", "empty-active", "empty-point"],
+)
+def test_lift_rejects_repeated_out_of_range_or_no_active_indices(point, active, message):
+    with pytest.raises(ValueError, match=message):
+        lift(lambda *xs: sum(xs, 1.0), point, active=active)
+
+
+def test_scalar_field_checks_its_arity():
+    f = ScalarField(3, lambda x, y, z: x, name="f")
+    with pytest.raises(TypeError, match="field 'f' takes 3 arguments, got 2"):
+        f(1.0, 2.0)
 
 
 def test_constant_field_promoted():
