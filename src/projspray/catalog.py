@@ -63,7 +63,6 @@ __all__ = [
 class OdeEntry:
     key: str
     f: ScalarField  # arity 3, the forward (xdot > 0) normal form
-    params: dict
     z_values: tuple
     point_filter: Callable | None = None
     perturbed_factory: Callable | None = None  # eps -> (ScalarField, point_filter)
@@ -90,12 +89,7 @@ _Z_POS = (0.5, 1.0, 2.0)
 def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
     """Normal forms D1, D2, J1, J2, J3, C1, C2(+/-), and the flat equation."""
     if key == "flat":
-        return OdeEntry(
-            "flat",
-            ScalarField(3, lambda x, y, z: 0.0, name="0"),
-            {},
-            _Z_FULL,
-        )
+        return OdeEntry("flat", ScalarField(3, lambda x, y, z: 0.0, name="0"), _Z_FULL)
     if key == "D1":
         def make(scale):
             def f(x, y, z):
@@ -107,7 +101,6 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
         return OdeEntry(
             "D1",
             make(1.0),
-            {"C": C},
             _Z_FULL,
             point_filter=lambda x, y, z: y * y - 2.0 * z > 1e-6,
             perturbed_factory=lambda eps: (make(1.0 + eps), lambda x, y, z: y * y - 2.0 * z > 1e-6),
@@ -128,7 +121,6 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
         return OdeEntry(
             "D2",
             make(k),
-            {"C": C, "lam": lam, "exponent": k},
             _Z_FULL if integer_exp else _Z_POS,
             point_filter=filt,
             perturbed_factory=lambda eps: (
@@ -148,7 +140,6 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
         return OdeEntry(
             "J1",
             make(1.0),
-            {"C": C},
             _Z_POS,
             point_filter=lambda x, y, z: z > 0.0,
             perturbed_factory=lambda eps: (make(1.0 + eps), lambda x, y, z: z > 0.0),
@@ -163,7 +154,6 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
         return OdeEntry(
             "J2",
             make(0.5),
-            {"C": C},
             _Z_FULL,
             perturbed_factory=lambda eps: (make(0.5 * (1.0 + eps)), None),
         )
@@ -171,12 +161,7 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
         def f(x, y, z):
             return (1.0 + y) * z**3
 
-        return OdeEntry(
-            "J3",
-            ScalarField(3, f, name="J3"),
-            {"h": "1 + y"},
-            _Z_FULL,
-        )
+        return OdeEntry("J3", ScalarField(3, f, name="J3"), _Z_FULL)
     if key == "C1":
         def make(expo):
             def f(x, y, z):
@@ -187,7 +172,6 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
         return OdeEntry(
             "C1",
             make(1.5),
-            {"C": C, "lam": lam},
             _Z_FULL,
             perturbed_factory=lambda eps: (make(1.5 * (1.0 + eps)), None),
         )
@@ -205,7 +189,6 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
         return OdeEntry(
             key,
             make(2.0),
-            {"C": C, "sign": s},
             _Z_FULL,
             perturbed_factory=lambda eps: (make(2.0 * (1.0 + eps)), None),
         )
@@ -222,25 +205,18 @@ ODE_KEYS = ("flat", "D1", "D2", "J1", "J2", "J3", "C1", "C2+", "C2-")
 
 @dataclass(frozen=True)
 class SprayEntry:
-    key: str
     spray: Spray
 
 
 def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
     if key == "flat":
-        return SprayEntry(
-            "flat",
-            Spray(lambda *a: (0.0, 0.0), Rectangle(-3.0, 3.0, -3.0, 3.0), "flat"),
-        )
+        return SprayEntry(Spray(lambda *a: (0.0, 0.0), Rectangle(-3.0, 3.0, -3.0, 3.0), "flat"))
     if key == "a":
         def pair(x, y, u, v):
             r = sqrt(u * u + v * v)
             return 0.5 * r * v, -0.5 * r * u
 
-        return SprayEntry(
-            "a",
-            Spray(pair, Rectangle(-2.5, 2.5, -1.5, 3.5), "a"),
-        )
+        return SprayEntry(Spray(pair, Rectangle(-2.5, 2.5, -1.5, 3.5), "a"))
     if key in ("bk+", "bk-"):
         s = 1.0 if key == "bk+" else -1.0
         if k <= 0:
@@ -254,7 +230,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
             return 0.5 * q * v, -0.5 * q * u
 
         dom = Rectangle(-2.0, 2.0, -2.0, 2.0) if s > 0 else Rectangle(-0.68, 0.68, -0.68, 0.68)
-        return SprayEntry(key, Spray(pair, dom, key))
+        return SprayEntry(Spray(pair, dom, key))
     if key in ("c+", "c-"):
         s = 1.0 if key == "c+" else -1.0
 
@@ -262,7 +238,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
             return 0.25 * (3.0 * u * u + s * exp(-2.0 * x) * v * v), 0.5 * u * v
 
         dom = Rectangle(-math.log(2.0) + 1e-9, 2.0, -2.0, 2.0) if s > 0 else Rectangle(-2.0, 2.0, -2.0, 2.0)
-        return SprayEntry(key, Spray(pair, dom, key))
+        return SprayEntry(Spray(pair, dom, key))
     raise KeyError(f"unknown spray {key!r}")
 
 
@@ -286,9 +262,7 @@ class MetricEntry:
 
 def _metric_c(sign: float) -> MetricField:
     if sign < 0:
-        return MetricField(
-            lambda x, y: (exp(3.0 * x), 0.0, exp(x)), Rectangle(-0.5, 0.5, -0.5, 0.5), name="c-"
-        )
+        return MetricField(lambda x, y: (exp(3.0 * x), 0.0, exp(x)), Rectangle(-0.5, 0.5, -0.5, 0.5))
 
     def entries(x, y):
         ex = exp(x)
@@ -298,7 +272,7 @@ def _metric_c(sign: float) -> MetricField:
             reject_first(wv <= 0.0, "outside 2 e^x - 1 > 0", x, y)
         return exp(3.0 * x) / (w * w), 0.0, ex / w
 
-    return MetricField(entries, Rectangle(-0.5, 0.5, -0.5, 0.5), name="c+")
+    return MetricField(entries, Rectangle(-0.5, 0.5, -0.5, 0.5))
 
 
 def _j2_fields():
@@ -391,7 +365,6 @@ METRIC_KEYS = ("euclidean", "a", "bk+", "bk-", "c+", "c-")
 def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
     if key == "D1":
         return LieAlgebraCase(
-            "D1",
             (
                 PlaneVectorField(lambda x, y: (-x, y), "X0"),
                 PlaneVectorField(lambda x, y: (1.0, 0.0), "X1"),
@@ -401,7 +374,6 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
         )
     if key == "D2":
         return LieAlgebraCase(
-            "D2",
             (
                 PlaneVectorField(lambda x, y: (-x, -lam * y), "X0"),
                 PlaneVectorField(lambda x, y: (1.0, 0.0), "X1"),
@@ -411,7 +383,6 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
         )
     if key == "J1":
         return LieAlgebraCase(
-            "J1",
             (
                 PlaneVectorField(lambda x, y: (-(x + y), -y), "X0"),
                 PlaneVectorField(lambda x, y: (1.0, 0.0), "X1"),
@@ -421,14 +392,12 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
         )
     if key == "J2":
         return LieAlgebraCase(
-            "J2",
             _j2_fields(),
             {(0, 1): (1, 0, 0), (0, 2): (0, 1, 0), (1, 2): (0, 0, 1)},
         )
     if key == "J3":
         g0, g1 = gamma
         return LieAlgebraCase(
-            "J3",
             (
                 PlaneVectorField(lambda x, y: (y, 0.0), "X0"),
                 PlaneVectorField(lambda x, y: (1.0, 0.0), "X1"),
@@ -438,14 +407,12 @@ def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
         )
     if key == "C1":
         return LieAlgebraCase(
-            "C1",
             _c1_fields(lam),
             {(0, 1): (0, lam, -1), (0, 2): (0, 1, lam), (1, 2): (0, 0, 0)},
         )
     if key in ("C2+", "C2-"):
         s = 1.0 if key == "C2+" else -1.0
         return LieAlgebraCase(
-            key,
             _c2_fields(s),
             {(0, 1): (0, 0, -1), (0, 2): (0, 1, 0), (1, 2): (-s, 0, 0)},
         )

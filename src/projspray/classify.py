@@ -155,7 +155,7 @@ class ProjectiveConnectionCoeffs(CubicForm):
         return cls(cf.fit)
 
 
-def _det_scaled(m: MetricField, p: float, name: str) -> MetricField:
+def _det_scaled(m: MetricField, p: float) -> MetricField:
     """The matrix field (det m)^p m."""
 
     def entries(x, y):
@@ -163,17 +163,17 @@ def _det_scaled(m: MetricField, p: float, name: str) -> MetricField:
         scale = power(checked_det(e11, e12, e22, "metric field", (x, y)), p)
         return scale * e11, scale * e12, scale * e22
 
-    return MetricField(entries, m.domain, name=name)
+    return MetricField(entries, m.domain)
 
 
 def liouville_candidate(g: MetricField) -> MetricField:
     """The density-rescaled metric a = (det g)^{-2/3} g."""
-    return _det_scaled(g, -2.0 / 3.0, f"a[{g.name}]" if g.name else "a")
+    return _det_scaled(g, -2.0 / 3.0)
 
 
 def reconstruct_metric(a: MetricField) -> MetricField:
     """Inverse of :func:`liouville_candidate`: g = a / (det a)^2."""
-    return _det_scaled(a, -2.0, "g")
+    return _det_scaled(a, -2.0)
 
 
 def liouville_residuals(

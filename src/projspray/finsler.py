@@ -107,7 +107,6 @@ class OdePair:
 
     fplus: ScalarField  # arity 3
     fminus: ScalarField
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class TransposedOdePair:
 
     gplus: ScalarField  # arity 3
     gminus: ScalarField
-    name: str = ""
 
 
 def fundamental_tensor(metric: FinslerMetric, at: Sequence[float]) -> tuple:
@@ -262,7 +260,6 @@ def induced_odes(spray: Spray) -> OdePair:
     return OdePair(
         fplus=ScalarField(3, branch(1.0), name="f+"),
         fminus=ScalarField(3, branch(-1.0), name="f-"),
-        name=spray.name,
     )
 
 
@@ -296,7 +293,6 @@ def induced_ode_direct(metric: FinslerMetric) -> OdePair:
     return OdePair(
         fplus=ScalarField(3, branch(+1), name="f+ direct"),
         fminus=ScalarField(3, branch(-1), name="f- direct"),
-        name=f"direct({metric.name})" if metric.name else "direct",
     )
 
 
@@ -332,7 +328,6 @@ def transpose_odes(pair: OdePair) -> TransposedOdePair:
     return TransposedOdePair(
         gplus=ScalarField(3, make(pair.fplus, pair.fminus), name="g+"),
         gminus=ScalarField(3, make(pair.fminus, pair.fplus), name="g-"),
-        name=pair.name,
     )
 
 

@@ -54,7 +54,6 @@ class MetricField:
 
     entries: Callable
     domain: Rectangle
-    name: str = ""
 
     def matrix(self, x: float, y: float) -> np.ndarray:
         e11, e12, e22 = (float(e) for e in self.entries(x, y))
@@ -84,7 +83,6 @@ class OneFormField:
     """The one-form b1 dx + b2 dy; ``at(x, y)`` returns (b1, b2)."""
 
     at: Callable
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -118,14 +116,14 @@ class LorentzOperator:
 def constant_curvature_metric(model: str) -> MetricField:
     """Flat plane, round-sphere chart, or disk model of the hyperbolic plane."""
     if model == "euclidean":
-        return MetricField(lambda x, y: (1.0, 0.0, 1.0), Rectangle(-3.0, 3.0, -3.0, 3.0), "euclidean")
+        return MetricField(lambda x, y: (1.0, 0.0, 1.0), Rectangle(-3.0, 3.0, -3.0, 3.0))
     if model == "sphere":
         def entries(x, y):
             d = 1.0 + x * x + y * y
             phi = 1.0 / (d * d)
             return phi, 0.0, phi
 
-        return MetricField(entries, Rectangle(-3.0, 3.0, -3.0, 3.0), "sphere")
+        return MetricField(entries, Rectangle(-3.0, 3.0, -3.0, 3.0))
     if model == "hyperbolic":
         def entries(x, y):
             w = 1.0 - x * x - y * y
@@ -135,7 +133,7 @@ def constant_curvature_metric(model: str) -> MetricField:
             phi = 1.0 / (w * w)
             return phi, 0.0, phi
 
-        return MetricField(entries, Rectangle(-0.7, 0.7, -0.7, 0.7), "hyperbolic")
+        return MetricField(entries, Rectangle(-0.7, 0.7, -0.7, 0.7))
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -149,9 +147,7 @@ def beta_for(model: str, k: float, sign: float = 1.0) -> OneFormField:
         raise ValueError("curvature scale k must be positive")
     s = float(sign)
     if model == "euclidean":
-        return OneFormField(
-            lambda x, y: (s * 0.5 * k * y, -s * 0.5 * k * x), name=f"beta[euclidean,k={k}]"
-        )
+        return OneFormField(lambda x, y: (s * 0.5 * k * y, -s * 0.5 * k * x))
     if model in ("sphere", "hyperbolic"):
         eps = 1.0 if model == "sphere" else -1.0
 
@@ -159,7 +155,7 @@ def beta_for(model: str, k: float, sign: float = 1.0) -> OneFormField:
             denom = 1.0 + eps * (x * x + y * y)
             return s * 0.5 * k * y / denom, -s * 0.5 * k * x / denom
 
-        return OneFormField(at, name=f"beta[{model},k={k}]")
+        return OneFormField(at)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -191,11 +187,18 @@ def lorentz(alpha: MetricField, omega: AreaForm) -> LorentzOperator:
 
 
 def one_form_norm(alpha: MetricField, beta: OneFormField, x: float, y: float) -> float:
-    """alpha-norm of the one-form: |b|^2 = (e22 b1^2 - 2 e12 b1 b2 + e11 b2^2) / det alpha."""
+    """alpha-norm of the one-form: |b|^2 = (e22 b1^2 - 2 e12 b1 b2 + e11 b2^2) / det alpha.
+
+    Raises ``EvaluationError`` naming the point where alpha is not positive
+    definite, as ``checked_det`` does where it is singular.
+    """
     e11, e12, e22 = (float(e) for e in alpha.entries(x, y))
     b1, b2 = (float(c) for c in beta.at(x, y))
     q = e22 * b1 * b1 - 2.0 * e12 * b1 * b2 + e11 * b2 * b2
-    return math.sqrt(q / checked_det(e11, e12, e22, "metric field", (x, y)))
+    det = checked_det(e11, e12, e22, "metric field", (x, y))
+    if not (e11 > 0.0 and det > 0.0):
+        raise EvaluationError(f"metric field is not positive definite at ({x}, {y})")
+    return math.sqrt(q / det)
 
 
 def randers_metric(

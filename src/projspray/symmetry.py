@@ -4,10 +4,12 @@ point-symmetry and projective-vector-field residuals.
 A field a(x,y) dx + b(x,y) dy acts on the equation space (x, y, z = y')
 through its prolongation with third coefficient
 c = b_x + z b_y - z (a_x + z a_y), and on the tangent bundle through its
-complete lift.  Each field is one tuple-valued callable, lifted as one
-register: a plane field's ``at(x, y)`` returns (a, b), a prolonged field's
-``at(x, y, z)`` returns (a, b, c).  All coefficient derivatives come from
-jets, so bracket fields and prolongations remain liftable themselves.
+complete lift, whose fiber part is the Jacobian of (a, b) applied to (u, v).
+A field's ``at(x, y)`` returns (a, b) and is lifted as one register;
+``prolong(X)`` returns the callable (x, y, z) -> (a, b, c), and the
+residuals read both actions off lifts of ``at`` directly.  All coefficient
+derivatives come from jets, so bracket fields and prolongations remain
+liftable themselves.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ __all__ = [
     "LieAlgebraCase",
     "NotClosedError",
     "PlaneVectorField",
-    "ProlongedVectorField",
     "StructureConstants",
-    "complete_lift",
     "jacobi_residual",
     "lie_bracket",
     "point_symmetry_residual",
@@ -53,34 +53,12 @@ class PlaneVectorField:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class ProlongedVectorField:
-    """A plane field prolonged to (x, y, z = y'); ``at(x, y, z)`` returns (a, b, c)."""
+def prolong(X: PlaneVectorField) -> Callable:
+    """The prolonged field (x, y, z) -> (a, b, c) of X."""
 
-    at: Callable
-    name: str = ""
-
-
-def prolong(X: PlaneVectorField) -> ProlongedVectorField:
     def at(x, y, z):
         ja, jb = lift(X.at, (x, y), order=1)
         return ja.value, jb.value, jb.grad[0] + z * jb.grad[1] - z * (ja.grad[0] + z * ja.grad[1])
-
-    return ProlongedVectorField(at, X.name)
-
-
-def complete_lift(X: PlaneVectorField) -> Callable:
-    """Lift of X to the tangent bundle, (x, y, u, v) -> (a, b, A3, B3): the
-    fiber part is the Jacobian of the base coefficients applied to (u, v)."""
-
-    def at(x, y, u, v):
-        ja, jb = lift(X.at, (x, y), order=1)
-        return (
-            ja.value,
-            jb.value,
-            ja.grad[0] * u + ja.grad[1] * v,
-            jb.grad[0] * u + jb.grad[1] * v,
-        )
 
     return at
 
@@ -171,7 +149,6 @@ class LieAlgebraCase:
     two span the tangent plane there (``transitive_ok``: |det| > 1e-9).
     """
 
-    name: str
     basis: tuple  # three PlaneVectorFields
     expected: dict  # {(i, j): (c0, c1, c2)}
 

@@ -233,35 +233,38 @@ class CircleFit:
 def circle_fit(trace) -> CircleFit:
     """Algebraic least-squares circle through the base points of a trace.
 
-    Minimizes sum (x^2 + y^2 + D x + E y + F)^2, then reports the rms of
-    the geometric radius defect.  Collinear input raises.
+    Minimizes sum (x^2 + y^2 + D x + E y + F)^2 in coordinates centred on
+    the sample mean, so that a small circle far from the origin keeps its
+    digits, then reports the rms of the geometric radius defect.  Collinear
+    input raises.
     """
     xy = trace.xy if isinstance(trace, GeodesicTrace) else np.asarray(trace, dtype=float)
     if len(xy) < 10:
         raise DegenerateFitError("need at least 10 samples for a circle fit")
-    centered = xy - xy.mean(axis=0)
+    mean = xy.mean(axis=0)
+    centered = xy - mean
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals[1] <= 1e-9 * max(svals[0], 1.0):
         raise DegenerateFitError("samples are collinear")
-    A = np.column_stack([xy[:, 0], xy[:, 1], np.ones(len(xy))])
-    b = -(xy[:, 0] ** 2 + xy[:, 1] ** 2)
+    A = np.column_stack([centered[:, 0], centered[:, 1], np.ones(len(xy))])
+    b = -(centered[:, 0] ** 2 + centered[:, 1] ** 2)
     (D, E, F), *_ = np.linalg.lstsq(A, b, rcond=None)
     cx, cy = -D / 2.0, -E / 2.0
     r2 = cx * cx + cy * cy - F
     if r2 <= 0.0:
         raise DegenerateFitError("fit does not define a positive radius")
     radius = math.sqrt(r2)
-    dist = np.hypot(xy[:, 0] - cx, xy[:, 1] - cy)
+    dist = np.hypot(centered[:, 0] - cx, centered[:, 1] - cy)
     rms = float(np.sqrt(np.mean((dist - radius) ** 2)))
-    return CircleFit(center=(float(cx), float(cy)), radius=float(radius), rms=rms)
+    return CircleFit(center=(float(cx + mean[0]), float(cy + mean[1])), radius=float(radius), rms=rms)
 
 
 def winding_orientation(trace: GeodesicTrace) -> int:
-    """+1 for counterclockwise velocity winding, -1 for clockwise."""
+    """+1 for counterclockwise velocity winding, -1 for clockwise, and 0
+    when the velocity angle does not change in total (a straight trace)."""
     u, v = trace.uv[:, 0], trace.uv[:, 1]
     dtheta = np.diff(np.unwrap(np.arctan2(v, u)))
-    total = float(np.sum(dtheta))
-    return 1 if total > 0 else -1
+    return int(np.sign(np.sum(dtheta)))
 
 
 def _diff_weights(m: int) -> np.ndarray:

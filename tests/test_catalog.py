@@ -70,7 +70,7 @@ def lemma_formula(key, C, lam, s):
 ])
 def test_catalog_fidelity(key, kwargs):
     entry = ode_entry(key, **kwargs)
-    ref = lemma_formula(key, 1.0, kwargs.get("lam", -1.0), entry.params.get("sign", 1.0))
+    ref = lemma_formula(key, 1.0, kwargs.get("lam", -1.0), -1.0 if key == "C2-" else 1.0)
     rng = np.random.default_rng(11)
     n = 0
     while n < 20:

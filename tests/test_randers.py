@@ -285,7 +285,7 @@ def test_singular_metric_raises_and_names_the_point():
 def _sheared_metric():
     """A metric with an off-diagonal entry, which the three backgrounds lack."""
     return MetricField(
-        lambda x, y: (2.0 + x * x, 0.2 + 0.3 * x * y, 1.5 + y * y), Rectangle(-1.0, 1.0, -1.0, 1.0), "sheared"
+        lambda x, y: (2.0 + x * x, 0.2 + 0.3 * x * y, 1.5 + y * y), Rectangle(-1.0, 1.0, -1.0, 1.0)
     )
 
 
@@ -373,6 +373,16 @@ def test_one_form_norm_of_a_sheared_metric_matches_a_numpy_solve():
         b = np.array(beta.at(x, y))
         want = math.sqrt(b @ np.linalg.solve(alpha.matrix(x, y), b))
         assert one_form_norm(alpha, beta, x, y) == pytest.approx(want, rel=1e-14), (x, y)
+
+
+@pytest.mark.parametrize("entries", [(1.0, 0.0, -1.0), (-1.0, 0.0, -1.0)], ids=["indefinite", "negative"])
+def test_one_form_norm_rejects_a_metric_that_is_not_positive_definite(entries):
+    alpha = MetricField(lambda x, y: entries, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    beta = OneFormField(lambda x, y: (0.3, 0.1))
+    with pytest.raises(EvaluationError, match=r"not positive definite at \(0\.1, 0\.2\)"):
+        one_form_norm(alpha, beta, 0.1, 0.2)
+    with pytest.raises(EvaluationError, match="not positive definite"):
+        randers_metric(alpha, beta, domain=Rectangle(-0.5, 0.5, -0.5, 0.5))
 
 
 @pytest.mark.parametrize(

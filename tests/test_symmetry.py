@@ -12,7 +12,6 @@ from projspray.symmetry import (
     DegenerateBasisError,
     NotClosedError,
     PlaneVectorField,
-    complete_lift,
     jacobi_residual,
     lie_bracket,
     point_symmetry_residual,
@@ -36,17 +35,17 @@ ROTATION = VF(lambda x, y: y, lambda x, y: -x, "rot")
 
 
 def test_prolong_constant_field():
-    assert prolong(D_Y).at(0.3, -0.2, 1.7)[2] == 0.0
+    assert prolong(D_Y)(0.3, -0.2, 1.7)[2] == 0.0
 
 
 def test_prolong_x_dy():
-    assert prolong(X_DY).at(0.5, 0.1, -0.4)[2] == pytest.approx(1.0)
+    assert prolong(X_DY)(0.5, 0.1, -0.4)[2] == pytest.approx(1.0)
 
 
 def test_prolong_scaling_field():
     X = VF(lambda x, y: -x, lambda x, y: y)
     for z in (-1.0, 0.3, 2.0):
-        assert prolong(X).at(0.2, 0.4, z)[2] == pytest.approx(2.0 * z)
+        assert prolong(X)(0.2, 0.4, z)[2] == pytest.approx(2.0 * z)
 
 
 def test_prolongation_formula_pointwise():
@@ -57,7 +56,7 @@ def test_prolongation_formula_pointwise():
     for (x, y, z) in [(0.2, -0.4, 1.3), (-0.5, 0.1, -0.7)]:
         ja, jb = lift(X.at, (x, y))
         want = jb.grad[0] + z * jb.grad[1] - z * (ja.grad[0] + z * ja.grad[1])
-        assert prolong(X).at(x, y, z)[2] == pytest.approx(want, rel=1e-13)
+        assert prolong(X)(x, y, z)[2] == pytest.approx(want, rel=1e-13)
 
 
 # --- brackets -------------------------------------------------------------
@@ -211,7 +210,7 @@ def _prolonged_residual(X, f, at):
     x, y, z = at
     jf = lift(f, (x, y, z), order=1)
     fval, fx, fy, fz = jf.value, jf.grad[0], jf.grad[1], jf.grad[2]
-    ja, jb, jc = lift(prolong(X).at, (x, y, z), order=1)
+    ja, jb, jc = lift(prolong(X), (x, y, z), order=1)
     a, ax, ay = ja.value, ja.grad[0], ja.grad[1]
     c, cx, cy, cz = jc.value, jc.grad[0], jc.grad[1], jc.grad[2]
     return abs(a * fx + jb.value * fy + c * fz - (cz - ax - z * ay) * fval - cx - z * cy)
@@ -338,24 +337,7 @@ def test_scaling_family_constant_stays_symmetric():
     assert worst <= 1e-9
 
 
-# --- complete lift and projective fields -----------------------------------
-
-
-def test_complete_lift_translation():
-    comp = complete_lift(D_X)(0.3, 0.2, 0.7, -0.4)
-    assert comp == (1.0, 0.0, 0.0, 0.0)
-
-
-def test_complete_lift_rotation():
-    comp = complete_lift(ROTATION)(0.3, 0.2, 0.7, -0.4)
-    assert comp[2] == pytest.approx(-0.4)  # fiber part (v, -u)
-    assert comp[3] == pytest.approx(-0.7)
-
-
-def test_complete_lift_x_dy():
-    comp = complete_lift(X_DY)(0.1, 0.9, 0.7, -0.4)
-    assert comp[2] == pytest.approx(0.0)
-    assert comp[3] == pytest.approx(0.7)  # b_x u
+# --- projective fields ----------------------------------------------------
 
 
 FLAT = Spray(lambda *a: (0.0, 0.0), Rectangle(-3, 3, -3, 3), "flat")

@@ -33,6 +33,8 @@ def test_flat_spray_straight_line():
     tr = integrate_spray(spray_entry("flat").spray, (0.0, 0.0, 1.0, 0.0), 1.0, 1e-2)
     assert not tr.domain_exit
     assert np.allclose(tr.state(-1), (1.0, 0.0, 1.0, 0.0), atol=1e-12)
+    straight = integrate_spray(spray_entry("flat").spray, (0.0, 0.0, 1.0, 0.3), 1.0, 1e-2)
+    assert winding_orientation(straight) == 0  # the velocity never turns
 
 
 def test_spray_a_unit_circle():
@@ -251,6 +253,16 @@ def test_circle_fit_exact_samples():
     assert fit.center == (pytest.approx(0.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
     assert fit.radius == pytest.approx(1.0, abs=1e-12)
     assert fit.rms <= 1e-12
+
+
+@pytest.mark.parametrize("center,radius", [((3.0, 4.0), 1e-6), ((1e4, -1e4), 1e-5)])
+def test_circle_fit_keeps_a_small_circle_far_from_the_origin(center, radius):
+    t = np.linspace(0, 2 * math.pi, 40, endpoint=False)
+    xy = np.column_stack([center[0] + radius * np.cos(t), center[1] + radius * np.sin(t)])
+    fit = circle_fit(xy)
+    assert abs(fit.radius - radius) <= 1e-7 * radius
+    assert fit.rms <= 1e-12
+    assert math.dist(fit.center, center) <= 1e-6 * radius
 
 
 def test_circle_fit_degenerate_cases():
