@@ -30,7 +30,6 @@ __all__ = [
     "is_projectively_flat",
     "liouville_candidate",
     "liouville_residuals",
-    "reconstruct_metric",
 ]
 
 _FIT_NODES = (0.0, 1.0, -1.0, 2.0)
@@ -169,11 +168,6 @@ def _det_scaled(m: MetricField, p: float) -> MetricField:
 def liouville_candidate(g: MetricField) -> MetricField:
     """The density-rescaled metric a = (det g)^{-2/3} g."""
     return _det_scaled(g, -2.0 / 3.0)
-
-
-def reconstruct_metric(a: MetricField) -> MetricField:
-    """Inverse of :func:`liouville_candidate`: g = a / (det a)^2."""
-    return _det_scaled(a, -2.0)
 
 
 def liouville_residuals(

@@ -21,9 +21,7 @@ __all__ = [
     "FinslerMetric",
     "OdePair",
     "Rectangle",
-    "SmoothnessReport",
     "Spray",
-    "TransposedOdePair",
     "checked_det",
     "fundamental_tensor",
     "geodesic_spray",
@@ -34,8 +32,6 @@ __all__ = [
     "min_eigenvalue_2x2",
     "non_radial",
     "projective_residual",
-    "smoothness_at_zero",
-    "transpose_odes",
 ]
 
 
@@ -107,14 +103,6 @@ class OdePair:
 
     fplus: ScalarField  # arity 3
     fminus: ScalarField
-
-
-@dataclass(frozen=True)
-class TransposedOdePair:
-    """The same geodesics parametrized by y; piecewise across z = 0."""
-
-    gplus: ScalarField  # arity 3
-    gminus: ScalarField
 
 
 def fundamental_tensor(metric: FinslerMetric, at: Sequence[float]) -> tuple:
@@ -294,80 +282,6 @@ def induced_ode_direct(metric: FinslerMetric) -> OdePair:
         fplus=ScalarField(3, branch(+1), name="f+ direct"),
         fminus=ScalarField(3, branch(-1), name="f- direct"),
     )
-
-
-def transpose_odes(pair: OdePair) -> TransposedOdePair:
-    """Equations for the y-parametrizations; the two x-branches glue across z = 0.
-
-    At z = 0 the value is the numerical limit from z > 0, extrapolated
-    quadratically from h in {1e-2, 1e-3, 1e-4}; one-sided regularity is the
-    business of :func:`smoothness_at_zero`.
-    """
-
-    def make(f_pos, f_neg):
-        def g(x, y, z):
-            zv = jet_value(z)
-            if zv > 0.0:
-                return -(z * z * z) * f_pos(x, y, 1.0 / z)
-            if zv < 0.0:
-                return -(z * z * z) * f_neg(x, y, 1.0 / z)
-            # quadratic extrapolation of the limit from z > 0
-            hs = (1e-2, 1e-3, 1e-4)
-            vals = [-(h**3) * f_pos(x, y, 1.0 / h) for h in hs]
-            out = 0.0
-            for i, hi in enumerate(hs):
-                w = 1.0
-                for j, hj in enumerate(hs):
-                    if j != i:
-                        w *= hj / (hj - hi)
-                out = out + w * vals[i]
-            return out
-
-        return g
-
-    return TransposedOdePair(
-        gplus=ScalarField(3, make(pair.fplus, pair.fminus), name="g+"),
-        gminus=ScalarField(3, make(pair.fminus, pair.fplus), name="g-"),
-    )
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    smooth: bool
-    mismatches: tuple  # (order, limit_from_above, limit_from_below)
-
-
-def smoothness_at_zero(
-    transposed: TransposedOdePair,
-    at: Sequence[float],
-) -> SmoothnessReport:
-    """Compare one-sided z-derivatives of ``transposed.gplus`` up to order 2.
-
-    Each side is sampled at the steps 1e-2 and 1e-3 and Richardson-
-    extrapolated to z = 0; orders whose one-sided limits disagree beyond
-    1e-5 are reported as mismatches.
-    """
-    x, y = at
-    g = transposed.gplus
-    h1, h2 = 1e-2, 1e-3
-    w = h1 / (h1 - h2)
-
-    def one_sided(sign):
-        vals = []
-        for h in (h1, h2):
-            j = lift(g, (x, y, sign * h), active=(2,), order=2)
-            vals.append((j.value, j.grad[0], j.hess_packed[0]))
-        a, b = vals
-        return tuple(w * b[k] - (w - 1.0) * a[k] for k in range(3))
-
-    above = one_sided(+1.0)
-    below = one_sided(-1.0)
-    mism = tuple(
-        (order, above[order], below[order])
-        for order in range(3)
-        if abs(above[order] - below[order]) > 1e-5
-    )
-    return SmoothnessReport(smooth=not mism, mismatches=mism)
 
 
 def non_radial(fiber: Callable, at: Sequence[float], what: str) -> float:

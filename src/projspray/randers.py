@@ -11,7 +11,9 @@ and a one-form one callable ``at(x, y)`` returning (b1, b2); each is read,
 and lifted, as one register per point.  Pointwise 2x2 algebra is done on
 floats: one J formula, one magnetic equation, Gamma(xi, xi) = 1/2 K from
 ``finsler.levi_civita`` (whose 1/4 K are geodesic sprays), and the
-determinant guard ``finsler.checked_det``, which names a singular point.
+determinant guard ``finsler.checked_det``, which names a singular point;
+where alpha's area or dual norm is read, one more guard names a point
+where alpha is not positive definite.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ __all__ = [
     "christoffel",
     "constant_curvature_metric",
     "covariant_acceleration",
-    "exterior_derivative",
     "geodesic_curvature",
-    "lorentz",
     "magnetic_rhs",
     "magnetic_residual",
     "one_form_norm",
@@ -90,7 +90,6 @@ class AreaForm:
     """Antisymmetric matrix field Omega with Omega_12 = -k sqrt(det alpha)."""
 
     omega12: ScalarField
-    k: float
 
 
 @dataclass(frozen=True)
@@ -159,31 +158,24 @@ def beta_for(model: str, k: float, sign: float = 1.0) -> OneFormField:
     raise ValueError(f"unknown model {model!r}")
 
 
+def _positive_det(e11, e12, e22, at: Sequence):
+    """det alpha from :func:`finsler.checked_det`, which names a singular
+    point; then raises ``EvaluationError`` "metric field is not positive
+    definite at (<at>)" unless e11 > 0 and det > 0.  Takes floats or jets."""
+    det = checked_det(e11, e12, e22, "metric field", at)
+    positive = jet_value(e11) > 0.0 and jet_value(det) > 0.0
+    reject_first(not positive, "metric field is not positive definite", *at)
+    return det
+
+
 def area_form(alpha: MetricField, k: float) -> AreaForm:
     if k <= 0:
         raise ValueError("curvature scale k must be positive")
 
     def w(x, y):
-        e11, e12, e22 = alpha.entries(x, y)
-        return -k * sqrt(checked_det(e11, e12, e22, "metric field", (x, y)))
+        return -k * sqrt(_positive_det(*alpha.entries(x, y), (x, y)))
 
-    return AreaForm(ScalarField(2, w), k)
-
-
-def exterior_derivative(beta: OneFormField, at: Sequence[float]) -> float:
-    """Coefficient of dx^dy in d(beta)."""
-    j1, j2 = lift(beta.at, at, order=1)
-    return float(j2.grad[0] - j1.grad[1])
-
-
-def lorentz(alpha: MetricField, omega: AreaForm) -> LorentzOperator:
-    J = LorentzOperator(alpha, omega)
-    k2 = omega.k**2
-    for (x, y) in alpha.domain.grid(3, 3):
-        m = J.matrix(x, y)
-        if float(np.abs(m @ m + k2 * np.eye(2)).max()) > 1e-12 * max(1.0, k2):
-            raise EvaluationError(f"Lorentz operator fails J^2 = -k^2 Id at ({x}, {y})")
-    return J
+    return AreaForm(ScalarField(2, w))
 
 
 def one_form_norm(alpha: MetricField, beta: OneFormField, x: float, y: float) -> float:
@@ -195,10 +187,7 @@ def one_form_norm(alpha: MetricField, beta: OneFormField, x: float, y: float) ->
     e11, e12, e22 = (float(e) for e in alpha.entries(x, y))
     b1, b2 = (float(c) for c in beta.at(x, y))
     q = e22 * b1 * b1 - 2.0 * e12 * b1 * b2 + e11 * b2 * b2
-    det = checked_det(e11, e12, e22, "metric field", (x, y))
-    if not (e11 > 0.0 and det > 0.0):
-        raise EvaluationError(f"metric field is not positive definite at ({x}, {y})")
-    return math.sqrt(q / det)
+    return math.sqrt(q / _positive_det(e11, e12, e22, (x, y)))
 
 
 def randers_metric(

@@ -44,7 +44,6 @@ __all__ = [
     "integrate_ode",
     "integrate_spray",
     "unit_speed_resample",
-    "winding_orientation",
 ]
 
 
@@ -244,7 +243,7 @@ def circle_fit(trace) -> CircleFit:
     mean = xy.mean(axis=0)
     centered = xy - mean
     svals = np.linalg.svd(centered, compute_uv=False)
-    if svals[1] <= 1e-9 * max(svals[0], 1.0):
+    if svals[1] <= 1e-9 * svals[0]:
         raise DegenerateFitError("samples are collinear")
     A = np.column_stack([centered[:, 0], centered[:, 1], np.ones(len(xy))])
     b = -(centered[:, 0] ** 2 + centered[:, 1] ** 2)
@@ -257,14 +256,6 @@ def circle_fit(trace) -> CircleFit:
     dist = np.hypot(centered[:, 0] - cx, centered[:, 1] - cy)
     rms = float(np.sqrt(np.mean((dist - radius) ** 2)))
     return CircleFit(center=(float(cx + mean[0]), float(cy + mean[1])), radius=float(radius), rms=rms)
-
-
-def winding_orientation(trace: GeodesicTrace) -> int:
-    """+1 for counterclockwise velocity winding, -1 for clockwise, and 0
-    when the velocity angle does not change in total (a straight trace)."""
-    u, v = trace.uv[:, 0], trace.uv[:, 1]
-    dtheta = np.diff(np.unwrap(np.arctan2(v, u)))
-    return int(np.sign(np.sum(dtheta)))
 
 
 def _diff_weights(m: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from projspray.classify import (
     is_projectively_flat,
     liouville_candidate,
     liouville_residuals,
-    reconstruct_metric,
 )
 from projspray.finsler import Rectangle, induced_ode_direct
 from projspray.jets import EvaluationError, ScalarField, exp
@@ -143,26 +142,6 @@ def test_liouville_residual_detects_flipped_sign():
     )
     r = liouville_residuals(a, K_bad, (0.0, 0.0))
     assert abs(r[2]) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_reconstruct_identity():
-    a = MetricField(lambda x, y: (1.0, 0.0, 1.0), BOX)
-    assert np.allclose(reconstruct_metric(a).matrix(0.1, 0.1), np.eye(2), atol=1e-14)
-
-
-def test_reconstruct_c_minus_from_candidate():
-    g = metric_entry("c-").alpha
-    back = reconstruct_metric(liouville_candidate(g))
-    for x in (-0.2, 0.3):
-        assert np.allclose(back.matrix(x, 0.0), g.matrix(x, 0.0), rtol=1e-12)
-
-
-@pytest.mark.parametrize("key", ["c-", "c+"])
-def test_roundtrip_candidate_reconstruct(key):
-    g = metric_entry(key).alpha
-    back = reconstruct_metric(liouville_candidate(g))
-    for (x, y) in g.domain.grid(3, 3):
-        assert np.allclose(back.matrix(x, y), g.matrix(x, y), rtol=1e-12)
 
 
 def test_metric_a_induced_equation_not_cubic():

@@ -7,7 +7,6 @@ import sympy
 
 from projspray.finsler import (
     FinslerMetric,
-    OdePair,
     Rectangle,
     Spray,
     checked_det,
@@ -18,8 +17,6 @@ from projspray.finsler import (
     is_strongly_convex,
     min_eigenvalue_2x2,
     projective_residual,
-    smoothness_at_zero,
-    transpose_odes,
 )
 from projspray.catalog import METRIC_KEYS, metric_entry
 from projspray.jets import EvaluationError, ScalarField, exp, sqrt
@@ -258,72 +255,6 @@ def test_reversibility_witness():
         assert pc.fminus(x, y, z) == pytest.approx(pc.fplus(x, y, z), rel=1e-13, abs=1e-15)
         assert pa.fminus(x, y, z) == pytest.approx(-pa.fplus(x, y, z), rel=1e-13)
         assert pa.fminus(x, y, z) != pytest.approx(pa.fplus(x, y, z), rel=1e-3)
-
-
-# --- transposed equations ------------------------------------------------
-
-
-def test_transpose_of_zero_pair():
-    zero = ScalarField(3, lambda x, y, z: 0.0)
-    t = transpose_odes(OdePair(zero, zero))
-    assert t.gplus(0.1, 0.2, 0.7) == 0.0
-    assert t.gplus(0.1, 0.2, -0.7) == 0.0
-
-
-def test_transpose_spray_a_closed_form():
-    t = transpose_odes(induced_odes(spray_a()))
-    for z in (-1.4, -0.3, 0.6, 2.0):
-        assert t.gplus(0.1, 0.0, z) == pytest.approx(-((1.0 + z * z) ** 1.5), rel=1e-12)
-    # the z = 0 value is the extrapolated limit of the same expression
-    assert t.gplus(0.1, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-5)
-
-
-def test_transpose_spray_a_both_orientations():
-    # the down-going orientation is the up-going one reflected: g- = -g+
-    t = transpose_odes(induced_odes(spray_a()))
-    for z in (-1.0, -0.5, 0.5, 1.0):
-        assert abs(t.gplus(0.1, 0.0, z) + (1.0 + z * z) ** 1.5) <= 1e-14
-        assert abs(t.gminus(0.1, 0.0, z) - (1.0 + z * z) ** 1.5) <= 1e-14
-    assert abs(t.gplus(0.1, 0.0, 0.0) + 1.0) <= 1e-10
-    assert abs(t.gminus(0.1, 0.0, 0.0) - 1.0) <= 1e-10
-
-
-def test_transpose_quartic_power_is_singular():
-    C = 0.7
-    f = ScalarField(3, lambda x, y, z: C * z**4)
-    t = transpose_odes(OdePair(f, f))
-    assert t.gplus(0.0, 0.0, 0.5) == pytest.approx(-C / 0.5, rel=1e-13)
-    assert abs(t.gplus(0.0, 0.0, 1e-3)) > 1e2  # blows up toward z = 0
-
-
-def test_smoothness_spray_a():
-    t = transpose_odes(induced_odes(spray_a()))
-    rep = smoothness_at_zero(t, (0.1, -0.2))
-    assert rep.smooth
-
-
-def test_smoothness_c_plus_pair():
-    f = ScalarField(3, lambda x, y, z: 0.5 * z + 0.5 * exp(-2.0 * x) * z**3)
-    rep = smoothness_at_zero(transpose_odes(OdePair(f, f)), (0.2, 0.1))
-    assert rep.smooth
-
-
-def test_smoothness_mismatch_for_unmatched_constants():
-    import projspray.jets as J
-
-    def c1(x, y, z):
-        return (z * z + 1.0) ** 1.5 * J.exp(-1.0 * J.arctan(z))
-
-    f = ScalarField(3, c1)
-    rep = smoothness_at_zero(transpose_odes(OdePair(f, f)), (0.0, 0.0))
-    assert not rep.smooth
-    orders = [m[0] for m in rep.mismatches]
-    assert 0 in orders
-    lim_above = -math.exp(-math.pi / 2)
-    lim_below = math.exp(math.pi / 2)
-    m0 = rep.mismatches[orders.index(0)]
-    assert m0[1] == pytest.approx(lim_above, abs=1e-4)
-    assert m0[2] == pytest.approx(lim_below, abs=1e-4)
 
 
 # --- projective residual -------------------------------------------------

@@ -1,5 +1,7 @@
-"""Every name a module imports is read in that module, and every name one
-``projspray`` module imports from another is in the exporter's ``__all__``.
+"""Every name a module imports is read in that module, every name one
+``projspray`` module imports from another is in the exporter's ``__all__``,
+and every name a ``projspray`` module lists in ``__all__`` is bound at its
+top level.
 
 ``__init__.py`` files are exempt from the first check (they re-export), and
 so is every name a module lists in ``__all__``.
@@ -53,6 +55,22 @@ def unexported_imports(package: Path) -> list[str]:
     return missing
 
 
+def stale_exports(source: str) -> list[str]:
+    """The names a module lists in ``__all__`` that no top-level
+    definition, import or assignment of that module binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return sorted(exports(tree) - bound)
+
+
 def test_checker_finds_an_unused_import():
     assert unused_imports("import os.path\nfrom math import pi as tau, sqrt\nsqrt(2)\n") == [
         "os",
@@ -74,3 +92,21 @@ def test_checker_finds_an_unexported_import(tmp_path):
 
 def test_package_imports_only_exported_names():
     assert unexported_imports(PACKAGE) == []
+
+
+def test_checker_finds_a_stale_export(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from math import pi\n"
+        "__all__ = ['f', 'C', 'pi', 'X', 'Y', 'g', 'h']\n"
+        "X, Y = 1, 2\n"
+        "def f():\n"
+        "    def g(): pass\n"
+        "class C:\n"
+        "    h = 0\n"
+    )
+    assert stale_exports((tmp_path / "a.py").read_text()) == ["g", "h"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    assert stale_exports(path.read_text()) == []

@@ -19,9 +19,7 @@ from projspray.randers import (
     christoffel,
     constant_curvature_metric,
     covariant_acceleration,
-    exterior_derivative,
     geodesic_curvature,
-    lorentz,
     magnetic_residual,
     magnetic_rhs,
     one_form_norm,
@@ -143,6 +141,10 @@ def test_area_form_values():
     assert float(area_form(h, 1.0).omega12(0.5, 0.0)) == pytest.approx(-16.0 / 9.0, rel=1e-13)
     s = constant_curvature_metric("sphere")
     assert float(area_form(s, 2.5).omega12(0.0, 0.0)) == pytest.approx(-2.5)
+    # lifted: Omega_12 = -1/w^2 with w = 1 - x^2 - y^2, so d_x Omega_12 = -4x/w^3
+    j = lift(area_form(h, 1.0).omega12, (0.5, 0.0), order=1)
+    assert float(j.value) == pytest.approx(-16.0 / 9.0, rel=1e-13)
+    assert float(j.grad[0]) == pytest.approx(-2.0 / 0.75**3, rel=1e-13)
 
 
 @pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic"])
@@ -155,12 +157,13 @@ def test_exterior_derivative_matches_area_form(model, k):
     lim = 0.55 if model == "hyperbolic" else 1.5
     for _ in range(25):
         x, y = rng.uniform(-lim, lim, size=2)
-        assert abs(exterior_derivative(beta, (x, y)) - float(om.omega12(x, y))) <= 1e-10
+        j1, j2 = lift(beta.at, (x, y), order=1)
+        assert abs(float(j2.grad[0] - j1.grad[1]) - float(om.omega12(x, y))) <= 1e-10
 
 
 def test_lorentz_euclidean_rotation():
     alpha = constant_curvature_metric("euclidean")
-    J = lorentz(alpha, area_form(alpha, 1.0))
+    J = LorentzOperator(alpha, area_form(alpha, 1.0))
     w = J(0.2, -0.4, (1.0, 0.0))
     assert np.allclose(w, [0.0, 1.0], atol=1e-14)
     w = J(0.2, -0.4, (0.3, 0.8))
@@ -171,16 +174,10 @@ def test_lorentz_euclidean_rotation():
 
 def test_lorentz_sphere_scaled_rotation():
     alpha = constant_curvature_metric("sphere")
-    J = lorentz(alpha, area_form(alpha, 3.0))
+    J = LorentzOperator(alpha, area_form(alpha, 3.0))
     m = J.matrix(0.0, 0.0)
     assert np.allclose(m, 3.0 * np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-13)
     assert np.allclose(m @ m, -9.0 * np.eye(2), atol=1e-12)
-
-
-def test_lorentz_rejects_an_area_form_of_another_metric():
-    sphere_form = area_form(constant_curvature_metric("sphere"), 1.0)
-    with pytest.raises(EvaluationError, match=r"fails J\^2 = -k\^2 Id at \(-2.7, -2.7\)"):
-        lorentz(constant_curvature_metric("euclidean"), sphere_form)
 
 
 def test_randers_reduces_to_riemannian_for_zero_form():
@@ -359,7 +356,7 @@ def test_magnetic_rhs_of_a_singular_metric_raises_and_names_the_point():
 def test_lorentz_of_a_sheared_metric_matches_a_numpy_solve(k):
     alpha = _sheared_metric()
     om = area_form(alpha, k)
-    J = lorentz(alpha, om)
+    J = LorentzOperator(alpha, om)
     for x, y in alpha.domain.grid(3, 3):
         om12 = float(om.omega12(x, y))
         want = np.linalg.solve(alpha.matrix(x, y), [[0.0, om12], [-om12, 0.0]])
@@ -383,6 +380,22 @@ def test_one_form_norm_rejects_a_metric_that_is_not_positive_definite(entries):
         one_form_norm(alpha, beta, 0.1, 0.2)
     with pytest.raises(EvaluationError, match="not positive definite"):
         randers_metric(alpha, beta, domain=Rectangle(-0.5, 0.5, -0.5, 0.5))
+
+
+@pytest.mark.parametrize("entries", [(1.0, 0.0, -1.0), (-1.0, 0.0, -1.0)], ids=["indefinite", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alpha, om: om.omega12(0.1, 0.2),
+        lambda alpha, om: lift(om.omega12, (0.1, 0.2)),
+        lambda alpha, om: magnetic_rhs(alpha, om)((0.1, 0.2, 1.0, 0.0)),
+    ],
+    ids=["area_form", "area_form_lifted", "magnetic_rhs"],
+)
+def test_area_form_and_magnetic_rhs_reject_a_metric_that_is_not_positive_definite(entries, call):
+    alpha = MetricField(lambda x, y: entries, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(EvaluationError, match=r"not positive definite at \(0\.1, 0\.2\)"):
+        call(alpha, area_form(alpha, 1.0))
 
 
 @pytest.mark.parametrize(
