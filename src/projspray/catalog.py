@@ -86,8 +86,16 @@ _Z_FULL = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _Z_POS = (0.5, 1.0, 2.0)
 
 
+def _check_unused(family: str, name: str, value, default, used: bool):
+    """Refuse a parameter that ``family`` does not use, unless it keeps its default."""
+    if not used and value != default:
+        raise ValueError(f"family {family} takes no parameter {name} (got {value!r})")
+
+
 def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
     """Normal forms D1, D2, J1, J2, J3, C1, C2(+/-), and the flat equation."""
+    _check_unused(key, "C", C, 1.0, key not in ("flat", "J3"))
+    _check_unused(key, "lam", lam, -1.0, key in ("D2", "C1"))
     if key == "flat":
         return OdeEntry("flat", ScalarField(3, lambda x, y, z: 0.0, name="0"), _Z_FULL)
     if key == "D1":
@@ -209,6 +217,7 @@ class SprayEntry:
 
 
 def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
+    _check_unused(key, "k", k, 1.0, key in ("bk+", "bk-"))
     if key == "flat":
         return SprayEntry(Spray(lambda *a: (0.0, 0.0), Rectangle(-3.0, 3.0, -3.0, 3.0), "flat"))
     if key == "a":
@@ -300,6 +309,7 @@ def _c2_fields(s: float):
 
 
 def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
+    _check_unused(key, "k", k, 1.0, key in ("bk+", "bk-"))
     if key == "euclidean":
         alpha = constant_curvature_metric("euclidean")
         return MetricEntry(
@@ -363,6 +373,8 @@ METRIC_KEYS = ("euclidean", "a", "bk+", "bk-", "c+", "c-")
 
 
 def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
+    _check_unused(key, "lam", lam, -1.0, key in ("D2", "C1"))
+    _check_unused(key, "gamma", tuple(gamma), (1.0, 0.0), key == "J3")
     if key == "D1":
         return LieAlgebraCase(
             (

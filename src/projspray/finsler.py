@@ -53,6 +53,8 @@ class Rectangle:
         return Rectangle(cx - hx, cx + hx, cy - hy, cy + hy)
 
     def grid(self, nx: int = 5, ny: int = 5, margin: float = 0.9):
+        if nx < 1 or ny < 1:
+            raise ValueError(f"a grid needs at least one point per axis, not {nx} x {ny}")
         r = self.shrunk(margin)
         xs = np.linspace(r.x0, r.x1, nx)
         ys = np.linspace(r.y0, r.y1, ny)
@@ -60,7 +62,9 @@ class Rectangle:
 
 
 def fiber_directions(n: int = 8):
-    """Unit fiber directions, offset by 0.1 so none is axis-aligned."""
+    """n >= 1 unit fiber directions, offset by 0.1 so none is axis-aligned."""
+    if n < 1:
+        raise ValueError(f"need at least one fiber direction, not {n}")
     return [
         (math.cos(0.1 + 2.0 * math.pi * i / n), math.sin(0.1 + 2.0 * math.pi * i / n))
         for i in range(n)
@@ -69,10 +73,9 @@ def fiber_directions(n: int = 8):
 
 @dataclass(frozen=True)
 class FinslerMetric:
-    """Positively 1-homogeneous fiber norm F(x, y, u, v) over a base rectangle."""
+    """Positively 1-homogeneous fiber norm F(x, y, u, v), on floats or jets, over a base rectangle."""
 
-    F: ScalarField  # arity 4
-    kind: str  # "riemannian" | "randers" | "general"
+    F: Callable
     domain: Rectangle
     name: str = ""
 
@@ -111,7 +114,7 @@ def fundamental_tensor(metric: FinslerMetric, at: Sequence[float]) -> tuple:
     x, y, u, v = at
     if u == 0.0 and v == 0.0:
         raise EvaluationError(f"fundamental tensor is undefined on the zero section at ({x}, {y})")
-    h11, h12, h22 = lift(lambda *a: metric.F(*a) ** 2, (x, y, u, v), active=(2, 3)).hess_packed
+    h11, h12, h22 = lift(lambda uf, vf: metric.F(x, y, uf, vf) ** 2, (u, v)).hess_packed
     g11, g12, g22 = 0.5 * float(h11), 0.5 * float(h12), 0.5 * float(h22)
     return (g11, g12), (g12, g22)
 
@@ -152,14 +155,13 @@ def min_eigenvalue_2x2(a: float, b: float, c: float) -> float:
 
 def is_strongly_convex(
     metric: FinslerMetric,
-    region: Rectangle | None = None,
+    region: Rectangle,
     nx: int = 5,
     ny: int = 5,
     ndirs: int = 16,
     margin: float = 0.9,
 ) -> ConvexityReport:
     """Sample the fundamental tensor over base points and unit fiber directions."""
-    region = region or metric.domain
     worst = math.inf
     witness = None
     directions = fiber_directions(ndirs)
@@ -221,11 +223,11 @@ def geodesic_spray(metric: FinslerMetric) -> Spray:
     jet-transparent, so derived sprays can be lifted again (projective-field
     residuals, induced-equation coefficients).
     """
-    Ffn = metric.F.fn
+    F = metric.F
 
     def pair(x, y, u, v):
         def base_jet(uf, vf):
-            j = lift(lambda xb, yb: Ffn(xb, yb, uf, vf) ** 2, (x, y), order=1)
+            j = lift(lambda xb, yb: F(xb, yb, uf, vf) ** 2, (x, y), order=1)
             return j.value, *j.grad
 
         h, h_x, h_y = (j.hess_packed for j in lift(base_jet, (u, v)))
@@ -261,13 +263,13 @@ def induced_ode_direct(metric: FinslerMetric) -> OdePair:
     flips the sign of the F_xv term on the backward branch.
     """
 
-    Ffn = metric.F.fn
+    F = metric.F
 
     def branch(sign):
         def f(x, y, z):
             u = sign * 1.0
             v = sign * z if isinstance(z, Jet2) else sign * float(z)
-            j = lift(Ffn, (x, y, u, v), active=(0, 1, 3))
+            j = lift(lambda xf, yf, vf: F(xf, yf, u, vf), (x, y, v))
             Fy = j.grad[1]
             _, _, Fxv, _, Fyv, Fvv = j.hess_packed
             if jet_value(Fvv) == 0.0:

@@ -32,6 +32,8 @@ the newer one (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 Registers are seeded through :func:`lift`, once per point and object: a
 field whose components are computed together (a vector field's ``at``, a
 metric's ``entries``, a cubic fit) returns a tuple and is lifted as one.
+A lift seeds every argument of the field; to hold a variable fixed, lift a
+closure over it.
 
 The elementary functions take a float or a jet; :func:`exp` and
 :func:`power` also take a float ndarray, evaluated entry by entry with the
@@ -61,7 +63,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import add, neg, sub
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -422,35 +424,24 @@ def seed_jets(values: Sequence, order: int = 2):
     return tuple([Jet2(v, g, zh, level) for v, g in zip(values, layout.units)])
 
 
-def lift(field, point: Sequence, active: Iterable[int] | None = None, order: int = 2):
-    """Evaluate ``field`` at ``point`` carrying derivatives w.r.t. ``active`` variables.
+def lift(field, point: Sequence, order: int = 2):
+    """Evaluate ``field`` at ``point`` carrying derivatives w.r.t. every variable.
 
-    Inactive variables are held constant.  ``point`` entries may themselves be
-    jets of an enclosing register; they pass through untouched.  A field that
-    returns a tuple gives a tuple of jets, all of one register.  A component
-    that turns out not to depend on the active variables is promoted to a
-    constant jet, so callers can always read ``grad``/``hess``.  ``order`` is
-    2, or 1 for gradients only; any other raises ``ValueError``, as do
-    ``active`` indices that repeat or fall outside ``point`` and a lift
-    with no variable to seed.
+    To hold a variable fixed, lift a closure over it:
+    ``lift(lambda u, v: F(x, y, u, v), (u, v))``.  ``point`` entries may be
+    jets of an enclosing register.  A field that returns a tuple gives a
+    tuple of jets, all of one register; a component that does not depend on
+    the seeded variables is promoted to a constant jet, so callers can always
+    read ``grad``/``hess``.  ``order`` is 2, or 1 for gradients only; any
+    other raises ``ValueError``, as does an empty ``point``.
     """
     fn = field.fn if isinstance(field, ScalarField) else field
-    args = list(point)
-    if active is None:
-        idx = range(len(args))
-    else:
-        idx = tuple(active)
-        if len(set(idx)) < len(idx) or not all(0 <= i < len(args) for i in idx):
-            raise ValueError(f"active indices {idx} are not distinct indices of a {len(args)}-variable point")
-    seeds = seed_jets([args[i] for i in idx], order)
-    for i, s in zip(idx, seeds):
-        args[i] = s
-    try:
-        # a seed's Hessian is the register's zero Hessian, or None at order 1
-        level, zg, zh = seeds[0].level, _layout(len(seeds)).zero_grad, seeds[0].hess_packed
-    except IndexError:
-        raise ValueError(f"active indices {tuple(idx)} of a {len(args)}-variable point seed nothing") from None
-    out = fn(*args)
+    if len(point) == 0:
+        raise ValueError("a lift of a 0-variable point seeds nothing")
+    seeds = seed_jets(point, order)
+    # a seed's Hessian is the register's zero Hessian, or None at order 1
+    level, zg, zh = seeds[0].level, _layout(len(seeds)).zero_grad, seeds[0].hess_packed
+    out = fn(*seeds)
     many = isinstance(out, tuple)
     comps = [
         c if isinstance(c, Jet2) and c.level == level else Jet2(c, zg, zh, level)

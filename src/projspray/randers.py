@@ -7,13 +7,13 @@ set F = sqrt(alpha) + beta.  The geodesics of F are then the positively
 oriented curves of constant geodesic curvature k for alpha.
 
 A matrix field is one callable ``entries(x, y)`` returning (e11, e12, e22),
-and a one-form one callable ``at(x, y)`` returning (b1, b2); each is read,
-and lifted, as one register per point.  Pointwise 2x2 algebra is done on
-floats: one J formula, one magnetic equation, Gamma(xi, xi) = 1/2 K from
-``finsler.levi_civita`` (whose 1/4 K are geodesic sprays), and the
-determinant guard ``finsler.checked_det``, which names a singular point;
-where alpha's area or dual norm is read, one more guard names a point
-where alpha is not positive definite.
+a one-form the callable (x, y) -> (b1, b2) and an area form its component
+(x, y) -> Omega_12; each is read, and lifted, as one register per point.
+Pointwise 2x2 algebra is done on floats: one J formula, one magnetic
+equation, Gamma(xi, xi) = 1/2 K from ``finsler.levi_civita`` (whose 1/4 K
+are geodesic sprays), and the determinant guard ``finsler.checked_det``,
+which names a singular point; where alpha's area or dual norm is read, one
+more guard names a point where alpha is not positive definite.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .finsler import FinslerMetric, Rectangle, checked_det, levi_civita
-from .jets import EvaluationError, ScalarField, jet_value, lift, reject_first, sqrt
+from .jets import EvaluationError, jet_value, lift, reject_first, sqrt
 
 __all__ = [
-    "AreaForm",
     "CurveSample",
     "LorentzOperator",
     "MetricField",
-    "OneFormField",
     "area_form",
     "beta_for",
     "christoffel",
@@ -79,32 +77,18 @@ class MetricField:
 
 
 @dataclass(frozen=True)
-class OneFormField:
-    """The one-form b1 dx + b2 dy; ``at(x, y)`` returns (b1, b2)."""
-
-    at: Callable
-
-
-@dataclass(frozen=True)
-class AreaForm:
-    """Antisymmetric matrix field Omega with Omega_12 = -k sqrt(det alpha)."""
-
-    omega12: ScalarField
-
-
-@dataclass(frozen=True)
 class LorentzOperator:
-    """J = alpha^{-1} Omega; squares to -k^2 Id."""
+    """J = alpha^{-1} Omega; squares to -k^2 Id.  ``omega(x, y)`` is Omega_12."""
 
     alpha: MetricField
-    omega: AreaForm
+    omega: Callable
 
     def __call__(self, x, y, vel) -> tuple[float, float]:
         """J (u, v) = (e22 w v + e12 w u, -e12 w v - e11 w u) / det alpha,
         with w = Omega_12."""
         e11, e12, e22 = (float(e) for e in self.alpha.entries(x, y))
         det = checked_det(e11, e12, e22, "metric field", (x, y))
-        w = float(self.omega.omega12(x, y))
+        w = float(self.omega(x, y))
         u, v = vel
         return (e22 * w * v + e12 * w * u) / det, (-e12 * w * v - e11 * w * u) / det
 
@@ -136,8 +120,8 @@ def constant_curvature_metric(model: str) -> MetricField:
     raise ValueError(f"unknown model {model!r}")
 
 
-def beta_for(model: str, k: float, sign: float = 1.0) -> OneFormField:
-    """Rotationally symmetric potential with d(beta) = area_form(alpha, k).
+def beta_for(model: str, k: float, sign: float = 1.0) -> Callable:
+    """Rotationally symmetric one-form (x, y) -> (b1, b2) with d(beta) = area_form(alpha, k).
 
     ``sign`` = -1 gives the opposite orientation; the consistent choice for
     the catalog sprays is +1.
@@ -146,7 +130,7 @@ def beta_for(model: str, k: float, sign: float = 1.0) -> OneFormField:
         raise ValueError("curvature scale k must be positive")
     s = float(sign)
     if model == "euclidean":
-        return OneFormField(lambda x, y: (s * 0.5 * k * y, -s * 0.5 * k * x))
+        return lambda x, y: (s * 0.5 * k * y, -s * 0.5 * k * x)
     if model in ("sphere", "hyperbolic"):
         eps = 1.0 if model == "sphere" else -1.0
 
@@ -154,7 +138,7 @@ def beta_for(model: str, k: float, sign: float = 1.0) -> OneFormField:
             denom = 1.0 + eps * (x * x + y * y)
             return s * 0.5 * k * y / denom, -s * 0.5 * k * x / denom
 
-        return OneFormField(at)
+        return at
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -168,31 +152,32 @@ def _positive_det(e11, e12, e22, at: Sequence):
     return det
 
 
-def area_form(alpha: MetricField, k: float) -> AreaForm:
+def area_form(alpha: MetricField, k: float) -> Callable:
+    """The area form's component (x, y) -> Omega_12 = -k sqrt(det alpha), on floats or jets."""
     if k <= 0:
         raise ValueError("curvature scale k must be positive")
 
     def w(x, y):
         return -k * sqrt(_positive_det(*alpha.entries(x, y), (x, y)))
 
-    return AreaForm(ScalarField(2, w))
+    return w
 
 
-def one_form_norm(alpha: MetricField, beta: OneFormField, x: float, y: float) -> float:
+def one_form_norm(alpha: MetricField, beta: Callable, x: float, y: float) -> float:
     """alpha-norm of the one-form: |b|^2 = (e22 b1^2 - 2 e12 b1 b2 + e11 b2^2) / det alpha.
 
     Raises ``EvaluationError`` naming the point where alpha is not positive
     definite, as ``checked_det`` does where it is singular.
     """
     e11, e12, e22 = (float(e) for e in alpha.entries(x, y))
-    b1, b2 = (float(c) for c in beta.at(x, y))
+    b1, b2 = (float(c) for c in beta(x, y))
     q = e22 * b1 * b1 - 2.0 * e12 * b1 * b2 + e11 * b2 * b2
     return math.sqrt(q / _positive_det(e11, e12, e22, (x, y)))
 
 
 def randers_metric(
     alpha: MetricField,
-    beta: OneFormField,
+    beta: Callable,
     domain: Rectangle,
     name: str = "",
 ) -> FinslerMetric:
@@ -206,10 +191,10 @@ def randers_metric(
 
     def F(x, y, u, v):
         a11, a12, a22 = alpha.entries(x, y)
-        b1, b2 = beta.at(x, y)
+        b1, b2 = beta(x, y)
         return sqrt(a11 * u * u + 2.0 * a12 * u * v + a22 * v * v) + b1 * u + b2 * v
 
-    return FinslerMetric(ScalarField(4, F), "randers", domain, name=name)
+    return FinslerMetric(F, domain, name=name)
 
 
 def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
@@ -219,7 +204,7 @@ def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
         a11, a12, a22 = alpha.entries(x, y)
         return sqrt(a11 * u * u + 2.0 * a12 * u * v + a22 * v * v)
 
-    return FinslerMetric(ScalarField(4, F), "riemannian", alpha.domain, name=name)
+    return FinslerMetric(F, alpha.domain, name=name)
 
 
 def _entries_lift(alpha: MetricField, x, y) -> tuple:
@@ -264,7 +249,7 @@ def covariant_acceleration(alpha: MetricField, sample: CurveSample) -> tuple[flo
     return a1 + 0.5 * k1, a2 + 0.5 * k2
 
 
-def magnetic_residual(alpha: MetricField, omega: AreaForm, sample: CurveSample) -> float:
+def magnetic_residual(alpha: MetricField, omega: Callable, sample: CurveSample) -> float:
     """alpha-norm of (acceleration - the magnetic flow's acceleration at
     (pos, vel)), that is, of covariant acceleration - J velocity."""
     x, y = sample.pos
@@ -287,7 +272,7 @@ def geodesic_curvature(alpha: MetricField, sample: CurveSample, speed_tol: float
     return alpha.norm(x, y, covariant_acceleration(alpha, sample))
 
 
-def magnetic_rhs(alpha: MetricField, omega: AreaForm):
+def magnetic_rhs(alpha: MetricField, omega: Callable):
     """Right-hand side of the magnetic flow (x, y, u, v) -> (u, v, a1, a2),
     with a = J (u, v) - Gamma((u, v), (u, v)), in float arithmetic."""
     J = LorentzOperator(alpha, omega)

@@ -184,9 +184,6 @@ class StructureConstants:
     constants: np.ndarray  # shape (3, 3, 3), antisymmetric in the first two slots
     residual: float
 
-    def table(self):
-        return {key: tuple(self.constants[key]) for key in _PAIRS}
-
 
 def structure_constants(
     case_or_basis,

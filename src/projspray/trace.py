@@ -60,14 +60,11 @@ class GeodesicTrace:
     t: np.ndarray
     xy: np.ndarray  # shape (n, 2)
     uv: np.ndarray  # shape (n, 2)
+    acc: np.ndarray  # shape (n, 2): the acceleration at each state, -2 G for a spray
     domain_exit: bool = False
-    acc: np.ndarray | None = None  # shape (n, 2): -2 G at each state; None if unknown
 
     def __len__(self):
         return len(self.t)
-
-    def state(self, i: int):
-        return (*self.xy[i], *self.uv[i])
 
 
 @dataclass(frozen=True)
@@ -276,13 +273,12 @@ def unit_speed_resample(trace: GeodesicTrace, alpha: MetricField) -> GeodesicTra
     The alpha-speeds sigma at all nodes come from one ``alpha.norm`` call on
     the trace's arrays.  The velocity becomes u / sigma, which has
     alpha-norm 1 up to rounding, and the acceleration (a - (sigma' / sigma) u)
-    / sigma^2; the acceleration is None when the trace carries none.  sigma'
-    at each node is the derivative of the polynomial through the 7 nearest
-    nodes: the central stencil (-1, 9, -45, 0, 45, -9, 1) / 60h inside,
-    one-sided seven-node rows at the 3 nodes of each end, and all nodes when
-    the trace has fewer than 7.  Arc length, the new parameter, starts at 0
-    and advances by the Hermite rule s+ = s + h/2 (sigma + sigma+) +
-    h^2/12 (sigma' - sigma'+).  Raises ``ValueError`` for a trace of one state
+    / sigma^2.  sigma' at each node is the derivative of the polynomial
+    through the 7 nearest nodes: the central stencil (-1, 9, -45, 0, 45, -9,
+    1) / 60h inside, one-sided seven-node rows at the 3 nodes of each end,
+    and all nodes when the trace has fewer than 7.  Arc length, the new
+    parameter, starts at 0 and advances by the Hermite rule s+ = s + h/2
+    (sigma + sigma+) + h^2/12 (sigma' - sigma'+).  Raises ``ValueError`` for a trace of one state
     or one whose times do not advance in equal steps (``integrate_spray``
     traces always do).
     """
@@ -304,9 +300,7 @@ def unit_speed_resample(trace: GeodesicTrace, alpha: MetricField) -> GeodesicTra
     rates = np.einsum("ij,ij->i", rows, sliding_window_view(speeds, m)[starts]) / h
     steps = 0.5 * h * (speeds[:-1] + speeds[1:]) + h * h / 12.0 * (rates[:-1] - rates[1:])
     uv = trace.uv / speeds[:, None]
-    acc = None
-    if trace.acc is not None:
-        acc = (trace.acc - (rates / speeds)[:, None] * trace.uv) / speeds[:, None] ** 2
+    acc = (trace.acc - (rates / speeds)[:, None] * trace.uv) / speeds[:, None] ** 2
     return GeodesicTrace(t=np.concatenate(([0.0], np.cumsum(steps))), xy=trace.xy, uv=uv, acc=acc)
 
 
@@ -314,12 +308,11 @@ def curve_samples(trace: GeodesicTrace, interior: int = 50) -> list[CurveSample]
     """Position/velocity/acceleration samples at up to ``interior`` nodes.
 
     The samples are the trace's stored states at nodes spread evenly between
-    its two ends, which are left out.  Raises ``ValueError`` when the trace
-    carries no acceleration (``integrate_spray`` stores it) or has no state
-    between its ends.
+    its two ends, which are left out.  Raises ``ValueError`` when ``interior``
+    is below 1 or the trace has no state between its ends.
     """
-    if trace.acc is None:
-        raise ValueError("trace carries no acceleration; trace it with integrate_spray")
+    if interior < 1:
+        raise ValueError(f"need at least one interior sample, not {interior}")
     if len(trace) < 3:
         raise ValueError(f"trace of {len(trace)} states has no interior state")
     last = len(trace) - 1

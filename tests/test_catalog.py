@@ -14,7 +14,9 @@ from projspray.catalog import (
     spray_entry,
     symmetry_pairs,
 )
+from projspray.classify import extract_cubic, flatness_residuals, is_projectively_flat
 from projspray.finsler import (
+    Rectangle,
     geodesic_spray,
     induced_ode_direct,
     induced_odes,
@@ -29,6 +31,7 @@ from projspray.symmetry import (
     projective_field_residual,
     structure_constants,
 )
+from projspray.trace import curve_samples, integrate_spray
 
 
 def fiber_circle(n=8):
@@ -218,6 +221,19 @@ def test_metric_pipelines_cross_validate(key, k):
             assert abs(direct.fminus(x, y, z) - via.fminus(x, y, z)) <= 1e-9
 
 
+@pytest.mark.parametrize("key", ["c+", "c-"])
+def test_direct_pipeline_lifts_through_an_outer_register(key):
+    # flatness_residuals lifts the cubic fit in (x, y), so f+ receives jets
+    # of that register and seeds its own (x, y, v) register inside it
+    m = metric_entry(key).metric
+    direct, via = induced_ode_direct(m).fplus, induced_odes(geodesic_spray(m)).fplus
+    for at in ((0.0, 0.0), (0.1, -0.2)):
+        got = flatness_residuals(extract_cubic(direct, at), at)
+        want = flatness_residuals(extract_cubic(via, at), at)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-13, (key, at, got, want)
+        assert abs(want[1]) > 1.0  # r2 is -+1.5 at the origin: not a comparison of zeros
+
+
 @pytest.mark.parametrize("key,k", [("a", 1.0), ("bk-", 2.0), ("c+", 1.0), ("c-", 1.0)])
 def test_projective_fields_of_metrics(key, k):
     entry = metric_entry(key, k=k)
@@ -268,15 +284,39 @@ def test_catalog_key_listings():
         (lambda: lie_case("C3"), KeyError, "unknown symmetry algebra 'C3'"),
         (lambda: constant_curvature_metric("torus"), ValueError, "unknown model 'torus'"),
         (lambda: beta_for("torus", 1.0), ValueError, "unknown model 'torus'"),
+        (lambda: ode_entry("J3", C=4.0), ValueError, "family J3 takes no parameter C"),
+        (lambda: ode_entry("flat", C=2.0), ValueError, "family flat takes no parameter C"),
+        (lambda: ode_entry("J1", lam=5.0), ValueError, "family J1 takes no parameter lam"),
+        (lambda: lie_case("J1", lam=5.0), ValueError, "family J1 takes no parameter lam"),
+        (lambda: lie_case("D1", gamma=(0.0, 1.0)), ValueError, "family D1 takes no parameter gamma"),
+        (lambda: spray_entry("a", k=7.0), ValueError, "family a takes no parameter k"),
+        (lambda: metric_entry("c+", k=3.0), ValueError, r"family c\+ takes no parameter k"),
     ],
     ids=[
         "perturbed-flat", "perturbed-J3", "D2-lam-1", "bk+-k-0", "area-form-k-0", "ode-key",
         "spray-key", "metric-key", "lie-case-key", "curvature-model", "beta-model",
+        "J3-C", "flat-C", "ode-J1-lam", "lie-J1-lam", "lie-D1-gamma", "spray-a-k", "metric-c+-k",
     ],
 )
 def test_catalog_refuses_undefined_entries(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: is_strongly_convex(metric_entry("a").metric, metric_entry("a").domain, nx=0),
+        lambda: is_strongly_convex(metric_entry("a").metric, metric_entry("a").domain, ndirs=0),
+        lambda: is_projectively_flat(ode_entry("J3").f, Rectangle(-0.3, 0.3, -0.3, 0.3), nx=0),
+        lambda: ode_entry("J3").grid(0),
+        lambda: curve_samples(integrate_spray(spray_entry("a").spray, (0.0, 0.0, 1.0, 0.0), 0.1, 1e-2), 0),
+    ],
+    ids=["convexity-grid", "convexity-directions", "flatness-grid", "ode-grid", "curve-samples"],
+)
+def test_empty_sweeps_are_refused(sweep):
+    with pytest.raises(ValueError, match="at least one"):
+        sweep()
 
 
 def test_flat_equation_is_zero_on_its_grid():

@@ -19,29 +19,27 @@ from projspray.finsler import (
     projective_residual,
 )
 from projspray.catalog import METRIC_KEYS, metric_entry
-from projspray.jets import EvaluationError, ScalarField, exp, sqrt
+from projspray.jets import EvaluationError, exp, sqrt
 
 BOX = Rectangle(-0.5, 0.5, -0.5, 0.5)
 
 
 def euclidean_metric():
-    return FinslerMetric(
-        ScalarField(4, lambda x, y, u, v: sqrt(u * u + v * v)), "riemannian", BOX, "euclidean"
-    )
+    return FinslerMetric(lambda x, y, u, v: sqrt(u * u + v * v), BOX, "euclidean")
 
 
 def randers_a_metric():
     def F(x, y, u, v):
         return sqrt(u * u + v * v) + 0.5 * (y * u - x * v)
 
-    return FinslerMetric(ScalarField(4, F), "randers", BOX, "a")
+    return FinslerMetric(F, BOX, "a")
 
 
 def metric_c_minus():
     def F(x, y, u, v):
         return sqrt(exp(3.0 * x) * u * u + exp(x) * v * v)
 
-    return FinslerMetric(ScalarField(4, F), "riemannian", BOX, "c-")
+    return FinslerMetric(F, BOX, "c-")
 
 
 def spray_a():
@@ -174,14 +172,14 @@ def test_direct_matches_catalog_c_minus():
 
 
 def test_degenerate_fiber_direction_raises():
-    m = FinslerMetric(ScalarField(4, lambda x, y, u, v: u), "general", BOX, "deg")
+    m = FinslerMetric(lambda x, y, u, v: u, BOX, "deg")
     p = induced_ode_direct(m)
     with pytest.raises(EvaluationError):
         p.fplus(0.0, 0.0, 0.5)
 
 
 def test_singular_fundamental_tensor_names_point():
-    m = FinslerMetric(ScalarField(4, lambda x, y, u, v: u), "general", BOX, "deg")
+    m = FinslerMetric(lambda x, y, u, v: u, BOX, "deg")
     s = geodesic_spray(m)
     with pytest.raises(EvaluationError, match="singular"):
         s.coefficients(0.0, 0.0, 1.0, 0.5)
@@ -239,7 +237,7 @@ def test_checked_det_on_arrays_matches_floats_and_names_the_first_singular_point
 
 
 def test_geodesic_spray_of_fiber_constant_metric_raises():
-    m = FinslerMetric(ScalarField(4, lambda x, y, u, v: 1.0 + x * x), "general", BOX, "const")
+    m = FinslerMetric(lambda x, y, u, v: 1.0 + x * x, BOX, "const")
     s = geodesic_spray(m)
     with pytest.raises(EvaluationError, match="singular"):
         s.coefficients(0.1, 0.2, 1.0, 0.5)
@@ -290,13 +288,13 @@ def test_geodesic_spray_matches_catalog_a():
 
 
 def test_euclidean_strong_convexity():
-    rep = is_strongly_convex(euclidean_metric())
+    rep = is_strongly_convex(euclidean_metric(), BOX)
     assert rep.ok
     assert rep.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
 
 
 def test_randers_a_strongly_convex_near_origin():
-    rep = is_strongly_convex(randers_a_metric(), ndirs=16)
+    rep = is_strongly_convex(randers_a_metric(), BOX, ndirs=16)
     assert rep.ok
 
 
@@ -304,8 +302,8 @@ def test_randers_with_large_one_form_fails_convexity():
     def F(x, y, u, v):
         return sqrt(u * u + v * v) + 2.0 * (y * u - x * v)
 
-    m = FinslerMetric(ScalarField(4, F), "general", Rectangle(0.6, 1.4, -0.4, 0.4), "bad")
-    rep = is_strongly_convex(m)
+    m = FinslerMetric(F, Rectangle(0.6, 1.4, -0.4, 0.4), "bad")
+    rep = is_strongly_convex(m, m.domain)
     assert not rep.ok
     assert rep.min_eigenvalue < 0.0
 

@@ -179,26 +179,19 @@ def test_domain_violations_raise_not_nan():
 
 
 def test_inactive_variables_held_constant():
-    j = lift(ScalarField(3, lambda x, y, z: x * y + z * z), (2.0, 3.0, 4.0), active=(0,))
+    f = ScalarField(3, lambda x, y, z: x * y + z * z)
+    j = lift(lambda x: f(x, 3.0, 4.0), (2.0,))
     assert j.value == pytest.approx(22.0)
     assert len(j.grad) == 1
     assert j.grad[0] == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize(
-    "point,active,message",
-    [
-        ((0.5, 0.7), (0, 0), r"active indices \(0, 0\) are not distinct"),
-        ((0.5, 0.7), (0, 2), r"active indices \(0, 2\) are not distinct indices of a 2-variable point"),
-        ((0.5, 0.7), (-1,), r"active indices \(-1,\) are not distinct indices"),
-        ((0.5, 0.7), (), r"active indices \(\) of a 2-variable point seed nothing"),
-        ((), None, r"active indices \(\) of a 0-variable point seed nothing"),
-    ],
-    ids=["repeated", "past-the-end", "negative", "empty-active", "empty-point"],
+    "point,message", [((), "a lift of a 0-variable point seeds nothing")], ids=["empty-point"]
 )
-def test_lift_rejects_repeated_out_of_range_or_no_active_indices(point, active, message):
+def test_lift_rejects_repeated_out_of_range_or_no_active_indices(point, message):
     with pytest.raises(ValueError, match=message):
-        lift(lambda *xs: sum(xs, 1.0), point, active=active)
+        lift(lambda *xs: sum(xs, 1.0), point)
 
 
 def test_scalar_field_checks_its_arity():

@@ -124,7 +124,7 @@ def test_structure_constants_d2():
         VF(lambda x, y: 0.0, lambda x, y: 1.0),
     ]
     sc = structure_constants(basis)
-    t = sc.table()
+    t = sc.constants
     assert np.allclose(t[(0, 1)], [0, 1, 0], atol=1e-9)
     assert np.allclose(t[(0, 2)], [0, 0, lam], atol=1e-9)
     assert np.allclose(t[(1, 2)], [0, 0, 0], atol=1e-9)
@@ -139,7 +139,7 @@ def test_structure_constants_c2_sphere():
         VF(lambda x, y: 0.5 * (x * x - y * y + 1.0), lambda x, y: x * y),
     ]
     sc = structure_constants(basis)
-    t = sc.table()
+    t = sc.constants
     assert np.allclose(t[(0, 1)], [0, 0, -1], atol=1e-9)
     assert np.allclose(t[(0, 2)], [0, 1, 0], atol=1e-9)
     assert np.allclose(t[(1, 2)], [-1, 0, 0], atol=1e-9)

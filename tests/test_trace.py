@@ -31,7 +31,7 @@ from projspray.trace import (
 def test_flat_spray_straight_line():
     tr = integrate_spray(spray_entry("flat").spray, (0.0, 0.0, 1.0, 0.0), 1.0, 1e-2)
     assert not tr.domain_exit
-    assert np.allclose(tr.state(-1), (1.0, 0.0, 1.0, 0.0), atol=1e-12)
+    assert np.allclose((*tr.xy[-1], *tr.uv[-1]), (1.0, 0.0, 1.0, 0.0), atol=1e-12)
 
 
 def test_spray_a_unit_circle():
@@ -281,14 +281,12 @@ def test_circle_fit_degenerate_cases():
 def test_unit_speed_resample_fixed_point():
     t = np.linspace(0.0, 1.0, 101)
     tr = GeodesicTrace(t=t, xy=np.column_stack([t, np.zeros_like(t)]),
-                       uv=np.column_stack([np.ones_like(t), np.zeros_like(t)]))
+                       uv=np.column_stack([np.ones_like(t), np.zeros_like(t)]), acc=np.zeros((len(t), 2)))
     alpha = constant_curvature_metric("euclidean")
     out = unit_speed_resample(tr, alpha)
     assert np.abs(out.xy - tr.xy).max() <= 1e-12
     speeds = [alpha.norm(x, y, (u, v)) for (x, y), (u, v) in zip(out.xy, out.uv)]
     assert max(abs(s - 1.0) for s in speeds) <= 1e-9
-    with pytest.raises(ValueError, match="no acceleration"):
-        curve_samples(out)
 
 
 def test_curve_samples_needs_an_interior_state():
