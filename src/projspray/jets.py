@@ -46,12 +46,14 @@ and jets a guard stays one plain comparison.
 A jet stores the Hessian of its n seeded variables as the packed upper
 triangle: one flat tuple of n(n+1)/2 entries h_ij, i <= j, in row order,
 so (h00, h01, h11) for n = 2 and (h00, h01, h02, h11, h12, h22) for n = 3.
-No operation touches a mirrored lower half.  The order-2 product, the
-product by a scalar and the chain rule are written out entry by entry, in
-that row order, for each register size on first use; each entry is the
-plain loop's expression in the loop's operation order, so the written-out
-kernels and a loop agree bit for bit (Griewank & Walther, *Evaluating
-Derivatives*, ch. 13).
+No operation touches a mirrored lower half.  The product, the product
+by a scalar and the chain rule are written out entry by entry, in that row
+order, for each register size on first use, at order 2 and, on gradients
+alone, at order 1; each entry is the plain loop's expression in the loop's
+operation order, so the written-out kernels and a loop agree bit for bit
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Sum, difference
+and negation stay ``tuple(map(operator, ...))``, which runs no
+Python-level loop.
 ``Jet2.hess`` is a read-only view that unfolds the full symmetric matrix;
 the residuals read ``hess_packed`` directly.
 """
@@ -133,18 +135,25 @@ def _layout(n):
 
 
 class _Kernels(NamedTuple):
-    """Order-2 arithmetic of an n-variable register, written out entry by entry."""
+    """Arithmetic of an n-variable register, written out entry by entry:
+    order 2 on gradient and packed Hessian, order 1 (suffix 1) on gradients."""
 
     mul: Callable  # (v1, g1, h1, v2, g2, h2) -> (grad, packed Hessian) of the product
     scale: Callable  # (g1, h1, s) -> (grad, packed Hessian) times the scalar s
     chain: Callable  # (g1, h1, d1, d2) -> (grad, packed Hessian) of f(jet), f' = d1, f'' = d2
+    mul1: Callable  # (v1, g1, v2, g2) -> grad of the product
+    scale1: Callable  # (g1, s) -> grad times the scalar s
+    chain1: Callable  # (g1, d1) -> grad of f(jet), f' = d1
 
 
-def _kernel(name, params, unpack, grad, hess):
+def _kernel(name, params, unpack, grad, hess=None):
     """Source of one kernel: unpack each operand tuple into locals, return
-    the written-out gradient and packed Hessian."""
+    the written-out gradient and, unless ``hess`` is None, packed Hessian."""
     body = "".join(f"    {', '.join(names)}, = {operand}\n" for names, operand in unpack)
-    return f"def {name}({params}):\n{body}    return ({', '.join(grad)},), ({', '.join(hess)},)\n"
+    out = f"({', '.join(grad)},)"
+    if hess is not None:
+        out += f", ({', '.join(hess)},)"
+    return f"def {name}({params}):\n{body}    return {out}\n"
 
 
 @functools.cache
@@ -155,25 +164,31 @@ def _kernels(n):
     p, q = [f"p{i}" for i in range(n)], [f"q{i}" for i in range(n)]  # gradient entries
     a, b = [f"a{k}" for k in range(len(pairs))], [f"b{k}" for k in range(len(pairs))]  # Hessian entries
     first = ((p, "g1"), (a, "h1"))
+    mul_grad = [f"{p[i]} * v2 + v1 * {q[i]}" for i in range(n)]
+    scale_grad = [f"{e} * s" for e in p]
+    chain_grad = [f"d1 * {e}" for e in p]
     source = (
         _kernel(
             "mul",
             "v1, g1, h1, v2, g2, h2",
             first + ((q, "g2"), (b, "h2")),
-            [f"{p[i]} * v2 + v1 * {q[i]}" for i in range(n)],
+            mul_grad,
             [
                 f"{a[k]} * v2 + {p[i]} * {q[j]} + {q[i]} * {p[j]} + v1 * {b[k]}"
                 for k, (i, j) in enumerate(pairs)
             ],
         )
-        + _kernel("scale", "g1, h1, s", first, [f"{e} * s" for e in p], [f"{e} * s" for e in a])
+        + _kernel("scale", "g1, h1, s", first, scale_grad, [f"{e} * s" for e in a])
         + _kernel(
             "chain",
             "g1, h1, d1, d2",
             first,
-            [f"d1 * {e}" for e in p],
+            chain_grad,
             [f"d1 * {a[k]} + d2 * ({p[i]} * {p[j]})" for k, (i, j) in enumerate(pairs)],
         )
+        + _kernel("mul1", "v1, g1, v2, g2", ((p, "g1"), (q, "g2")), mul_grad)
+        + _kernel("scale1", "g1, s", ((p, "g1"),), scale_grad)
+        + _kernel("chain1", "g1, d1", ((p, "g1"),), chain_grad)
     )
     namespace = {}
     exec(source, namespace)
@@ -275,8 +290,7 @@ class Jet2:
                 if h1 is not None and h2 is not None:
                     g, h = _kernels(len(g1)).mul(v1, g1, h1, v2, g2, h2)
                     return Jet2(v1 * v2, g, h, self.level)
-                g = tuple([a * v2 + v1 * b for a, b in zip(g1, g2)])
-                return Jet2(v1 * v2, g, None, self.level)
+                return Jet2(v1 * v2, _kernels(len(g1)).mul1(v1, g1, v2, g2), None, self.level)
         return self._mul_scalar(other)
 
     def _mul_scalar(self, s):
@@ -284,7 +298,7 @@ class Jet2:
         if h is not None:
             g, h = _kernels(len(g)).scale(g, h, s)
             return Jet2(self.value * s, g, h, self.level)
-        return Jet2(self.value * s, tuple([a * s for a in g]), None, self.level)
+        return Jet2(self.value * s, _kernels(len(g)).scale1(g, s), None, self.level)
 
     __rmul__ = _mul_scalar
 
@@ -319,7 +333,7 @@ class Jet2:
         if h is not None:
             g, h = _kernels(len(g)).chain(g, h, d1, d2)
             return Jet2(f0, g, h, self.level)
-        return Jet2(f0, tuple([d1 * a for a in g]), None, self.level)
+        return Jet2(f0, _kernels(len(g)).chain1(g, d1), None, self.level)
 
 
 def _recip_any(x):
@@ -433,15 +447,16 @@ def lift(field, point: Sequence, order: int = 2):
     tuple of jets, all of one register; a component that does not depend on
     the seeded variables is promoted to a constant jet, so callers can always
     read ``grad``/``hess``.  ``order`` is 2, or 1 for gradients only; any
-    other raises ``ValueError``, as does an empty ``point``.
+    other raises ``ValueError``, as does an empty ``point``.  A
+    :class:`ScalarField` is called as such, so a point of the wrong length
+    raises its arity ``TypeError``.
     """
-    fn = field.fn if isinstance(field, ScalarField) else field
     if len(point) == 0:
         raise ValueError("a lift of a 0-variable point seeds nothing")
     seeds = seed_jets(point, order)
     # a seed's Hessian is the register's zero Hessian, or None at order 1
     level, zg, zh = seeds[0].level, _layout(len(seeds)).zero_grad, seeds[0].hess_packed
-    out = fn(*seeds)
+    out = field(*seeds)
     many = isinstance(out, tuple)
     comps = [
         c if isinstance(c, Jet2) and c.level == level else Jet2(c, zg, zh, level)

@@ -186,18 +186,22 @@ def test_inactive_variables_held_constant():
     assert j.grad[0] == pytest.approx(3.0)
 
 
-@pytest.mark.parametrize(
-    "point,message", [((), "a lift of a 0-variable point seeds nothing")], ids=["empty-point"]
-)
-def test_lift_rejects_repeated_out_of_range_or_no_active_indices(point, message):
-    with pytest.raises(ValueError, match=message):
-        lift(lambda *xs: sum(xs, 1.0), point)
+def test_lift_of_an_empty_point_raises():
+    with pytest.raises(ValueError, match="a lift of a 0-variable point seeds nothing"):
+        lift(lambda *xs: sum(xs, 1.0), ())
 
 
 def test_scalar_field_checks_its_arity():
     f = ScalarField(3, lambda x, y, z: x, name="f")
     with pytest.raises(TypeError, match="field 'f' takes 3 arguments, got 2"):
         f(1.0, 2.0)
+
+
+@pytest.mark.parametrize("point", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)], ids=["short", "long"])
+def test_lift_keeps_a_scalar_fields_arity_check(point):
+    f = ScalarField(3, lambda x, y, z: x * y + z, name="f")
+    with pytest.raises(TypeError, match=f"field 'f' takes 3 arguments, got {len(point)}"):
+        lift(f, point)
 
 
 def test_constant_field_promoted():
@@ -361,7 +365,7 @@ def test_seeding_any_order_but_1_or_2_raises(order):
         lift(lambda x: x**3, (0.5,), order=order)
 
 
-# --- the written-out order-2 kernels against the loops they replace ---------
+# --- the written-out kernels against the loops they replace -----------------
 
 
 def _pairs(n):
@@ -370,20 +374,26 @@ def _pairs(n):
 
 def _loop_product(x, y):
     v1, v2, g1, g2, h1, h2 = x.value, y.value, x.grad, y.grad, x.hess_packed, y.hess_packed
+    g = tuple([a * v2 + v1 * b for a, b in zip(g1, g2)])
+    if h1 is None:
+        return Jet2(v1 * v2, g, None, x.level)
     h = tuple(
         [a * v2 + g1[i] * g2[j] + g2[i] * g1[j] + v1 * b for (i, j), a, b in zip(_pairs(len(g1)), h1, h2)]
     )
-    return Jet2(v1 * v2, tuple([a * v2 + v1 * b for a, b in zip(g1, g2)]), h, x.level)
+    return Jet2(v1 * v2, g, h, x.level)
 
 
 def _loop_scalar_product(x, s):
-    h = tuple([a * s for a in x.hess_packed])
+    h = x.hess_packed
+    if h is not None:
+        h = tuple([a * s for a in h])
     return Jet2(x.value * s, tuple([a * s for a in x.grad]), h, x.level)
 
 
 def _loop_chain(x, f0, d1, d2):
-    g = x.grad
-    h = tuple([d1 * a + d2 * (g[i] * g[j]) for (i, j), a in zip(_pairs(len(g)), x.hess_packed)])
+    g, h = x.grad, x.hess_packed
+    if h is not None:
+        h = tuple([d1 * a + d2 * (g[i] * g[j]) for (i, j), a in zip(_pairs(len(g)), h)])
     return Jet2(f0, tuple([d1 * a for a in g]), h, x.level)
 
 
@@ -391,22 +401,26 @@ def _floats(x):
     """Every innermost float of a possibly nested jet, with its levels."""
     if not isinstance(x, Jet2):
         return [x]
-    parts = (x.value, *x.grad, *x.hess_packed)
+    parts = (x.value, *x.grad, *(() if x.hess_packed is None else x.hess_packed))
     return [("level", x.level)] + [f for c in parts for f in _floats(c)]
 
 
-def _random_jet(n, level, component):
+def _random_jet(n, level, component, order=2):
     grad = tuple(component() for _ in range(n))
-    return Jet2(component(), grad, tuple(component() for _ in range(n * (n + 1) // 2)), level)
+    value = component()
+    hess = tuple(component() for _ in range(n * (n + 1) // 2)) if order == 2 else None
+    return Jet2(value, grad, hess, level)
 
 
-@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
-    # The loops are the per-entry comprehensions the kernels replaced.  With
-    # float components they are an independent reference; with components
-    # of an older register, that register's arithmetic runs the same way on
-    # both sides and the outer entries are checked.
+def _kernel_cases(n, nested, order):
+    """(kernel result, loop result) for each operation the kernels carry, on
+    random n-variable jets of ``order``.
+
+    The loops are the per-entry comprehensions the kernels replaced.  With
+    float components they are an independent reference; with components of
+    an older order-2 register, that register's arithmetic runs the same way
+    on both sides and the outer entries are checked.
+    """
     rng = np.random.default_rng(1000 * n + nested)
     (older_seed,) = seed_jets((0.0,))
     (newer_seed,) = seed_jets((0.0,))
@@ -419,7 +433,7 @@ def test_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
 
     component = older if nested else real
     level = newer_seed.level
-    x, y = (_random_jet(n, level, component) for _ in range(2))
+    x, y = (_random_jet(n, level, component, order) for _ in range(2))
     s, o = real(), older()
     v = x.value
     cases = [
@@ -436,5 +450,20 @@ def test_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
     reciprocal = _loop_chain(x, r, -(r * r), 2.0 * r * r * r)
     cases.append((1.0 / x, _loop_scalar_product(reciprocal, 1.0)))
     cases.append((y / x, _loop_product(y, reciprocal)))
-    for got, want in cases:
+    return cases
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
+    for got, want in _kernel_cases(n, nested, order=2):
+        assert got.hess_packed is not None
+        assert _floats(got) == _floats(want)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_order1_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
+    for got, want in _kernel_cases(n, nested, order=1):
+        assert got.hess_packed is None
         assert _floats(got) == _floats(want)
