@@ -110,11 +110,20 @@ class OdePair:
 
 def fundamental_tensor(metric: FinslerMetric, at: Sequence[float]) -> tuple:
     """Half the fiber Hessian of F^2 as the rows ((g11, g12), (g12, g22)) of
-    a 2x2 symmetric matrix."""
+    a 2x2 symmetric matrix.
+
+    F is lifted once over (u, v); each entry of Hess(F^2) is formed from F's
+    value, gradient and packed Hessian with the product kernel's expression
+    for F * F, in its operation order, so it equals the lift of F^2 bit for bit.
+    """
     x, y, u, v = at
     if u == 0.0 and v == 0.0:
         raise EvaluationError(f"fundamental tensor is undefined on the zero section at ({x}, {y})")
-    h11, h12, h22 = lift(lambda uf, vf: metric.F(x, y, uf, vf) ** 2, (u, v)).hess_packed
+    jet = lift(lambda uf, vf: metric.F(x, y, uf, vf), (u, v))
+    f, (p0, p1), (a0, a1, a2) = jet.value, jet.grad, jet.hess_packed
+    h11 = a0 * f + p0 * p0 + p0 * p0 + f * a0
+    h12 = a1 * f + p0 * p1 + p0 * p1 + f * a1
+    h22 = a2 * f + p1 * p1 + p1 * p1 + f * a2
     g11, g12, g22 = 0.5 * float(h11), 0.5 * float(h12), 0.5 * float(h22)
     return (g11, g12), (g12, g22)
 

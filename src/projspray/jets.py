@@ -46,14 +46,14 @@ and jets a guard stays one plain comparison.
 A jet stores the Hessian of its n seeded variables as the packed upper
 triangle: one flat tuple of n(n+1)/2 entries h_ij, i <= j, in row order,
 so (h00, h01, h11) for n = 2 and (h00, h01, h02, h11, h12, h22) for n = 3.
-No operation touches a mirrored lower half.  The product, the product
-by a scalar and the chain rule are written out entry by entry, in that row
-order, for each register size on first use, at order 2 and, on gradients
-alone, at order 1; each entry is the plain loop's expression in the loop's
-operation order, so the written-out kernels and a loop agree bit for bit
-(Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Sum, difference
-and negation stay ``tuple(map(operator, ...))``, which runs no
-Python-level loop.
+No operation touches a mirrored lower half.  Every operation between jets
+of one register (sum, difference, negation, product, product by a scalar
+and the chain rule) is one generated kernel that builds its result jet.
+The kernels are written out entry by entry, in that row order, for each
+register size on first use, at order 2 and, on gradients alone, at order 1;
+each entry is the plain loop's expression in the loop's operation order,
+so the written-out kernels and a loop agree bit for bit (Griewank &
+Walther, *Evaluating Derivatives*, ch. 13).
 ``Jet2.hess`` is a read-only view that unfolds the full symmetric matrix;
 the residuals read ``hess_packed`` directly.
 """
@@ -64,7 +64,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -136,62 +135,81 @@ def _layout(n):
 
 class _Kernels(NamedTuple):
     """Arithmetic of an n-variable register, written out entry by entry:
-    order 2 on gradient and packed Hessian, order 1 (suffix 1) on gradients."""
+    order 2 on gradient and packed Hessian, order 1 (suffix 1) on gradients.
+    Each kernel takes the result's value (``mul`` forms it from its
+    operands) and register level and returns the finished ``Jet2``."""
 
-    mul: Callable  # (v1, g1, h1, v2, g2, h2) -> (grad, packed Hessian) of the product
-    scale: Callable  # (g1, h1, s) -> (grad, packed Hessian) times the scalar s
-    chain: Callable  # (g1, h1, d1, d2) -> (grad, packed Hessian) of f(jet), f' = d1, f'' = d2
-    mul1: Callable  # (v1, g1, v2, g2) -> grad of the product
-    scale1: Callable  # (g1, s) -> grad times the scalar s
-    chain1: Callable  # (g1, d1) -> grad of f(jet), f' = d1
+    add: Callable  # (v, g1, h1, g2, h2, level) -> sum
+    sub: Callable  # (v, g1, h1, g2, h2, level) -> difference
+    neg: Callable  # (v, g1, h1, level) -> negation
+    mul: Callable  # (v1, g1, h1, v2, g2, h2, level) -> product
+    scale: Callable  # (v, g1, h1, s, level) -> product by the scalar s
+    chain: Callable  # (v, g1, h1, d1, d2, level) -> f(jet) = v, f' = d1, f'' = d2
+    add1: Callable  # (v, g1, g2, level)
+    sub1: Callable  # (v, g1, g2, level)
+    neg1: Callable  # (v, g1, level)
+    mul1: Callable  # (v1, g1, v2, g2, level)
+    scale1: Callable  # (v, g1, s, level)
+    chain1: Callable  # (v, g1, d1, level)
 
 
-def _kernel(name, params, unpack, grad, hess=None):
-    """Source of one kernel: unpack each operand tuple into locals, return
-    the written-out gradient and, unless ``hess`` is None, packed Hessian."""
+def _kernel(name, params, unpack, value, grad, hess=None):
+    """Source of one kernel: unpack each operand tuple into locals and return
+    ``Jet2(value, grad, hess, level)`` with the written-out gradient and, unless
+    ``hess`` is None, packed Hessian."""
     body = "".join(f"    {', '.join(names)}, = {operand}\n" for names, operand in unpack)
-    out = f"({', '.join(grad)},)"
-    if hess is not None:
-        out += f", ({', '.join(hess)},)"
-    return f"def {name}({params}):\n{body}    return {out}\n"
+    h = "None" if hess is None else f"({', '.join(hess)},)"
+    return f"def {name}({params}, level):\n{body}    return Jet2({value}, ({', '.join(grad)},), {h}, level)\n"
 
 
 @functools.cache
 def _kernels(n):
     """Generate the n-variable kernels from ``_layout(n).pairs``.  Each entry
-    is the loop's expression over unpacked locals, in the loop's order."""
+    is the loop's expression over unpacked locals, in the loop's order.  Each
+    register size compiles under its own file name, so profilers keep the
+    kernels of every size apart."""
     pairs = _layout(n).pairs
     p, q = [f"p{i}" for i in range(n)], [f"q{i}" for i in range(n)]  # gradient entries
     a, b = [f"a{k}" for k in range(len(pairs))], [f"b{k}" for k in range(len(pairs))]  # Hessian entries
-    first = ((p, "g1"), (a, "h1"))
+    g1, h1, g2, h2 = (p, "g1"), (a, "h1"), (q, "g2"), (b, "h2")  # locals unpacked from each operand
+    add, sub = ([f"{x} {op} {y}" for x, y in zip(p + a, q + b)] for op in "+-")  # gradient, then Hessian
+    neg = [f"-{e}" for e in p + a]
     mul_grad = [f"{p[i]} * v2 + v1 * {q[i]}" for i in range(n)]
     scale_grad = [f"{e} * s" for e in p]
     chain_grad = [f"d1 * {e}" for e in p]
     source = (
-        _kernel(
+        _kernel("add", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", add[:n], add[n:])
+        + _kernel("sub", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", sub[:n], sub[n:])
+        + _kernel("neg", "v, g1, h1", (g1, h1), "v", neg[:n], neg[n:])
+        + _kernel(
             "mul",
             "v1, g1, h1, v2, g2, h2",
-            first + ((q, "g2"), (b, "h2")),
+            (g1, h1, g2, h2),
+            "v1 * v2",
             mul_grad,
             [
                 f"{a[k]} * v2 + {p[i]} * {q[j]} + {q[i]} * {p[j]} + v1 * {b[k]}"
                 for k, (i, j) in enumerate(pairs)
             ],
         )
-        + _kernel("scale", "g1, h1, s", first, scale_grad, [f"{e} * s" for e in a])
+        + _kernel("scale", "v, g1, h1, s", (g1, h1), "v", scale_grad, [f"{e} * s" for e in a])
         + _kernel(
             "chain",
-            "g1, h1, d1, d2",
-            first,
+            "v, g1, h1, d1, d2",
+            (g1, h1),
+            "v",
             chain_grad,
             [f"d1 * {a[k]} + d2 * ({p[i]} * {p[j]})" for k, (i, j) in enumerate(pairs)],
         )
-        + _kernel("mul1", "v1, g1, v2, g2", ((p, "g1"), (q, "g2")), mul_grad)
-        + _kernel("scale1", "g1, s", ((p, "g1"),), scale_grad)
-        + _kernel("chain1", "g1, d1", ((p, "g1"),), chain_grad)
+        + _kernel("add1", "v, g1, g2", (g1, g2), "v", add[:n])
+        + _kernel("sub1", "v, g1, g2", (g1, g2), "v", sub[:n])
+        + _kernel("neg1", "v, g1", (g1,), "v", neg[:n])
+        + _kernel("mul1", "v1, g1, v2, g2", (g1, g2), "v1 * v2", mul_grad)
+        + _kernel("scale1", "v, g1, s", (g1,), "v", scale_grad)
+        + _kernel("chain1", "v, g1, d1", (g1,), "v", chain_grad)
     )
-    namespace = {}
-    exec(source, namespace)
+    namespace = {"Jet2": Jet2}
+    exec(compile(source, f"<jets kernels n={n}>", "exec"), namespace)
     return _Kernels(*(namespace[name] for name in _Kernels._fields))
 
 
@@ -249,10 +267,11 @@ class Jet2:
             if other.level > self.level:
                 return other._add_scalar(self)
             if other.level == self.level:
-                h1, h2 = self.hess_packed, other.hess_packed
-                h = None if h1 is None or h2 is None else tuple(map(add, h1, h2))
-                g = tuple(map(add, self.grad, other.grad))
-                return Jet2(self.value + other.value, g, h, self.level)
+                g1, h1, h2 = self.grad, self.hess_packed, other.hess_packed
+                v = self.value + other.value
+                if h1 is not None and h2 is not None:
+                    return _kernels(len(g1)).add(v, g1, h1, other.grad, h2, self.level)
+                return _kernels(len(g1)).add1(v, g1, other.grad, self.level)
         return self._add_scalar(other)
 
     def _add_scalar(self, s):
@@ -261,20 +280,21 @@ class Jet2:
     __radd__ = _add_scalar
 
     def __neg__(self):
-        h = self.hess_packed
+        g, h = self.grad, self.hess_packed
         if h is not None:
-            h = tuple(map(neg, h))
-        return Jet2(-self.value, tuple(map(neg, self.grad)), h, self.level)
+            return _kernels(len(g)).neg(-self.value, g, h, self.level)
+        return _kernels(len(g)).neg1(-self.value, g, self.level)
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
             return Jet2(self.value - other, self.grad, self.hess_packed, self.level)
         if other.level != self.level:
             return self + (-other)
-        h1, h2 = self.hess_packed, other.hess_packed
-        h = None if h1 is None or h2 is None else tuple(map(sub, h1, h2))
-        g = tuple(map(sub, self.grad, other.grad))
-        return Jet2(self.value - other.value, g, h, self.level)
+        g1, h1, h2 = self.grad, self.hess_packed, other.hess_packed
+        v = self.value - other.value
+        if h1 is not None and h2 is not None:
+            return _kernels(len(g1)).sub(v, g1, h1, other.grad, h2, self.level)
+        return _kernels(len(g1)).sub1(v, g1, other.grad, self.level)
 
     def __rsub__(self, s):
         return (-self)._add_scalar(s)
@@ -288,17 +308,15 @@ class Jet2:
                 g1, g2 = self.grad, other.grad
                 h1, h2 = self.hess_packed, other.hess_packed
                 if h1 is not None and h2 is not None:
-                    g, h = _kernels(len(g1)).mul(v1, g1, h1, v2, g2, h2)
-                    return Jet2(v1 * v2, g, h, self.level)
-                return Jet2(v1 * v2, _kernels(len(g1)).mul1(v1, g1, v2, g2), None, self.level)
+                    return _kernels(len(g1)).mul(v1, g1, h1, v2, g2, h2, self.level)
+                return _kernels(len(g1)).mul1(v1, g1, v2, g2, self.level)
         return self._mul_scalar(other)
 
     def _mul_scalar(self, s):
         g, h = self.grad, self.hess_packed
         if h is not None:
-            g, h = _kernels(len(g)).scale(g, h, s)
-            return Jet2(self.value * s, g, h, self.level)
-        return Jet2(self.value * s, _kernels(len(g)).scale1(g, s), None, self.level)
+            return _kernels(len(g)).scale(self.value * s, g, h, s, self.level)
+        return _kernels(len(g)).scale1(self.value * s, g, s, self.level)
 
     __rmul__ = _mul_scalar
 
@@ -331,9 +349,8 @@ class Jet2:
     def _chain(self, f0, d1, d2):
         g, h = self.grad, self.hess_packed
         if h is not None:
-            g, h = _kernels(len(g)).chain(g, h, d1, d2)
-            return Jet2(f0, g, h, self.level)
-        return Jet2(f0, _kernels(len(g)).chain1(g, d1), None, self.level)
+            return _kernels(len(g)).chain(f0, g, h, d1, d2, self.level)
+        return _kernels(len(g)).chain1(f0, g, d1, self.level)
 
 
 def _recip_any(x):

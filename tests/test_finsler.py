@@ -19,7 +19,7 @@ from projspray.finsler import (
     projective_residual,
 )
 from projspray.catalog import METRIC_KEYS, metric_entry
-from projspray.jets import EvaluationError, exp, sqrt
+from projspray.jets import EvaluationError, exp, lift, sqrt
 
 BOX = Rectangle(-0.5, 0.5, -0.5, 0.5)
 
@@ -77,6 +77,23 @@ def test_fundamental_tensor_randers_at_origin():
 def test_fundamental_tensor_c_minus_at_x0():
     g = fundamental_tensor(metric_c_minus(), (0.0, 0.0, 1.0, 1.0))
     assert np.allclose(g, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "key, k",
+    [(key, k) for key in METRIC_KEYS for k in ((0.5, 1.0, 2.0) if key in ("bk+", "bk-") else (1.0,))],
+)
+def test_fundamental_tensor_is_half_the_hessian_of_the_lifted_square(key, k):
+    metric = metric_entry(key, k=k).metric
+    box = metric.domain.shrunk(0.9)
+    rng = np.random.default_rng(25)
+    for _ in range(8):
+        x, y = rng.uniform(box.x0, box.x1), rng.uniform(box.y0, box.y1)
+        t, r = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5)
+        u, v = r * math.cos(t), r * math.sin(t)
+        h11, h12, h22 = lift(lambda uf, vf: metric.F(x, y, uf, vf) ** 2, (u, v)).hess_packed
+        g11, g12, g22 = 0.5 * h11, 0.5 * h12, 0.5 * h22
+        assert fundamental_tensor(metric, (x, y, u, v)) == ((g11, g12), (g12, g22)), (x, y, u, v)
 
 
 # --- homogeneity --------------------------------------------------------

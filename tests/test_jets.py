@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -467,3 +468,70 @@ def test_order1_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
     for got, want in _kernel_cases(n, nested, order=1):
         assert got.hess_packed is None
         assert _floats(got) == _floats(want)
+
+
+def _loop_sum(x, y, op):
+    """x + y or x - y of one register, entry by entry as ``map`` runs it."""
+    h1, h2 = x.hess_packed, y.hess_packed
+    h = None if h1 is None or h2 is None else tuple(map(op, h1, h2))
+    return Jet2(op(x.value, y.value), tuple(map(op, x.grad, y.grad)), h, x.level)
+
+
+def _loop_neg(x):
+    h = x.hess_packed
+    if h is not None:
+        h = tuple(map(operator.neg, h))
+    return Jet2(-x.value, tuple(map(operator.neg, x.grad)), h, x.level)
+
+
+def _loop_add_scalar(x, s):
+    return Jet2(x.value + s, x.grad, x.hess_packed, x.level)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sum_difference_and_negation_kernels_match_the_map_loops_bit_for_bit(n, nested, order):
+    rng = np.random.default_rng(2000 * n + 10 * nested + order)
+    (older_seed,) = seed_jets((0.0,))
+    (newer_seed,) = seed_jets((0.0,))
+
+    def real():
+        return float(rng.uniform(-2.0, 2.0))
+
+    def older():
+        return _random_jet(2, older_seed.level, real)
+
+    component = older if nested else real
+    level = newer_seed.level
+    x, y = (_random_jet(n, level, component, order) for _ in range(2))
+    other_order = _random_jet(n, level, component, 3 - order)
+    s, o = real(), older()
+    cases = [
+        (x + y, _loop_sum(x, y, operator.add)),
+        (x - y, _loop_sum(x, y, operator.sub)),
+        (y - x, _loop_sum(y, x, operator.sub)),
+        (x + x, _loop_sum(x, x, operator.add)),
+        (x - x, _loop_sum(x, x, operator.sub)),
+        (-x, _loop_neg(x)),
+        (x + other_order, _loop_sum(x, other_order, operator.add)),
+        (other_order - x, _loop_sum(other_order, x, operator.sub)),
+        (x + s, _loop_add_scalar(x, s)),
+        (s + x, _loop_add_scalar(x, s)),
+        (x - s, Jet2(x.value - s, x.grad, x.hess_packed, level)),
+        (s - x, _loop_add_scalar(_loop_neg(x), s)),
+        (x + o, _loop_add_scalar(x, o)),
+        (o + x, _loop_add_scalar(x, o)),
+        (o - x, _loop_add_scalar(_loop_neg(x), o)),  # older - newer is o + (-x)
+        (x - o, _loop_add_scalar(x, _loop_neg(o))),  # newer - older is x + (-o)
+    ]
+    for got, want in cases:
+        assert (got.hess_packed is None) == (want.hess_packed is None)
+        assert _floats(got) == _floats(want)
+
+
+def test_each_register_size_compiles_its_kernels_under_its_own_file_name():
+    from projspray.jets import _kernels
+
+    names = {n: {k.__code__.co_filename for k in _kernels(n)} for n in range(1, 5)}
+    assert names == {n: {f"<jets kernels n={n}>"} for n in range(1, 5)}

@@ -13,7 +13,11 @@ Prints one JSON object: per pair, each side's ``correct``, ``attempted``,
 ``BENCHMARK.json``, each side's median, quartiles (numpy's linear
 percentiles) and runs, the change of the medians relative to the parent's,
 and ``change_wins``, the pairs in which the change reads better (ties count
-for neither side).  This script writes no file; each ``run.py`` leaves its
+for neither side); and ``rss_line``, the least-squares line of
+``peak_rss_mb`` on ``attempted`` over every run of both sides: its slope per
+1,000 operations, its intercept and each side's mean residual, so a rise in
+memory can be read as more operations completed or as memory held.  This
+script writes no file; each ``run.py`` leaves its
 usual record under its checkout's ``perfbench/out/``.
 """
 
@@ -41,6 +45,21 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def summary(runs: list) -> dict:
     q1, median, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
+
+
+def rss_line(pairs: list) -> dict:
+    """Least-squares line of ``peak_rss_mb`` on ``attempted`` over all runs."""
+    x = np.array([pr[side]["attempted"] for side in SIDES for pr in pairs], float)
+    y = np.array([pr[side]["metrics"]["peak_rss_mb"] for side in SIDES for pr in pairs], float)
+    if np.ptp(x) == 0.0:  # one operation count: no slope to fit
+        return {"slope_mb_per_1000_ops": None, "intercept_mb": None, "mean_residual_mb": None}
+    slope, intercept = np.polyfit(x, y, 1)
+    residual = (y - (slope * x + intercept)).reshape(len(SIDES), len(pairs))
+    return {
+        "slope_mb_per_1000_ops": float(slope * 1000.0),
+        "intercept_mb": float(intercept),
+        "mean_residual_mb": {side: float(r.mean()) for side, r in zip(SIDES, residual)},
+    }
 
 
 def main(argv=None) -> int:
@@ -96,6 +115,7 @@ def main(argv=None) -> int:
         "attempted": {side: [pr[side]["attempted"] for pr in pairs] for side in SIDES},
         "failed": {side: [pr[side]["failed"] for pr in pairs] for side in SIDES},
         "metrics": metrics,
+        "rss_line": rss_line(pairs),
         "pairs": pairs,
     }
     print(json.dumps(result, indent=1))
