@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import EvaluationError, Jet2, ScalarField, jet_value, lift, reject_first
+from .jets import EvaluationError, Jet2, ScalarField, jet_value, lift, product_hessian, reject_first
 
 __all__ = [
     "ConvexityReport",
@@ -112,18 +112,15 @@ def fundamental_tensor(metric: FinslerMetric, at: Sequence[float]) -> tuple:
     """Half the fiber Hessian of F^2 as the rows ((g11, g12), (g12, g22)) of
     a 2x2 symmetric matrix.
 
-    F is lifted once over (u, v); each entry of Hess(F^2) is formed from F's
-    value, gradient and packed Hessian with the product kernel's expression
-    for F * F, in its operation order, so it equals the lift of F^2 bit for bit.
+    F is lifted once over (u, v) and Hess(F^2) is its
+    :func:`~projspray.jets.product_hessian` with itself, so it equals the
+    lift of F^2 bit for bit.
     """
     x, y, u, v = at
     if u == 0.0 and v == 0.0:
         raise EvaluationError(f"fundamental tensor is undefined on the zero section at ({x}, {y})")
     jet = lift(lambda uf, vf: metric.F(x, y, uf, vf), (u, v))
-    f, (p0, p1), (a0, a1, a2) = jet.value, jet.grad, jet.hess_packed
-    h11 = a0 * f + p0 * p0 + p0 * p0 + f * a0
-    h12 = a1 * f + p0 * p1 + p0 * p1 + f * a1
-    h22 = a2 * f + p1 * p1 + p1 * p1 + f * a2
+    h11, h12, h22 = product_hessian(jet, jet)
     g11, g12, g22 = 0.5 * float(h11), 0.5 * float(h12), 0.5 * float(h22)
     return (g11, g12), (g12, g22)
 
@@ -222,11 +219,15 @@ def geodesic_spray(metric: FinslerMetric) -> Spray:
 
     G = 1/4 K, with K the :func:`levi_civita` formula of h = 2g, the fiber
     Hessian of F^2.  One order-2 lift in (u, v) gives h and its base
-    derivatives: it lifts a function that lifts F^2 in (x, y) to order 1 and
-    returns (F^2, d_x F^2, d_y F^2), so h, h_x and h_y are the packed fiber
-    Hessians of those three.  The (x, y) register is the newer, so it is the
-    outer object: 3 components, each a (u, v) jet of 6 (see
-    :mod:`projspray.jets`).
+    derivatives: it lifts a function that lifts F in (x, y) to order 1 and
+    returns (F, d_x F, d_y F).  The (x, y) register is the newer, so it is
+    the outer object: 3 components, each a (u, v) jet of 6 (see
+    :mod:`projspray.jets`).  F^2 itself is never built: h is the
+    :func:`~projspray.jets.product_hessian` of F with F, and by the product
+    rule d_x F^2 = d_x F * F + F * d_x F, so h_x adds the product Hessians
+    of those two terms entry by entry, as does h_y.  Each entry is the
+    expression a lift of F^2 would form, in its order, so the spray is
+    bit-identical to the one from F^2.
     A fiber-constant F has h = 0 and raises ``EvaluationError`` as a
     singular fundamental tensor.  The whole evaluation stays
     jet-transparent, so derived sprays can be lifted again (projective-field
@@ -236,10 +237,14 @@ def geodesic_spray(metric: FinslerMetric) -> Spray:
 
     def pair(x, y, u, v):
         def base_jet(uf, vf):
-            j = lift(lambda xb, yb: F(xb, yb, uf, vf) ** 2, (x, y), order=1)
+            j = lift(lambda xb, yb: F(xb, yb, uf, vf), (x, y), order=1)
             return j.value, *j.grad
 
-        h, h_x, h_y = (j.hess_packed for j in lift(base_jet, (u, v)))
+        f, f_x, f_y = lift(base_jet, (u, v))
+        h = product_hessian(f, f)
+        h_x, h_y = (
+            tuple([a + b for a, b in zip(product_hessian(d, f), product_hessian(f, d))]) for d in (f_x, f_y)
+        )
         k1, k2 = levi_civita(h, h_x, h_y, (u, v), "fundamental tensor", (x, y, u, v))
         return 0.25 * k1, 0.25 * k2
 

@@ -53,7 +53,12 @@ The kernels are written out entry by entry, in that row order, for each
 register size on first use, at order 2 and, on gradients alone, at order 1;
 each entry is the plain loop's expression in the loop's operation order,
 so the written-out kernels and a loop agree bit for bit (Griewank &
-Walther, *Evaluating Derivatives*, ch. 13).
+Walther, *Evaluating Derivatives*, ch. 13).  A caller that reads only the
+Hessian of a product takes it from :func:`product_hessian`, the kernel
+``hmul`` with ``mul``'s Hessian entries, which builds no jet.  Forward mode
+carries only the coefficients that are read: a chain rule (a power, the
+reciprocal, ``arctan``) forms f'' only for a jet that carries a Hessian, so
+on an order-1 jet it forms f' alone.
 ``Jet2.hess`` is a read-only view that unfolds the full symmetric matrix;
 the residuals read ``hess_packed`` directly.
 """
@@ -77,6 +82,7 @@ __all__ = [
     "jet_value",
     "lift",
     "power",
+    "product_hessian",
     "reject_first",
     "seed_jets",
     "sqrt",
@@ -136,8 +142,11 @@ def _layout(n):
 class _Kernels(NamedTuple):
     """Arithmetic of an n-variable register, written out entry by entry:
     order 2 on gradient and packed Hessian, order 1 (suffix 1) on gradients.
-    Each kernel takes the result's value (``mul`` forms it from its
-    operands) and register level and returns the finished ``Jet2``."""
+    Each kernel but ``hmul`` takes the result's value (``mul`` forms it from
+    its operands) and register level and returns the finished ``Jet2``.
+    ``hmul`` returns only the packed Hessian of the product, as a tuple of
+    ``mul``'s Hessian entries.  ``chain1`` reads f' alone: order-1 chain
+    rules form no f''."""
 
     add: Callable  # (v, g1, h1, g2, h2, level) -> sum
     sub: Callable  # (v, g1, h1, g2, h2, level) -> difference
@@ -151,14 +160,20 @@ class _Kernels(NamedTuple):
     mul1: Callable  # (v1, g1, v2, g2, level)
     scale1: Callable  # (v, g1, s, level)
     chain1: Callable  # (v, g1, d1, level)
+    hmul: Callable  # (v1, g1, h1, v2, g2, h2) -> packed Hessian of the product
+
+
+def _unpack(unpack):
+    """Source lines that unpack each operand tuple into its locals."""
+    return "".join(f"    {', '.join(names)}, = {operand}\n" for names, operand in unpack)
 
 
 def _kernel(name, params, unpack, value, grad, hess=None):
     """Source of one kernel: unpack each operand tuple into locals and return
     ``Jet2(value, grad, hess, level)`` with the written-out gradient and, unless
     ``hess`` is None, packed Hessian."""
-    body = "".join(f"    {', '.join(names)}, = {operand}\n" for names, operand in unpack)
     h = "None" if hess is None else f"({', '.join(hess)},)"
+    body = _unpack(unpack)
     return f"def {name}({params}, level):\n{body}    return Jet2({value}, ({', '.join(grad)},), {h}, level)\n"
 
 
@@ -177,6 +192,9 @@ def _kernels(n):
     mul_grad = [f"{p[i]} * v2 + v1 * {q[i]}" for i in range(n)]
     scale_grad = [f"{e} * s" for e in p]
     chain_grad = [f"d1 * {e}" for e in p]
+    mul_hess = [
+        f"{a[k]} * v2 + {p[i]} * {q[j]} + {q[i]} * {p[j]} + v1 * {b[k]}" for k, (i, j) in enumerate(pairs)
+    ]
     source = (
         _kernel("add", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", add[:n], add[n:])
         + _kernel("sub", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", sub[:n], sub[n:])
@@ -187,10 +205,7 @@ def _kernels(n):
             (g1, h1, g2, h2),
             "v1 * v2",
             mul_grad,
-            [
-                f"{a[k]} * v2 + {p[i]} * {q[j]} + {q[i]} * {p[j]} + v1 * {b[k]}"
-                for k, (i, j) in enumerate(pairs)
-            ],
+            mul_hess,
         )
         + _kernel("scale", "v, g1, h1, s", (g1, h1), "v", scale_grad, [f"{e} * s" for e in a])
         + _kernel(
@@ -207,6 +222,8 @@ def _kernels(n):
         + _kernel("mul1", "v1, g1, v2, g2", (g1, g2), "v1 * v2", mul_grad)
         + _kernel("scale1", "v, g1, s", (g1,), "v", scale_grad)
         + _kernel("chain1", "v, g1, d1", (g1,), "v", chain_grad)
+        + "def hmul(v1, g1, h1, v2, g2, h2):\n"
+        + f"{_unpack((g1, h1, g2, h2))}    return ({', '.join(mul_hess)},)\n"
     )
     namespace = {"Jet2": Jet2}
     exec(compile(source, f"<jets kernels n={n}>", "exec"), namespace)
@@ -328,7 +345,7 @@ class Jet2:
 
     def _reciprocal(self):
         r = _recip_any(self.value)
-        return self._chain(r, -(r * r), 2.0 * r * r * r)
+        return self._chain(r, -(r * r), None if self.hess_packed is None else 2.0 * r * r * r)
 
     def __pow__(self, p):
         p = float(p)
@@ -341,12 +358,14 @@ class Jet2:
         v = self.value
         f0 = _pow_any(v, p)
         d1 = p * _pow_any(v, p - 1.0)
-        d2 = (p * (p - 1.0)) * _pow_any(v, p - 2.0)
+        d2 = None if self.hess_packed is None else (p * (p - 1.0)) * _pow_any(v, p - 2.0)
         return self._chain(f0, d1, d2)
 
     # -- chain rule through a scalar function ---------------------------
 
     def _chain(self, f0, d1, d2):
+        """f(self) from f's value and first two derivatives at self.value;
+        an order-1 jet reads f' alone, so its callers pass ``d2`` as None."""
         g, h = self.grad, self.hess_packed
         if h is not None:
             return _kernels(len(g)).chain(f0, g, h, d1, d2, self.level)
@@ -424,8 +443,19 @@ def arctan(x):
     if isinstance(x, Jet2):
         v = x.value
         w = _recip_any(1.0 + v * v)
-        return x._chain(arctan(v), w, -2.0 * (v * (w * w)))
+        return x._chain(arctan(v), w, None if x.hess_packed is None else -2.0 * (v * (w * w)))
     return math.atan(x)
+
+
+def product_hessian(p: Jet2, q: Jet2) -> tuple:
+    """Packed Hessian of p * q for two order-2 jets of one register, as a
+    plain tuple, equal to ``(p * q).hess_packed`` bit for bit; no jet is
+    built.  Order-1 or cross-register operands raise ``ValueError``."""
+    if p.hess_packed is None or q.hess_packed is None:
+        raise ValueError("product_hessian needs two order-2 jets")
+    if p.level != q.level:
+        raise ValueError(f"product_hessian needs one register, not levels {p.level} and {q.level}")
+    return _kernels(len(p.grad)).hmul(p.value, p.grad, p.hess_packed, q.value, q.grad, q.hess_packed)
 
 
 @dataclass(frozen=True)

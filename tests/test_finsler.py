@@ -15,6 +15,7 @@ from projspray.finsler import (
     induced_ode_direct,
     induced_odes,
     is_strongly_convex,
+    levi_civita,
     min_eigenvalue_2x2,
     projective_residual,
 )
@@ -94,6 +95,46 @@ def test_fundamental_tensor_is_half_the_hessian_of_the_lifted_square(key, k):
         h11, h12, h22 = lift(lambda uf, vf: metric.F(x, y, uf, vf) ** 2, (u, v)).hess_packed
         g11, g12, g22 = 0.5 * h11, 0.5 * h12, 0.5 * h22
         assert fundamental_tensor(metric, (x, y, u, v)) == ((g11, g12), (g12, g22)), (x, y, u, v)
+
+
+def _spray_from_the_lifted_square(metric):
+    """The geodesic spray as it was formed from a lift of F^2 in (x, y)."""
+    F = metric.F
+
+    def pair(x, y, u, v):
+        def base_jet(uf, vf):
+            j = lift(lambda xb, yb: F(xb, yb, uf, vf) ** 2, (x, y), order=1)
+            return j.value, *j.grad
+
+        h, h_x, h_y = (j.hess_packed for j in lift(base_jet, (u, v)))
+        k1, k2 = levi_civita(h, h_x, h_y, (u, v), "fundamental tensor", (x, y, u, v))
+        return 0.25 * k1, 0.25 * k2
+
+    return pair
+
+
+@pytest.mark.parametrize(
+    "key, k",
+    [(key, k) for key in METRIC_KEYS for k in ((0.5, 1.0, 2.0) if key in ("bk+", "bk-") else (1.0,))],
+)
+def test_geodesic_spray_equals_the_spray_of_the_lifted_square_bit_for_bit(key, k):
+    metric = metric_entry(key, k=k).metric
+    spray, reference = geodesic_spray(metric).pair, _spray_from_the_lifted_square(metric)
+    box = metric.domain.shrunk(0.9)
+    rng = np.random.default_rng(26)
+    for _ in range(6):
+        x, y = rng.uniform(box.x0, box.x1), rng.uniform(box.y0, box.y1)
+        t, r = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.5)
+        at = (x, y, r * math.cos(t), r * math.sin(t))
+        assert spray(*at) == reference(*at), at
+        # one order-1 t-lift along a direction, as projective_field_residual lifts the spray
+        d = rng.uniform(-1.0, 1.0, 4)
+
+        def along(pair):
+            return lift(lambda s: pair(*(c + dc * s for c, dc in zip(at, d))), (0.0,), order=1)
+
+        for got, want in zip(along(spray), along(reference)):
+            assert (got.value, got.grad) == (want.value, want.grad), at
 
 
 # --- homogeneity --------------------------------------------------------

@@ -15,6 +15,7 @@ from projspray.jets import (
     jet_value,
     lift,
     power,
+    product_hessian,
     seed_jets,
     sqrt,
 )
@@ -535,3 +536,89 @@ def test_each_register_size_compiles_its_kernels_under_its_own_file_name():
 
     names = {n: {k.__code__.co_filename for k in _kernels(n)} for n in range(1, 5)}
     assert names == {n: {f"<jets kernels n={n}>"} for n in range(1, 5)}
+
+
+# --- the Hessian of a product without its jet --------------------------------
+
+
+def _hess_floats(h):
+    return [f for e in h for f in _floats(e)]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_hessian_equals_the_products_hessian_bit_for_bit(n, nested):
+    rng = np.random.default_rng(3000 * n + nested)
+    (older_seed,) = seed_jets((0.0,))
+    (newer_seed,) = seed_jets((0.0,))
+
+    def real():
+        return float(rng.uniform(-2.0, 2.0))
+
+    def older():
+        return _random_jet(2, older_seed.level, real)
+
+    component = older if nested else real
+    p, q = (_random_jet(n, newer_seed.level, component) for _ in range(2))
+    for a, b in ((p, q), (q, p), (p, p)):
+        got = _hess_floats(product_hessian(a, b))
+        assert got == _hess_floats((a * b).hess_packed)
+        assert got == _hess_floats(_loop_product(a, b).hess_packed)
+
+
+def test_product_hessian_of_a_promoted_constant():
+    f, c = lift(lambda x, y: (x * x * y + 0.5 * y, 2.5), (0.75, -1.25))
+    assert c.grad == (0.0, 0.0) and c.hess_packed == (0.0, 0.0, 0.0)
+    for a, b in ((f, c), (c, f), (c, c)):
+        assert product_hessian(a, b) == (a * b).hess_packed == _loop_product(a, b).hess_packed
+
+
+def test_product_hessian_needs_two_order2_jets_of_one_register():
+    a, b = seed_jets((0.5, 1.5))
+    (s,) = seed_jets((0.5,), order=1)
+    c, d = seed_jets((0.5, 1.5))
+    with pytest.raises(ValueError, match="two order-2 jets"):
+        product_hessian(a, s * s)
+    with pytest.raises(ValueError, match="two order-2 jets"):
+        product_hessian(s, s)
+    with pytest.raises(ValueError, match="one register"):
+        product_hessian(a * b, c * d)
+
+
+# --- order-1 chain rules read f' alone ----------------------------------------
+
+
+def test_an_order1_power_of_zero_needs_no_second_derivative():
+    j = lift(lambda x: power(x, 1.5), (0.0,), order=1)
+    assert (j.value, j.grad) == (0.0, (0.0,))
+    with pytest.raises(EvaluationError, match="zero raised to a negative power"):
+        lift(lambda x: power(x, 1.5), (0.0,))
+
+
+ORDER1_CHAINS = {
+    "power 1.5": lambda x: power(x, 1.5),
+    "power -2/3": lambda x: power(x, -2.0 / 3.0),
+    "power 3": lambda x: power(x, 3),
+    "sqrt": sqrt,
+    "reciprocal": lambda x: 1.0 / x,
+    "arctan": arctan,
+}
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("fn", ORDER1_CHAINS.values(), ids=ORDER1_CHAINS.keys())
+def test_order1_chain_rules_match_the_order2_value_and_gradient(fn, nested):
+    rng = np.random.default_rng(4000 + nested)
+    for _ in range(5):
+        point = tuple(float(c) for c in rng.uniform(0.25, 2.0, 2))
+        if nested:  # the point's entries are jets of an older order-2 register
+            older = seed_jets((float(rng.uniform(-1.0, 1.0)),))[0]
+            point = tuple(c + 0.25 * older * older for c in point)
+
+        def field(x, y):
+            return fn(x * y + 0.5 * x)
+
+        one, two = lift(field, point, order=1), lift(field, point)
+        assert one.hess_packed is None
+        assert _floats(one.value) == _floats(two.value)
+        assert [_floats(g) for g in one.grad] == [_floats(g) for g in two.grad]

@@ -247,7 +247,7 @@ def test_point_symmetry_residual_makes_2_lifts(monkeypatch):
 
 @pytest.mark.parametrize(
     "what, jets_created",
-    [("fundamental_tensor", 15), ("geodesic_spray", 78), ("projective_field_residual", 813)],
+    [("fundamental_tensor", 15), ("geodesic_spray", 68), ("projective_field_residual", 728)],
 )
 def test_jet_construction_counts_at_one_bk_point(monkeypatch, what, jets_created):
     # Pins the Jet2 objects each evaluation builds, counted the way the

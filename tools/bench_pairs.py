@@ -12,13 +12,26 @@ Prints one JSON object: per pair, each side's ``correct``, ``attempted``,
 ``failed`` and metric values; per end-to-end metric declared in PARENT's
 ``BENCHMARK.json``, each side's median, quartiles (numpy's linear
 percentiles) and runs, the change of the medians relative to the parent's,
-and ``change_wins``, the pairs in which the change reads better (ties count
-for neither side); and ``rss_line``, the least-squares line of
-``peak_rss_mb`` on ``attempted`` over every run of both sides: its slope per
-1,000 operations, its intercept and each side's mean residual, so a rise in
+``change_wins``, the pairs in which the change reads better (ties count
+for neither side), the parent's quartile spread q3 - q1 and the gate's
+``verdict`` (also printed to standard error, one line per metric):
+
+- ``improved``: the change wins at least nine tenths of the pairs and its
+  median is better than the parent's by more than the parent's quartile
+  spread;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's bound, relative to the parent's median;
+- ``unresolved``: the parent's quartile spread, relative to its median,
+  is wider than the bound;
+- ``within bound``: any other case.
+
+The first that holds is the verdict.  Last
+comes ``rss_line``, the least-squares line of ``peak_rss_mb`` on
+``attempted`` over every run of both sides: its slope per 1,000
+operations, its intercept and each side's mean residual, so a rise in
 memory can be read as more operations completed or as memory held.  This
-script writes no file; each ``run.py`` leaves its
-usual record under its checkout's ``perfbench/out/``.
+script writes no file; each ``run.py`` leaves its usual record under its
+checkout's ``perfbench/out/``.
 """
 
 import argparse
@@ -45,6 +58,20 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def summary(runs: list) -> dict:
     q1, median, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
+
+
+def verdict(parent: dict, change: dict, wins: int, n: int, bound: float, sign: float) -> str:
+    """The gate's reading of one metric from each side's ``summary``; ``sign``
+    is 1 when lower is better, -1 when higher is."""
+    base, gain = parent["median"], sign * (parent["median"] - change["median"])
+    spread = parent["q3"] - parent["q1"]
+    if 10 * wins >= 9 * n and gain > spread:
+        return "improved"
+    if base and -gain > bound * abs(base):
+        return "worse"
+    if base and spread > bound * abs(base):
+        return "unresolved"
+    return "within bound"
 
 
 def rss_line(pairs: list) -> dict:
@@ -103,9 +130,13 @@ def main(argv=None) -> int:
             "bound": m["bound"],
             **{side: summary(runs[side]) for side in SIDES},
         }
-        base = metrics[name]["parent"]["median"]
-        metrics[name]["change_vs_parent"] = metrics[name]["change"]["median"] / base - 1.0 if base else None
+        parent, change = metrics[name]["parent"], metrics[name]["change"]
+        base = parent["median"]
+        metrics[name]["change_vs_parent"] = change["median"] / base - 1.0 if base else None
         metrics[name]["change_wins"] = f"{wins}/{len(pairs)}"
+        metrics[name]["parent_quartile_spread"] = parent["q3"] - parent["q1"]
+        metrics[name]["verdict"] = verdict(parent, change, wins, len(pairs), m["bound"], sign)
+        print(f"{name}: {metrics[name]['verdict']} ({wins}/{len(pairs)} wins)", file=sys.stderr)
     result = {
         "workload": args.workload,
         "seconds": args.seconds,
