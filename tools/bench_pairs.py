@@ -25,13 +25,12 @@ for neither side), the parent's quartile spread q3 - q1 and the gate's
   is wider than the bound;
 - ``within bound``: any other case.
 
-The first that holds is the verdict.  Last
-comes ``rss_line``, the least-squares line of ``peak_rss_mb`` on
-``attempted`` over every run of both sides: its slope per 1,000
-operations, its intercept and each side's mean residual, so a rise in
-memory can be read as more operations completed or as memory held.  This
-script writes no file; each ``run.py`` leaves its usual record under its
-checkout's ``perfbench/out/``.
+The first that holds is the verdict.  Last comes ``rss_line``, the
+least-squares line of ``peak_rss_mb`` on ``attempted`` over every run of
+both sides: its slope per 1,000 operations, its intercept and each side's
+mean residual, so a rise in memory can be read as more operations
+completed or as memory held.  This script writes no file; each ``run.py``
+leaves its usual record under its checkout's ``perfbench/out/``.
 """
 
 import argparse
