@@ -96,7 +96,13 @@ class Spray:
     name: str = ""
 
     def coefficients(self, x, y, u, v):
-        """The pair (G1, G2) at one point."""
+        """The pair (G1, G2) at one point.
+
+        This is the one point at which spray evaluations are counted, by
+        perfbench's ``finsler.spray_eval.*`` spans and by
+        ``test_integrate_spray_evaluates_the_spray_through_coefficients``,
+        so no float path may call ``pair`` around it.
+        """
         return self.pair(x, y, u, v)
 
 
@@ -186,6 +192,12 @@ def checked_det(h11, h12, h22, field: str, at: Sequence):
     ``EvaluationError`` "singular <field> at (<at>)" where
     |det| <= 1e-15 max(|h11|, |h22|)^2, at the first such point of an array."""
     det = h11 * h22 - h12 * h12
+    if type(det) is float:  # the float path: no jet or array to unwrap
+        a, c = abs(h11), abs(h22)
+        scale = c if c > a else a  # max(a, c), NaN included
+        if abs(det) <= 1e-15 * scale * scale:
+            reject_first(True, "singular " + field, *at)
+        return det
     d, a, c = jet_value(det), abs(jet_value(h11)), abs(jet_value(h22))
     scale = np.maximum(a, c) if isinstance(d, np.ndarray) else max(a, c)
     reject_first(abs(d) <= 1e-15 * scale * scale, "singular " + field, *at)

@@ -420,8 +420,8 @@ def power(x, p):
 
 
 def sqrt(x):
-    """Square root of a positive float or jet."""
-    if isinstance(x, Jet2):
+    """Square root of a positive float or jet; a plain float is tested first."""
+    if type(x) is not float and isinstance(x, Jet2):
         return x**0.5
     if x <= 0.0:
         raise EvaluationError(f"sqrt of non-positive value {x}")
@@ -429,12 +429,13 @@ def sqrt(x):
 
 
 def exp(x):
-    """Exponential of a float, a jet or a float ndarray."""
-    if isinstance(x, Jet2):
-        f0 = exp(x.value)
-        return x._chain(f0, f0, f0)
-    if isinstance(x, np.ndarray):
-        return _each(math.exp, x)
+    """Exponential of a float, a jet or a float ndarray; a plain float is tested first."""
+    if type(x) is not float:
+        if isinstance(x, Jet2):
+            f0 = exp(x.value)
+            return x._chain(f0, f0, f0)
+        if isinstance(x, np.ndarray):
+            return _each(math.exp, x)
     return math.exp(x)
 
 
@@ -468,10 +469,12 @@ class ScalarField:
 
     def __call__(self, *args):
         if len(args) != self.arity:
-            raise TypeError(
-                f"field {self.name or self.fn!r} takes {self.arity} arguments, got {len(args)}"
-            )
+            raise self.arity_error(len(args))
         return self.fn(*args)
+
+    def arity_error(self, given: int) -> TypeError:
+        """The error of a call with ``given`` arguments where ``arity`` are taken."""
+        return TypeError(f"field {self.name or self.fn!r} takes {self.arity} arguments, got {given}")
 
 
 def seed_jets(values: Sequence, order: int = 2):

@@ -76,6 +76,13 @@ class MetricField:
         return math.sqrt(q)
 
 
+def _lorentz(e11, e12, e22, det, w, vel) -> tuple[float, float]:
+    """J (u, v) = (e22 w v + e12 w u, -e12 w v - e11 w u) / det alpha, with
+    w = Omega_12 and det = det alpha already guarded: the one J formula."""
+    u, v = vel
+    return (e22 * w * v + e12 * w * u) / det, (-e12 * w * v - e11 * w * u) / det
+
+
 @dataclass(frozen=True)
 class LorentzOperator:
     """J = alpha^{-1} Omega; squares to -k^2 Id.  ``omega(x, y)`` is Omega_12."""
@@ -84,13 +91,10 @@ class LorentzOperator:
     omega: Callable
 
     def __call__(self, x, y, vel) -> tuple[float, float]:
-        """J (u, v) = (e22 w v + e12 w u, -e12 w v - e11 w u) / det alpha,
-        with w = Omega_12."""
+        """J (u, v) at (x, y), from :func:`_lorentz`."""
         e11, e12, e22 = (float(e) for e in self.alpha.entries(x, y))
         det = checked_det(e11, e12, e22, "metric field", (x, y))
-        w = float(self.omega(x, y))
-        u, v = vel
-        return (e22 * w * v + e12 * w * u) / det, (-e12 * w * v - e11 * w * u) / det
+        return _lorentz(e11, e12, e22, det, float(self.omega(x, y)), vel)
 
     def matrix(self, x, y) -> np.ndarray:
         return np.column_stack((self(x, y, (1.0, 0.0)), self(x, y, (0.0, 1.0))))
@@ -274,13 +278,21 @@ def geodesic_curvature(alpha: MetricField, sample: CurveSample, speed_tol: float
 
 def magnetic_rhs(alpha: MetricField, omega: Callable):
     """Right-hand side of the magnetic flow (x, y, u, v) -> (u, v, a1, a2),
-    with a = J (u, v) - Gamma((u, v), (u, v)), in float arithmetic."""
-    J = LorentzOperator(alpha, omega)
+    with a = J (u, v) - Gamma((u, v), (u, v)), in float arithmetic.
+
+    Each call reads alpha's entries once, by the order-1 lift that gives
+    Gamma (an ``area_form`` omega reads them once more).  J takes the
+    lift's values, which equal the float entries, and the det alpha that
+    ``levi_civita`` has just guarded, so a singular alpha raises there,
+    before ``omega`` is called.
+    """
 
     def rhs(state):
         x, y, u, v = state
-        k1, k2 = levi_civita(*_entries_lift(alpha, x, y), (u, v), "metric field", (x, y))
-        j1, j2 = J(x, y, (u, v))
+        h = _entries_lift(alpha, x, y)
+        k1, k2 = levi_civita(*h, (u, v), "metric field", (x, y))
+        e11, e12, e22 = h[0]
+        j1, j2 = _lorentz(e11, e12, e22, e11 * e22 - e12 * e12, float(omega(x, y)), (u, v))
         return u, v, j1 - 0.5 * k1, j2 - 0.5 * k2
 
     return rhs

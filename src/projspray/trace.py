@@ -181,7 +181,7 @@ def integrate_spray(
     def rhs(t, state):
         x, y, u, v = state
         g1, g2 = coefficients(x, y, u, v)
-        return u, v, -2.0 * float(g1), -2.0 * float(g2)
+        return u, v, -2.0 * g1, -2.0 * g2
 
     def stop(state):
         x, y, u, v = state
@@ -208,12 +208,17 @@ def integrate_ode(
     those of ``integrate_flow`` from x0 exactly, and y and y' round as a
     two-component RK4 of (y, y') would.  The curve ends at ``xmax`` exactly
     unless it blows up first, that is unless |y'| exceeds 1e6, a value is
-    not finite or f raises ``EvaluationError``.
+    not finite or f raises ``EvaluationError``.  A field whose arity is not
+    3 raises the ``TypeError`` of ``ScalarField`` before any step; each
+    stage then calls ``f.fn``.
     """
+    if f.arity != 3:
+        raise f.arity_error(3)
     x0, y0, z0 = (float(c) for c in init)
+    fn = f.fn
 
     def rhs(x, s):
-        return 1.0, s[3], 0.0, float(f(x, s[1], s[3]))
+        return 1.0, s[3], 0.0, fn(x, s[1], s[3])
 
     xs, states, _, blown = _rk4(rhs, (x0, y0, 1.0, z0), x0, xmax, step, lambda s: abs(s[3]) > 1e6)
     return OdeCurve(xs, states[:, 1], states[:, 3], blown_up=blown)

@@ -20,7 +20,7 @@ from projspray.finsler import (
     projective_residual,
 )
 from projspray.catalog import METRIC_KEYS, metric_entry
-from projspray.jets import EvaluationError, exp, lift, sqrt
+from projspray.jets import EvaluationError, exp, lift, seed_jets, sqrt
 
 BOX = Rectangle(-0.5, 0.5, -0.5, 0.5)
 
@@ -403,3 +403,25 @@ def test_closed_form_min_eigenvalue_keeps_relative_accuracy(a, b, c):
         ma, mb, mc = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
         exact = float((ma + mc) / 2 - mpmath.sqrt(((ma - mc) / 2) ** 2 + mb * mb))
     assert abs(min_eigenvalue_2x2(a, b, c) - exact) <= 1e-14 * exact
+
+
+def test_checked_det_of_a_singular_float_triple_names_the_field_and_the_point():
+    assert checked_det(2.0, 0.5, 1.0, "metric field", (0.1, 0.2)) == 2.0 * 1.0 - 0.5 * 0.5
+    at = (0.1, 0.2, 1.0, -0.5)
+    # det = 3 * (1/3) - (1 + 2^-52)^2 rounds to -2^-51, not to 0
+    for h in ((1.0, 1.0, 1.0), (3.0, 1.0 + 2.0**-52, 1.0 / 3.0), (0.0, 0.0, 0.0), (1e-20, 0.0, 1.0)):
+        with pytest.raises(EvaluationError, match=r"singular fundamental tensor at \(0\.1, 0\.2, 1\.0, -0\.5\)"):
+            checked_det(*h, "fundamental tensor", at)
+    # a jet coordinate is named by its value
+    with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
+        checked_det(1.0, 1.0, 1.0, "metric field", seed_jets((0.1, 0.2)))
+
+
+def test_checked_det_of_nan_and_numpy_scalars():
+    # NaN fails no comparison, so it passes the guard and comes back as det
+    for h in ((math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.nan)):
+        assert math.isnan(checked_det(*h, "metric field", (0.1, 0.2)))
+    det = checked_det(np.float64(2.0), np.float64(0.5), np.float64(1.0), "metric field", (0.1, 0.2))
+    assert type(det) is np.float64 and det == 1.75
+    with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
+        checked_det(np.float64(1.0), np.float64(1.0), np.float64(1.0), "metric field", (0.1, 0.2))

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -622,3 +623,33 @@ def test_order1_chain_rules_match_the_order2_value_and_gradient(fn, nested):
         assert one.hess_packed is None
         assert _floats(one.value) == _floats(two.value)
         assert [_floats(g) for g in one.grad] == [_floats(g) for g in two.grad]
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 0.25, 1.0, 2.0, 1e300, math.inf])
+def test_sqrt_of_a_positive_float_is_libms(x):
+    got = sqrt(x)
+    assert type(got) is float and got == math.sqrt(x)
+
+
+@pytest.mark.parametrize("x", [-745.2, -700.0, -1.5, -0.0, 0.0, 0.3, 709.7, -math.inf, math.inf])
+def test_exp_of_a_float_is_libms(x):
+    got = exp(x)
+    assert type(got) is float and got == math.exp(x)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -math.inf])
+def test_sqrt_of_a_non_positive_float_raises(bad):
+    with pytest.raises(EvaluationError, match=re.escape(f"sqrt of non-positive value {bad}")):
+        sqrt(bad)
+
+
+def test_sqrt_and_exp_of_nan_and_numpy_scalars():
+    # NaN passes the sqrt guard, as every comparison with it is false
+    assert math.isnan(sqrt(math.nan)) and math.isnan(exp(math.nan))
+    for x in (0.25, 2.0):
+        assert sqrt(np.float64(x)) == math.sqrt(x) and exp(np.float64(-x)) == math.exp(-x)
+    for bad in (0.0, -1.0):
+        with pytest.raises(EvaluationError, match="sqrt of non-positive value"):
+            sqrt(np.float64(bad))
+    with pytest.raises(OverflowError):
+        exp(1000.0)

@@ -7,12 +7,13 @@ import sympy
 
 from projspray.catalog import metric_entry, spray_entry
 from projspray.classify import liouville_candidate
-from projspray.finsler import Rectangle, fundamental_tensor, projective_residual
+from projspray.finsler import Rectangle, fundamental_tensor, levi_civita, projective_residual
 from projspray.jets import EvaluationError, lift
 from projspray.randers import (
     CurveSample,
     LorentzOperator,
     MetricField,
+    _entries_lift,
     area_form,
     beta_for,
     christoffel,
@@ -424,3 +425,27 @@ def test_numerically_singular_metric_names_the_point(call):
     alpha = MetricField(lambda x, y: (3.0, 1.0 + 2.0**-52, 1.0 / 3.0), Rectangle(-1.0, 1.0, -1.0, 1.0))
     with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
         call(alpha, area_form(alpha, 1.0))
+
+
+@pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic", "sheared"])
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_magnetic_rhs_is_j_less_half_k_bit_for_bit_from_two_reads_of_alpha(model, k):
+    # J reads the entries' values off the lift that gives K; the only other
+    # read is the one inside the area form's omega_12
+    base = _sheared_metric() if model == "sheared" else constant_curvature_metric(model)
+    reads = []
+
+    def entries(x, y):
+        reads.append((x, y))
+        return base.entries(x, y)
+
+    alpha = MetricField(entries, base.domain)
+    rhs = magnetic_rhs(alpha, area_form(alpha, k))
+    J = LorentzOperator(base, area_form(base, k))
+    for x, y in base.domain.grid(3, 3):
+        for vel in ((1.0, 0.0), (0.0, -0.7), (0.6, 0.8), (-1.3, 0.4)):
+            j1, j2 = J(x, y, vel)
+            k1, k2 = levi_civita(*_entries_lift(base, x, y), vel, "metric field", (x, y))
+            reads.clear()
+            assert rhs((x, y, *vel)) == (*vel, j1 - 0.5 * k1, j2 - 0.5 * k2), (x, y, vel)
+            assert len(reads) == 2, (x, y, vel)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from projspray.catalog import metric_entry, spray_entry
 from projspray.finsler import Spray, geodesic_spray, induced_odes
-from projspray.jets import EvaluationError
+from projspray.jets import EvaluationError, ScalarField
 from projspray.randers import (
     CurveSample,
     area_form,
@@ -451,3 +452,29 @@ def test_rk4_core_stops_where_rhs_raises_mid_run():
     assert states.shape == derivs.shape == (3, 4)
     assert states[-1, :2] == pytest.approx((0.02, 0.01), abs=1e-15)
     assert np.array_equal(derivs, np.tile([1.0, 0.5, 0.0, 0.0], (3, 1)))
+
+
+def test_integrate_ode_evaluates_its_field_through_fn():
+    # n steps take 4 evaluations each, plus one at the initial state;
+    # perfbench's tracer counts induced-equation evaluations by wrapping fn
+    f = induced_odes(spray_entry("c-").spray).fplus
+    calls = []
+
+    def counted(x, y, z):
+        calls.append((x, y, z))
+        return f.fn(x, y, z)
+
+    c = integrate_ode(dataclasses.replace(f, fn=counted), (0.0, 0.0, 0.2), 0.1, 1e-2)
+    assert len(c.x) == 11 and not c.blown_up
+    assert len(calls) == 4 * 10 + 1
+    plain = integrate_ode(f, (0.0, 0.0, 0.2), 0.1, 1e-2)
+    assert np.array_equal(c.y, plain.y) and np.array_equal(c.z, plain.z)
+
+
+@pytest.mark.parametrize("arity", [2, 4])
+def test_integrate_ode_checks_the_fields_arity_before_any_step(arity):
+    def fn(*args):
+        raise AssertionError("field evaluated")
+
+    with pytest.raises(TypeError, match=f"field 'f' takes {arity} arguments, got 3"):
+        integrate_ode(ScalarField(arity, fn, name="f"), (0.0, 0.0, 0.0), 1.0, 1e-2)

@@ -13,11 +13,15 @@ round (a raising operation counts as failed with a worst of ``nan``, as in
 
 Prints, per operation kind and for the whole round: the operations per
 round, each side's median time per round in ms, the change of the medians
-relative to the parent's, and the rounds in which the change was faster.
+relative to the parent's, the median over rounds of the change's time over
+the parent's in the same round, less 1, and the rounds in which the change
+was faster.
 
 A host's speed can swing between two runs started seconds apart; rounds
 alternated in one process compare like with like, so this shows which
-operation kinds a saving reaches.  It writes no file.  A claimed gain is
+operation kinds a saving reaches.  A swing between rounds still moves both
+medians; the per-round ratio compares two sides timed back to back, so
+such a swing cancels out of it.  It writes no file.  A claimed gain is
 still measured by ``tools/bench_pairs.py``, which runs the benchmark itself.
 """
 
@@ -111,14 +115,17 @@ def main(argv=None) -> int:
                 return 1
 
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds; every row agrees")
-    print(f"{'kind':28s} {'ops':>5s} {'parent ms':>10s} {'change ms':>10s} {'change':>8s} {'wins':>7s}")
+    print(f"{'kind':28s} {'ops':>5s} {'parent ms':>10s} {'change ms':>10s} {'change':>8s} {'per-round':>9s} "
+          f"{'wins':>7s}")
     for kind in [*dict.fromkeys(kinds), "round"]:
         runs = {side: [t[kind] * 1e3 for t in totals[side]] for side in SIDES}
         med = {side: statistics.median(runs[side]) for side in SIDES}
         wins = sum(1 for a, b in zip(runs["parent"], runs["change"]) if b < a)
         ops = len(kinds) if kind == "round" else kinds.count(kind)
         rel = med["change"] / med["parent"] - 1.0
-        print(f"{kind:28s} {ops:5d} {med['parent']:10.2f} {med['change']:10.2f} {rel:+8.1%} {wins:3d}/{args.rounds}")
+        ratio = statistics.median(b / a for a, b in zip(runs["parent"], runs["change"])) - 1.0
+        print(f"{kind:28s} {ops:5d} {med['parent']:10.2f} {med['change']:10.2f} {rel:+8.1%} {ratio:+9.1%} "
+              f"{wins:3d}/{args.rounds}")
     return 0
 
 
