@@ -86,6 +86,10 @@ _Z_FULL = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _Z_POS = (0.5, 1.0, 2.0)
 
 
+def _z_positive(x, y, z):
+    return z > 0.0
+
+
 def _check_unused(family: str, name: str, value, default, used: bool):
     """Refuse a parameter that ``family`` does not use, unless it keeps its default."""
     if not used and value != default:
@@ -106,12 +110,15 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
 
             return ScalarField(3, f, name="D1")
 
+        def inside(x, y, z):  # where y^2 - 2z, raised to 1.5, is positive
+            return y * y - 2.0 * z > 1e-6
+
         return OdeEntry(
             "D1",
             make(1.0),
             _Z_FULL,
-            point_filter=lambda x, y, z: y * y - 2.0 * z > 1e-6,
-            perturbed_factory=lambda eps: (make(1.0 + eps), lambda x, y, z: y * y - 2.0 * z > 1e-6),
+            point_filter=inside,
+            perturbed_factory=lambda eps: (make(1.0 + eps), inside),
         )
     if key == "D2":
         if lam == 1.0:
@@ -125,16 +132,13 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
 
             return ScalarField(3, f, name="D2")
 
-        filt = None if integer_exp else (lambda x, y, z: z > 0.0)
+        filt = None if integer_exp else _z_positive
         return OdeEntry(
             "D2",
             make(k),
             _Z_FULL if integer_exp else _Z_POS,
             point_filter=filt,
-            perturbed_factory=lambda eps: (
-                make(k + eps * max(abs(k), 1.0)),
-                lambda x, y, z: z > 0.0,
-            ),
+            perturbed_factory=lambda eps: (make(k + eps * max(abs(k), 1.0)), _z_positive),
         )
     if key == "J1":
         def make(s):
@@ -149,8 +153,8 @@ def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
             "J1",
             make(1.0),
             _Z_POS,
-            point_filter=lambda x, y, z: z > 0.0,
-            perturbed_factory=lambda eps: (make(1.0 + eps), lambda x, y, z: z > 0.0),
+            point_filter=_z_positive,
+            perturbed_factory=lambda eps: (make(1.0 + eps), _z_positive),
         )
     if key == "J2":
         def make(half):

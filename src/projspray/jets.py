@@ -46,19 +46,23 @@ and jets a guard stays one plain comparison.
 A jet stores the Hessian of its n seeded variables as the packed upper
 triangle: one flat tuple of n(n+1)/2 entries h_ij, i <= j, in row order,
 so (h00, h01, h11) for n = 2 and (h00, h01, h02, h11, h12, h22) for n = 3.
-No operation touches a mirrored lower half.  Every operation between jets
-of one register (sum, difference, negation, product, product by a scalar
-and the chain rule) is one generated kernel that builds its result jet.
-The kernels are written out entry by entry, in that row order, for each
-register size on first use, at order 2 and, on gradients alone, at order 1;
-each entry is the plain loop's expression in the loop's operation order,
-so the written-out kernels and a loop agree bit for bit (Griewank &
-Walther, *Evaluating Derivatives*, ch. 13).  A caller that reads only the
-Hessian of a product takes it from :func:`product_hessian`, the kernel
-``hmul`` with ``mul``'s Hessian entries, which builds no jet.  Forward mode
-carries only the coefficients that are read: a chain rule (a power, the
-reciprocal, ``arctan``) forms f'' only for a jet that carries a Hessian, so
-on an order-1 jet it forms f' alone.
+No operation touches a mirrored lower half.  A register chooses its
+arithmetic once, when it is seeded: its size and order fix one kernel
+table, and every jet of the register reaches that table through its
+``level``.  So each operation between jets of one register (sum,
+difference, negation, product, product by a scalar and the chain rule) is
+one call of a generated kernel that builds its result jet, with no lookup
+and no branch on order.  The kernels are written out entry by entry, in
+that row order, for each register size and order on first use; at order 1
+they take the same operands, ignore the Hessian ones and build jets
+without one.  Each entry is the plain loop's expression in the loop's
+operation order, so the written-out kernels and a loop agree bit for bit
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13).  A caller that
+reads only the Hessian of a product takes it from :func:`product_hessian`,
+the kernel ``hmul`` with ``mul``'s Hessian entries, which builds no jet.
+Forward mode carries only the coefficients that are read: a chain rule (a
+power, the reciprocal, ``arctan``) forms f'' only for a jet that carries a
+Hessian, so on an order-1 jet it forms f' alone.
 ``Jet2.hess`` is a read-only view that unfolds the full symmetric matrix;
 the residuals read ``hess_packed`` directly.
 """
@@ -93,7 +97,7 @@ class EvaluationError(ValueError):
     """A closed-form field was evaluated outside its domain."""
 
 
-_REGISTER = itertools.count(1)
+_RANKS = itertools.count(1)
 
 
 def jet_value(x):
@@ -123,111 +127,92 @@ def reject_first(bad, message: str, *at):
     raise EvaluationError(f"{message} at ({', '.join(str(jet_value(a)) for a in at)})")
 
 
-class _Layout(NamedTuple):
-    """Constants of an n-variable register."""
+class _Kernels(NamedTuple):
+    """The arithmetic and constants of the n-variable registers of one order,
+    written out entry by entry.  At order 2 the kernels work on gradient and
+    packed Hessian; at order 1 they take the same operands, ignore the
+    Hessian ones (None) and build jets with none.  Each kernel but ``hmul``
+    takes the result's value (``mul`` forms it from its operands) and
+    register and returns the finished ``Jet2``.  ``hmul`` returns only the
+    packed Hessian of the product, as a tuple of ``mul``'s Hessian entries
+    (None at order 1).  ``chain`` ignores f'' at order 1."""
 
     pairs: tuple  # index pairs (i, j), i <= j, of the packed Hessian, in row order
     units: tuple  # unit gradient of each seeded variable
     zero_grad: tuple
-    zero_hess: tuple  # zero packed Hessian
-
-
-@functools.cache
-def _layout(n):
-    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
-    units = tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n))
-    return _Layout(pairs, units, (0.0,) * n, (0.0,) * len(pairs))
-
-
-class _Kernels(NamedTuple):
-    """Arithmetic of an n-variable register, written out entry by entry:
-    order 2 on gradient and packed Hessian, order 1 (suffix 1) on gradients.
-    Each kernel but ``hmul`` takes the result's value (``mul`` forms it from
-    its operands) and register level and returns the finished ``Jet2``.
-    ``hmul`` returns only the packed Hessian of the product, as a tuple of
-    ``mul``'s Hessian entries.  ``chain1`` reads f' alone: order-1 chain
-    rules form no f''."""
-
+    zero_hess: tuple | None  # the seeds' Hessian: zero packed Hessian, None at order 1
     add: Callable  # (v, g1, h1, g2, h2, level) -> sum
     sub: Callable  # (v, g1, h1, g2, h2, level) -> difference
     neg: Callable  # (v, g1, h1, level) -> negation
     mul: Callable  # (v1, g1, h1, v2, g2, h2, level) -> product
     scale: Callable  # (v, g1, h1, s, level) -> product by the scalar s
     chain: Callable  # (v, g1, h1, d1, d2, level) -> f(jet) = v, f' = d1, f'' = d2
-    add1: Callable  # (v, g1, g2, level)
-    sub1: Callable  # (v, g1, g2, level)
-    neg1: Callable  # (v, g1, level)
-    mul1: Callable  # (v1, g1, v2, g2, level)
-    scale1: Callable  # (v, g1, s, level)
-    chain1: Callable  # (v, g1, d1, level)
     hmul: Callable  # (v1, g1, h1, v2, g2, h2) -> packed Hessian of the product
 
 
-def _unpack(unpack):
-    """Source lines that unpack each operand tuple into its locals."""
-    return "".join(f"    {', '.join(names)}, = {operand}\n" for names, operand in unpack)
+def _tuple(entries):
+    """Source of the tuple of ``entries``, or of None when there are none."""
+    return f"({', '.join(entries)},)" if entries else "None"
 
 
-def _kernel(name, params, unpack, value, grad, hess=None):
-    """Source of one kernel: unpack each operand tuple into locals and return
-    ``Jet2(value, grad, hess, level)`` with the written-out gradient and, unless
-    ``hess`` is None, packed Hessian."""
-    h = "None" if hess is None else f"({', '.join(hess)},)"
-    body = _unpack(unpack)
-    return f"def {name}({params}, level):\n{body}    return Jet2({value}, ({', '.join(grad)},), {h}, level)\n"
+def _def(name, params, unpack, result):
+    """Source of one kernel: unpack each operand tuple that has entries into
+    its locals and return ``result``."""
+    body = "".join(f"    {', '.join(names)}, = {operand}\n" for names, operand in unpack if names)
+    return f"def {name}({params}):\n{body}    return {result}\n"
 
 
 @functools.cache
-def _kernels(n):
-    """Generate the n-variable kernels from ``_layout(n).pairs``.  Each entry
-    is the loop's expression over unpacked locals, in the loop's order.  Each
-    register size compiles under its own file name, so profilers keep the
-    kernels of every size apart."""
-    pairs = _layout(n).pairs
+def _kernels(n, order):
+    """Generate the kernel table of the n-variable registers of ``order``.
+    Each entry is the loop's expression over unpacked locals, in the loop's
+    order; at order 1 the Hessian entry lists are empty, so the same sources
+    read and build no Hessian.  Each (n, order) compiles under its own file
+    name, so profilers keep every register kind's kernels apart."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
+    hpairs = pairs if order == 2 else ()  # the packed Hessian entries the kernels carry
     p, q = [f"p{i}" for i in range(n)], [f"q{i}" for i in range(n)]  # gradient entries
-    a, b = [f"a{k}" for k in range(len(pairs))], [f"b{k}" for k in range(len(pairs))]  # Hessian entries
+    a, b = [f"a{k}" for k in range(len(hpairs))], [f"b{k}" for k in range(len(hpairs))]  # Hessian entries
     g1, h1, g2, h2 = (p, "g1"), (a, "h1"), (q, "g2"), (b, "h2")  # locals unpacked from each operand
     add, sub = ([f"{x} {op} {y}" for x, y in zip(p + a, q + b)] for op in "+-")  # gradient, then Hessian
     neg = [f"-{e}" for e in p + a]
     mul_grad = [f"{p[i]} * v2 + v1 * {q[i]}" for i in range(n)]
-    scale_grad = [f"{e} * s" for e in p]
-    chain_grad = [f"d1 * {e}" for e in p]
     mul_hess = [
-        f"{a[k]} * v2 + {p[i]} * {q[j]} + {q[i]} * {p[j]} + v1 * {b[k]}" for k, (i, j) in enumerate(pairs)
+        f"{a[k]} * v2 + {p[i]} * {q[j]} + {q[i]} * {p[j]} + v1 * {b[k]}" for k, (i, j) in enumerate(hpairs)
     ]
+    chain_hess = [f"d1 * {a[k]} + d2 * ({p[i]} * {p[j]})" for k, (i, j) in enumerate(hpairs)]
+
+    def kernel(name, params, unpack, value, grad, hess):
+        return _def(name, f"{params}, level", unpack, f"Jet2({value}, {_tuple(grad)}, {_tuple(hess)}, level)")
+
     source = (
-        _kernel("add", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", add[:n], add[n:])
-        + _kernel("sub", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", sub[:n], sub[n:])
-        + _kernel("neg", "v, g1, h1", (g1, h1), "v", neg[:n], neg[n:])
-        + _kernel(
-            "mul",
-            "v1, g1, h1, v2, g2, h2",
-            (g1, h1, g2, h2),
-            "v1 * v2",
-            mul_grad,
-            mul_hess,
-        )
-        + _kernel("scale", "v, g1, h1, s", (g1, h1), "v", scale_grad, [f"{e} * s" for e in a])
-        + _kernel(
-            "chain",
-            "v, g1, h1, d1, d2",
-            (g1, h1),
-            "v",
-            chain_grad,
-            [f"d1 * {a[k]} + d2 * ({p[i]} * {p[j]})" for k, (i, j) in enumerate(pairs)],
-        )
-        + _kernel("add1", "v, g1, g2", (g1, g2), "v", add[:n])
-        + _kernel("sub1", "v, g1, g2", (g1, g2), "v", sub[:n])
-        + _kernel("neg1", "v, g1", (g1,), "v", neg[:n])
-        + _kernel("mul1", "v1, g1, v2, g2", (g1, g2), "v1 * v2", mul_grad)
-        + _kernel("scale1", "v, g1, s", (g1,), "v", scale_grad)
-        + _kernel("chain1", "v, g1, d1", (g1,), "v", chain_grad)
-        + "def hmul(v1, g1, h1, v2, g2, h2):\n"
-        + f"{_unpack((g1, h1, g2, h2))}    return ({', '.join(mul_hess)},)\n"
+        kernel("add", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", add[:n], add[n:])
+        + kernel("sub", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", sub[:n], sub[n:])
+        + kernel("neg", "v, g1, h1", (g1, h1), "v", neg[:n], neg[n:])
+        + kernel("mul", "v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), "v1 * v2", mul_grad, mul_hess)
+        + kernel("scale", "v, g1, h1, s", (g1, h1), "v", [f"{e} * s" for e in p], [f"{e} * s" for e in a])
+        + kernel("chain", "v, g1, h1, d1, d2", (g1, h1), "v", [f"d1 * {e}" for e in p], chain_hess)
+        + _def("hmul", "v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), _tuple(mul_hess))
     )
     namespace = {"Jet2": Jet2}
-    exec(compile(source, f"<jets kernels n={n}>", "exec"), namespace)
-    return _Kernels(*(namespace[name] for name in _Kernels._fields))
+    exec(compile(source, f"<jets kernels n={n} order={order}>", "exec"), namespace)
+    units = tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n))
+    constants = (pairs, units, (0.0,) * n, (0.0,) * len(pairs) if order == 2 else None)
+    return _Kernels(*constants, *(namespace[name] for name in _Kernels._fields[len(constants) :]))
+
+
+class _Register:
+    """One seeded register: its nesting ``rank`` (a newer register ranks
+    higher) and ``k``, the kernel table of its size and order."""
+
+    __slots__ = ("rank", "k")
+
+    def __init__(self, n, order):
+        self.rank = next(_RANKS)
+        self.k = _kernels(n, order)
+
+    def __repr__(self):
+        return f"<register {self.rank}>"
 
 
 class Jet2:
@@ -238,6 +223,8 @@ class Jet2:
     n(n+1)/2 entries in row order ((h00, h01, h11) for n = 2), or ``None``
     for a first-order jet; ``hess`` unfolds it into the full symmetric
     tuple of rows.  Components may themselves be jets of an older register.
+    ``level`` is the jet's register, which holds the nesting rank and the
+    kernels of the register's size and order.
 
     Across registers the newer jet is the outer object and the other
     operand one scalar coefficient of it; subtraction goes through ``+`` and
@@ -255,7 +242,7 @@ class Jet2:
         self.level = level
 
     def __repr__(self):
-        return f"Jet2({self.value!r}, grad={self.grad!r}, level={self.level})"
+        return f"Jet2({self.value!r}, grad={self.grad!r}, level={self.level.rank})"
 
     def __eq__(self, other):
         raise TypeError("a jet has no equality; compare jet_value(jet)")
@@ -273,7 +260,7 @@ class Jet2:
             return None
         n = len(self.grad)
         rows = [[None] * n for _ in range(n)]
-        for (i, j), e in zip(_layout(n).pairs, hp):
+        for (i, j), e in zip(self.level.k.pairs, hp):
             rows[i][j] = rows[j][i] = e
         return tuple(map(tuple, rows))
 
@@ -281,14 +268,12 @@ class Jet2:
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            if other.level > self.level:
-                return other._add_scalar(self)
-            if other.level == self.level:
-                g1, h1, h2 = self.grad, self.hess_packed, other.hess_packed
+            level = self.level
+            if other.level is level:
                 v = self.value + other.value
-                if h1 is not None and h2 is not None:
-                    return _kernels(len(g1)).add(v, g1, h1, other.grad, h2, self.level)
-                return _kernels(len(g1)).add1(v, g1, other.grad, self.level)
+                return level.k.add(v, self.grad, self.hess_packed, other.grad, other.hess_packed, level)
+            if other.level.rank > level.rank:
+                return other._add_scalar(self)
         return self._add_scalar(other)
 
     def _add_scalar(self, s):
@@ -297,43 +282,32 @@ class Jet2:
     __radd__ = _add_scalar
 
     def __neg__(self):
-        g, h = self.grad, self.hess_packed
-        if h is not None:
-            return _kernels(len(g)).neg(-self.value, g, h, self.level)
-        return _kernels(len(g)).neg1(-self.value, g, self.level)
+        return self.level.k.neg(-self.value, self.grad, self.hess_packed, self.level)
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
             return Jet2(self.value - other, self.grad, self.hess_packed, self.level)
-        if other.level != self.level:
+        level = self.level
+        if other.level is not level:
             return self + (-other)
-        g1, h1, h2 = self.grad, self.hess_packed, other.hess_packed
         v = self.value - other.value
-        if h1 is not None and h2 is not None:
-            return _kernels(len(g1)).sub(v, g1, h1, other.grad, h2, self.level)
-        return _kernels(len(g1)).sub1(v, g1, other.grad, self.level)
+        return level.k.sub(v, self.grad, self.hess_packed, other.grad, other.hess_packed, level)
 
     def __rsub__(self, s):
         return (-self)._add_scalar(s)
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            if other.level > self.level:
+            level = self.level
+            if other.level is level:
+                g1, h1, g2, h2 = self.grad, self.hess_packed, other.grad, other.hess_packed
+                return level.k.mul(self.value, g1, h1, other.value, g2, h2, level)
+            if other.level.rank > level.rank:
                 return other._mul_scalar(self)
-            if other.level == self.level:
-                v1, v2 = self.value, other.value
-                g1, g2 = self.grad, other.grad
-                h1, h2 = self.hess_packed, other.hess_packed
-                if h1 is not None and h2 is not None:
-                    return _kernels(len(g1)).mul(v1, g1, h1, v2, g2, h2, self.level)
-                return _kernels(len(g1)).mul1(v1, g1, v2, g2, self.level)
         return self._mul_scalar(other)
 
     def _mul_scalar(self, s):
-        g, h = self.grad, self.hess_packed
-        if h is not None:
-            return _kernels(len(g)).scale(self.value * s, g, h, s, self.level)
-        return _kernels(len(g)).scale1(self.value * s, g, s, self.level)
+        return self.level.k.scale(self.value * s, self.grad, self.hess_packed, s, self.level)
 
     __rmul__ = _mul_scalar
 
@@ -366,10 +340,7 @@ class Jet2:
     def _chain(self, f0, d1, d2):
         """f(self) from f's value and first two derivatives at self.value;
         an order-1 jet reads f' alone, so its callers pass ``d2`` as None."""
-        g, h = self.grad, self.hess_packed
-        if h is not None:
-            return _kernels(len(g)).chain(f0, g, h, d1, d2, self.level)
-        return _kernels(len(g)).chain1(f0, g, d1, self.level)
+        return self.level.k.chain(f0, self.grad, self.hess_packed, d1, d2, self.level)
 
 
 def _recip_any(x):
@@ -454,9 +425,9 @@ def product_hessian(p: Jet2, q: Jet2) -> tuple:
     built.  Order-1 or cross-register operands raise ``ValueError``."""
     if p.hess_packed is None or q.hess_packed is None:
         raise ValueError("product_hessian needs two order-2 jets")
-    if p.level != q.level:
-        raise ValueError(f"product_hessian needs one register, not levels {p.level} and {q.level}")
-    return _kernels(len(p.grad)).hmul(p.value, p.grad, p.hess_packed, q.value, q.grad, q.hess_packed)
+    if p.level is not q.level:
+        raise ValueError(f"product_hessian needs one register, not {p.level} and {q.level}")
+    return p.level.k.hmul(p.value, p.grad, p.hess_packed, q.value, q.grad, q.hess_packed)
 
 
 @dataclass(frozen=True)
@@ -482,10 +453,9 @@ def seed_jets(values: Sequence, order: int = 2):
     (``order`` 2) or none (``order`` 1)."""
     if order not in (1, 2):
         raise ValueError(f"jets have order 1 or 2, not {order!r}")
-    layout = _layout(len(values))
-    level = next(_REGISTER)
-    zh = layout.zero_hess if order == 2 else None
-    return tuple([Jet2(v, g, zh, level) for v, g in zip(values, layout.units)])
+    level = _Register(len(values), order)
+    k = level.k
+    return tuple([Jet2(v, g, k.zero_hess, level) for v, g in zip(values, k.units)])
 
 
 def lift(field, point: Sequence, order: int = 2):
@@ -504,12 +474,12 @@ def lift(field, point: Sequence, order: int = 2):
     if len(point) == 0:
         raise ValueError("a lift of a 0-variable point seeds nothing")
     seeds = seed_jets(point, order)
-    # a seed's Hessian is the register's zero Hessian, or None at order 1
-    level, zg, zh = seeds[0].level, _layout(len(seeds)).zero_grad, seeds[0].hess_packed
+    level = seeds[0].level
+    zg, zh = level.k.zero_grad, level.k.zero_hess
     out = field(*seeds)
     many = isinstance(out, tuple)
     comps = [
-        c if isinstance(c, Jet2) and c.level == level else Jet2(c, zg, zh, level)
+        c if isinstance(c, Jet2) and c.level is level else Jet2(c, zg, zh, level)
         for c in (out if many else (out,))
     ]
     return tuple(comps) if many else comps[0]

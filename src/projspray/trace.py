@@ -251,10 +251,9 @@ def circle_fit(trace) -> CircleFit:
     b = -(centered[:, 0] ** 2 + centered[:, 1] ** 2)
     (D, E, F), *_ = np.linalg.lstsq(A, b, rcond=None)
     cx, cy = -D / 2.0, -E / 2.0
-    r2 = cx * cx + cy * cy - F
-    if r2 <= 0.0:
-        raise DegenerateFitError("fit does not define a positive radius")
-    radius = math.sqrt(r2)
+    # the centred columns are orthogonal to the ones column, so F = -mean(x^2 + y^2)
+    # and the radicand is at least mean(x^2 + y^2), which the collinearity guard keeps positive
+    radius = math.sqrt(cx * cx + cy * cy - F)
     dist = np.hypot(centered[:, 0] - cx, centered[:, 1] - cy)
     rms = float(np.sqrt(np.mean((dist - radius) ** 2)))
     return CircleFit(center=(float(cx + mean[0]), float(cy + mean[1])), radius=float(radius), rms=rms)
