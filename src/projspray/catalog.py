@@ -237,7 +237,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
 
         def pair(x, y, u, v):
             denom = 1.0 + s * (x * x + y * y)
-            if jet_value(denom) <= 0.0:
+            if (denom if type(denom) is float else jet_value(denom)) <= 0.0:  # the float path first
                 raise EvaluationError(f"outside the unit disk at ({jet_value(x)}, {jet_value(y)})")
             q = (k * sqrt(u * u + v * v) - s * 2.0 * (y * u - x * v)) / denom
             return 0.5 * q * v, -0.5 * q * u

@@ -3,19 +3,22 @@ post-processing: circle fitting, arc-length reparametrization, curvature
 sampling from the stored states.
 
 Classical RK4 throughout; trajectories here are short and smooth, and the
-fixed step keeps convergence-order measurements clean.  The integrator has
-one kind of state, a point of the tangent bundle (x, y, u, v), and works on
-plain floats: a right-hand side receives the state as a tuple of four floats
-and returns four numbers, the step is written out component by component,
-and the states become arrays once, in one pass, when the run ends.  Sprays
-and magnetic flows live there already; a scalar equation y'' = f(x, y, y')
-is integrated as its lift (x, y, 1, y'), with x read from the time grid.  A
-state of any other length raises ``ValueError``.  Because every trace
-advances in equal steps, reparametrization needs no interpolant: the
-alpha-speeds at all nodes come from one array evaluation of the metric,
-their derivative from a seven-node differentiation stencil on them, and
-arc length from the Hermite (corrected trapezoidal) rule, which is O(h^4)
-like the RK4 states it starts from.
+fixed step keeps convergence-order measurements clean.  The state is a point
+of the tangent bundle (x, y, u, v) held in plain floats; each step is
+written out component by component, and the states become arrays once, in
+one pass, when the run ends.  Two loops share one time grid.  ``_rk4``
+calls a right-hand side on the state as a tuple of four floats and refuses
+a state of any other length; ``integrate_flow`` (magnetic flows) and
+``integrate_ode`` run on it, the latter on the lift (x, y, 1, y') of
+y'' = f(x, y, y'), with x read from the time grid.  ``integrate_spray``
+has its own second-order loop for x'' = -2 G(x, x'), whose stages call
+``Spray.coefficients`` directly and take the stage velocities as position
+slopes; it rounds every float as ``_rk4`` would on (u, v, -2 G1, -2 G2).
+Because every trace advances in equal steps, reparametrization needs no
+interpolant: the alpha-speeds at all nodes come from one array evaluation
+of the metric, their derivative from a seven-node differentiation stencil
+on them, and arc length from the Hermite (corrected trapezoidal) rule,
+which is O(h^4) like the RK4 states it starts from.
 """
 
 from __future__ import annotations
@@ -75,35 +78,45 @@ class OdeCurve:
     blown_up: bool = False
 
 
-def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
-    """Classical RK4 of s' = rhs(t, s) on the state s = (x, y, u, v) from t0 to t1.
+def _grid(t0: float, t1: float, step: float) -> tuple:
+    """The times and the step h of a fixed-step run from t0 to t1.
 
-    rhs receives the state as a tuple of four floats and returns four
-    numbers; the stages and the update are written out component by
-    component on floats.  Takes n = ceil((t1 - t0) / step) equal steps
-    (``step`` is an upper bound, up to a relative 1e-9), at least one when
-    t1 > t0, with times t0 + i (t1 - t0) / n, so the last time is t1
-    exactly.  A state is kept only if it is finite, ``stop`` does not fire on
-    it and rhs evaluates there; otherwise the run ends early.  An
-    ``EvaluationError`` at ``init`` propagates.  Returns (times, states,
-    derivatives at the states, stopped early) as arrays, the last two of
-    shape (m, 4).  The derivative at a kept state is the next step's first
-    stage, so a run makes one evaluation more than 4 n.  Raises
-    ``ValueError``, checked in this order, when t1 precedes t0, ``step`` is
-    not finite and positive, ``init`` does not have four components, or rhs
-    at ``init`` returns a number of components other than four; t1 == t0
-    gives the initial state alone.
+    Takes n = ceil((t1 - t0) / step) equal steps (``step`` is an upper
+    bound, up to a relative 1e-9), at least one when t1 > t0, with times
+    t0 + i (t1 - t0) / n as a list of floats, so the last time is t1
+    exactly; t1 == t0 gives the one time t0 and h = 0.  Raises
+    ``ValueError`` when t1 precedes t0 or, next, when ``step`` is not finite
+    and positive.
     """
     if t1 < t0:
         raise ValueError(f"integration end {t1} precedes its start {t0}")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step {step} is not finite and positive")
+    n = max(math.ceil((t1 - t0) / step - 1e-9), 1) if t1 > t0 else 0
+    return np.linspace(t0, t1, n + 1).tolist(), (t1 - t0) / n if n else 0.0
+
+
+def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
+    """Classical RK4 of s' = rhs(t, s) on the state s = (x, y, u, v) from t0 to t1.
+
+    The loop of ``integrate_flow`` and ``integrate_ode``; sprays have their
+    own, in ``integrate_spray``.  rhs receives the state as a tuple of four
+    floats and returns four numbers; the stages and the update are written
+    out component by component on floats.  The times are those of
+    ``_grid``.  A state is kept only if it is finite, ``stop`` does not fire
+    on it and rhs evaluates there; otherwise the run ends early.  An
+    ``EvaluationError`` at ``init`` propagates.  Returns (times, states,
+    derivatives at the states, stopped early) as arrays, the last two of
+    shape (m, 4).  The derivative at a kept state is the next step's first
+    stage, so a run makes one evaluation more than 4 n.  Raises
+    ``ValueError``, checked in this order, for ``_grid``'s two reasons, when
+    ``init`` does not have four components, or when rhs at ``init`` returns
+    a number of components other than four.
+    """
+    times, h = _grid(t0, t1, step)
     state = tuple([float(c) for c in init])
     if len(state) != 4:
         raise ValueError(f"state of {len(state)} components; RK4 integrates (x, y, u, v)")
-    n = max(math.ceil((t1 - t0) / step - 1e-9), 1) if t1 > t0 else 0
-    times = np.linspace(t0, t1, n + 1).tolist()
-    h = (t1 - t0) / n if n else 0.0
     h2, h6 = 0.5 * h, h / 6.0
     x, y, u, v = state
     k1 = rhs(t0, state)
@@ -136,12 +149,12 @@ def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
         x, y, u, v = state
         states.append(state)
         derivs.append(k1)
-    return np.array(times[: len(states)]), _rows(states), _rows(derivs), stopped
+    return np.array(times[: len(states)]), _rows(states, 4), _rows(derivs, 4), stopped
 
 
-def _rows(rows) -> np.ndarray:
-    """The (m, 4) float array of a list of m rows of 4 numbers, filled in one pass."""
-    return np.fromiter(itertools.chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
+def _rows(rows, width: int) -> np.ndarray:
+    """The (m, width) float array of a list of m rows of ``width`` numbers, filled in one pass."""
+    return np.fromiter(itertools.chain.from_iterable(rows), float, width * len(rows)).reshape(-1, width)
 
 
 def integrate_flow(rhs, init, tmax: float, step: float):
@@ -163,37 +176,70 @@ def integrate_flow(rhs, init, tmax: float, step: float):
 def integrate_spray(
     spray: Spray, init: Sequence[float], tmax: float, step: float
 ) -> GeodesicTrace:
-    """Integrate (x, y, u, v)' = (u, v, -2 G1, -2 G2) from ``init``.
+    """Integrate x'' = -2 G(x, x') from ``init`` = (x, y, u, v) over [0, tmax].
 
-    Steps and times are those of ``integrate_flow``.  The trace stores the
-    acceleration -2G at every state.  Halts with the domain-exit flag when
-    the base point leaves the spray's rectangle or the fiber norm collapses
-    below 1e-12.
+    RK4 written for the second-order system: the position slopes of the
+    stages are the stage velocities, and the velocity slopes are
+    -2.0 times the pair that ``spray.coefficients`` returns at the stage,
+    4 n + 1 calls for n steps.  Every float rounds as in ``_rk4`` on
+    (x, y, u, v)' = (u, v, -2 G1, -2 G2), on the times of ``_grid``
+    (``integrate_flow``'s steps).  The trace stores the acceleration -2G at
+    every state.  Raises ``DomainError`` when ``init`` lies outside the
+    spray's rectangle or its fiber vector is (numerically) zero, then
+    ``_grid``'s ``ValueError``; an ``EvaluationError`` at ``init``
+    propagates.  The run halts with the domain-exit flag at a state that is
+    not finite, whose base point leaves the rectangle or whose fiber norm
+    collapses below 1e-12, or where the spray raises ``EvaluationError``;
+    that state is not kept.
     """
-    x0, y0, u0, v0 = (float(c) for c in init)
-    if not spray.domain.contains(x0, y0):
-        raise DomainError(f"initial base point ({x0}, {y0}) outside the spray domain")
-    if u0 * u0 + v0 * v0 <= 1e-24:
+    x, y, u, v = (float(c) for c in init)
+    if not spray.domain.contains(x, y):
+        raise DomainError(f"initial base point ({x}, {y}) outside the spray domain")
+    if u * u + v * v <= 1e-24:
         raise DomainError("initial fiber vector is (numerically) zero")
-
+    times, h = _grid(0.0, tmax, step)
+    h2, h6 = 0.5 * h, h / 6.0
     coefficients, contains = spray.coefficients, spray.domain.contains
-
-    def rhs(t, state):
-        x, y, u, v = state
-        g1, g2 = coefficients(x, y, u, v)
-        return u, v, -2.0 * g1, -2.0 * g2
-
-    def stop(state):
-        x, y, u, v = state
-        return (not contains(x, y)) or (u * u + v * v < 1e-24)
-
-    times, states, derivs, exited = _rk4(rhs, (x0, y0, u0, v0), 0.0, tmax, step, stop)
+    g1, g2 = coefficients(x, y, u, v)
+    a, b = -2.0 * g1, -2.0 * g2
+    states, accs = [(x, y, u, v)], [(a, b)]
+    exited = False
+    isfinite = math.isfinite
+    for _ in times[1:]:
+        try:
+            u2, v2 = u + h2 * a, v + h2 * b
+            g1, g2 = coefficients(x + h2 * u, y + h2 * v, u2, v2)
+            a2, b2 = -2.0 * g1, -2.0 * g2
+            u3, v3 = u + h2 * a2, v + h2 * b2
+            g1, g2 = coefficients(x + h2 * u2, y + h2 * v2, u3, v3)
+            a3, b3 = -2.0 * g1, -2.0 * g2
+            u4, v4 = u + h * a3, v + h * b3
+            g1, g2 = coefficients(x + h * u3, y + h * v3, u4, v4)
+            a4, b4 = -2.0 * g1, -2.0 * g2
+            x1 = x + h6 * (u + 2.0 * u2 + 2.0 * u3 + u4)
+            y1 = y + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            u1 = u + h6 * (a + 2.0 * a2 + 2.0 * a3 + a4)
+            v1 = v + h6 * (b + 2.0 * b2 + 2.0 * b3 + b4)
+            if not (isfinite(x1) and isfinite(y1) and isfinite(u1) and isfinite(v1)) or (
+                not contains(x1, y1) or u1 * u1 + v1 * v1 < 1e-24
+            ):
+                exited = True
+                break
+            g1, g2 = coefficients(x1, y1, u1, v1)
+        except EvaluationError:
+            exited = True
+            break
+        x, y, u, v = x1, y1, u1, v1
+        a, b = -2.0 * g1, -2.0 * g2
+        states.append((x, y, u, v))
+        accs.append((a, b))
+    states = _rows(states, 4)
     return GeodesicTrace(
-        t=times,
+        t=np.array(times[: len(states)]),
         xy=states[:, :2],
         uv=states[:, 2:],
+        acc=_rows(accs, 2),
         domain_exit=exited,
-        acc=derivs[:, 2:],
     )
 
 

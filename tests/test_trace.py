@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from projspray.catalog import metric_entry, spray_entry
-from projspray.finsler import Spray, geodesic_spray, induced_odes
+from projspray.catalog import SPRAY_KEYS, metric_entry, spray_entry
+from projspray.finsler import Rectangle, Spray, geodesic_spray, induced_odes
 from projspray.jets import EvaluationError, ScalarField
 from projspray.randers import (
     CurveSample,
@@ -234,6 +234,78 @@ def test_integrate_spray_evaluates_the_spray_through_coefficients(monkeypatch):
     tr = integrate_spray(spray_entry("a").spray, (0.0, 0.0, 1.0, 0.0), 0.1, 1e-2)
     assert len(tr) == 11 and not tr.domain_exit
     assert len(calls) == 4 * 10 + 1
+
+
+def _spray_by_rk4(spray, init, tmax, step):
+    """``integrate_spray``'s run through ``_rk4``, on the first-order system
+    (u, v, -2 G1, -2 G2) with the same stop rule."""
+    contains = spray.domain.contains
+
+    def rhs(t, s):
+        g1, g2 = spray.coefficients(*s)
+        return s[2], s[3], -2.0 * g1, -2.0 * g2
+
+    def stop(s):
+        x, y, u, v = s
+        return (not contains(x, y)) or (u * u + v * v < 1e-24)
+
+    times, states, derivs, stopped = _rk4(rhs, init, 0.0, tmax, step, stop)
+    return GeodesicTrace(t=times, xy=states[:, :2], uv=states[:, 2:], acc=derivs[:, 2:], domain_exit=stopped)
+
+
+def _assert_spray_loop_equals_rk4(spray, init, tmax, step):
+    want = _spray_by_rk4(spray, init, tmax, step)
+    got = integrate_spray(spray, init, tmax, step)
+    for field in ("t", "xy", "uv", "acc"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.domain_exit == want.domain_exit
+    return want
+
+
+_LOOP_SPRAYS = [(key, 1.0) for key in SPRAY_KEYS if key not in ("bk+", "bk-")]
+_LOOP_SPRAYS += [(key, k) for key in ("bk+", "bk-") for k in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("key,k", [*_LOOP_SPRAYS, ("geodesic a", None)])
+def test_spray_loop_equals_rk4_on_the_first_order_system(key, k):
+    spray = geodesic_spray(metric_entry("a").metric) if k is None else spray_entry(key, k).spray
+    d = spray.domain
+    cx, cy = 0.5 * (d.x0 + d.x1), 0.5 * (d.y0 + d.y1)
+    full = _assert_spray_loop_equals_rk4(spray, (cx, cy, 0.6, 0.3), 0.2, 1e-2)
+    assert len(full) == 21 and not full.domain_exit
+    assert len(_assert_spray_loop_equals_rk4(spray, (cx, cy, 0.6, 0.3), 0.0, 1e-2)) == 1
+    # heading out through the right edge
+    leaves = _assert_spray_loop_equals_rk4(spray, (d.x1 - 0.05, cy, 1.0, 0.0), 1.0, 2e-2)
+    assert leaves.domain_exit and 1 < len(leaves) < 51
+
+
+_pair_a = spray_entry("a").spray.pair
+
+
+def _raises_beyond(x, y, u, v):
+    if x >= 0.3:
+        raise EvaluationError(f"outside the domain at ({x}, {y})")
+    return _pair_a(x, y, u, v)
+
+
+def _nan_beyond(x, y, u, v):
+    return (math.nan, 0.0) if x >= 0.3 else _pair_a(x, y, u, v)
+
+
+@pytest.mark.parametrize(
+    "pair,tmax,step,m",
+    [
+        (_raises_beyond, 1.0, 1e-2, 31),
+        (_nan_beyond, 1.0, 1e-2, 31),
+        # x'' = -1: RK4 is exact on it, and the velocity (1 - t, 0) is zero at t = 1
+        (lambda x, y, u, v: (0.5, 0.0), 2.0, 0.25, 4),
+    ],
+    ids=["evaluation-error", "non-finite", "fiber-collapse"],
+)
+def test_spray_loop_equals_rk4_where_a_run_stops(pair, tmax, step, m):
+    spray = Spray(pair, Rectangle(-3.0, 3.0, -3.0, 3.0), "test")
+    stopped = _assert_spray_loop_equals_rk4(spray, (0.0, 0.0, 1.0, 0.0), tmax, step)
+    assert stopped.domain_exit and len(stopped) == m
 
 
 def test_integrate_ode_blowup_guard():

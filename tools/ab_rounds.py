@@ -1,12 +1,13 @@
-"""Time two checkouts' operations in one process, alternating whole rounds.
+"""Time two checkouts' operations in one process, alternating operation by operation.
 
     python3 tools/ab_rounds.py PARENT CHANGE --workload W --rounds N [--seed S]
 
 Loads PARENT's and CHANGE's ``src/projspray`` into one interpreter, each
 under PARENT's ``perfbench/`` workload modules, and builds each side's
-operations from seed S (default 7).  After one warm-up round per side it
-runs N rounds of each side, alternating: the parent first in odd rounds,
-the change first in even ones.  Every operation's row
+operations from seed S (default 7).  After one warm-up round it runs N
+rounds; a round runs each operation once on each side, back to back, the
+parent first on even-numbered operations in odd rounds and on odd-numbered
+ones in even rounds, the change first otherwise.  Every operation's row
 ``(kind, key, ok, repr(worst))`` must agree between the two sides in every
 round (a raising operation counts as failed with a worst of ``nan``, as in
 ``perfbench/run.py``); the script exits 1 at the first that does not.
@@ -17,10 +18,12 @@ relative to the parent's, the median over rounds of the change's time over
 the parent's in the same round, less 1, and the rounds in which the change
 was faster.
 
-A host's speed can swing between two runs started seconds apart; rounds
-alternated in one process compare like with like, so this shows which
-operation kinds a saving reaches.  A swing between rounds still moves both
-medians; the per-round ratio compares two sides timed back to back, so
+A host's speed can swing between two runs started seconds apart, and
+within one round.  Operations alternated in one process compare like with
+like: a swing falls on both sides' copies of an operation, timed
+milliseconds apart, so this shows which operation kinds a saving reaches
+even when a round is short.  A swing between rounds still moves both
+medians; the per-round ratio compares the two sides of the same round, so
 such a swing cancels out of it.  It writes no file.  A claimed gain is
 still measured by ``tools/bench_pairs.py``, which runs the benchmark itself.
 """
@@ -65,24 +68,36 @@ def load(src: Path, bench: Path, workload: str, seed: int):
     return common, ops
 
 
-def run_round(common, ops):
-    """Per operation, its time in seconds and its row."""
+def run_op(common, op):
+    """One operation's time in seconds and its row."""
+    t0 = perf_counter()
+    try:
+        v = op.fn(common.Work())
+        ok, worst = v.ok, v.worst
+    except Exception:  # a raising op fails, as in run.py
+        ok, worst = False, math.nan
+    return perf_counter() - t0, (op.kind, op.key, ok, repr(worst))
+
+
+def run_round(sides, r):
+    """Per side, each operation's time in seconds and its row, in round r.
+
+    Each operation runs on both sides back to back; the parent goes first
+    when r + i is odd for the i-th operation (0-based).
+    """
     gc.collect()
-    times, rows = [], []
-    for op in ops:
-        t0 = perf_counter()
-        try:
-            v = op.fn(common.Work())
-            ok, worst = v.ok, v.worst
-        except Exception:  # a raising op fails, as in run.py
-            ok, worst = False, math.nan
-        times.append(perf_counter() - t0)
-        rows.append((op.kind, op.key, ok, repr(worst)))
-    return times, rows
+    runs = {side: ([], []) for side in SIDES}
+    for i in range(len(sides["parent"][1])):
+        for side in SIDES if (r + i) % 2 else SIDES[::-1]:
+            common, ops = sides[side]
+            t, row = run_op(common, ops[i])
+            runs[side][0].append(t)
+            runs[side][1].append(row)
+    return runs
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description="Alternate whole rounds of two checkouts in one process.")
+    p = argparse.ArgumentParser(description="Alternate the operations of two checkouts in one process.")
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--workload", required=True)
@@ -98,18 +113,16 @@ def main(argv=None) -> int:
     if kinds != [op.kind for op in sides["change"][1]]:
         raise SystemExit("error: the two sides built different operation lists")
 
-    for side in SIDES:  # warm-up: kernels, caches
-        run_round(*sides[side])
+    run_round(sides, 0)  # warm-up: kernels, caches
     totals = {side: [] for side in SIDES}  # per round, {kind: seconds}
     for r in range(1, args.rounds + 1):
-        rows = {}
-        for side in SIDES if r % 2 else SIDES[::-1]:
-            times, rows[side] = run_round(*sides[side])
+        timed = run_round(sides, r)
+        for side, (times, _) in timed.items():
             by_kind = {"round": sum(times)}
             for kind, t in zip(kinds, times):
                 by_kind[kind] = by_kind.get(kind, 0.0) + t
             totals[side].append(by_kind)
-        for a, b in zip(rows["parent"], rows["change"]):
+        for a, b in zip(timed["parent"][1], timed["change"][1]):
             if a != b:
                 print(f"round {r}: verdicts differ: parent {a}, change {b}", file=sys.stderr)
                 return 1
