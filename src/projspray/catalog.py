@@ -21,6 +21,7 @@ Notes on conventions, all confirmed by the residual suites:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -65,7 +66,9 @@ class OdeEntry:
     f: ScalarField  # arity 3, the forward (xdot > 0) normal form
     z_values: tuple
     point_filter: Callable | None = None
-    perturbed_factory: Callable | None = None  # eps -> (ScalarField, point_filter)
+    # A perturbable f is f(x, y, z, p=<catalog value>); perturbed(eps) evaluates it at p = bump(eps).
+    bump: Callable | None = None
+    perturbed_filter: Callable | None = None  # D2's, whose perturbed exponent is fractional
     base_domain = Rectangle(-0.3, 0.3, -0.3, 0.3)  # not a field: every family shares this box
 
     def grid(self, n_spatial: int = 3):
@@ -77,9 +80,10 @@ class OdeEntry:
         return pts
 
     def perturbed(self, eps: float = 0.01):
-        if self.perturbed_factory is None:
+        if self.bump is None:
             raise ValueError(f"no structural perturbation defined for {self.key}")
-        return self.perturbed_factory(eps)
+        f = ScalarField(3, functools.partial(self.f.fn, p=self.bump(eps)), name=self.key)
+        return f, self.perturbed_filter or self.point_filter
 
 
 _Z_FULL = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -90,120 +94,77 @@ def _z_positive(x, y, z):
     return z > 0.0
 
 
-def _check_unused(family: str, name: str, value, default, used: bool):
-    """Refuse a parameter that ``family`` does not use, unless it keeps its default."""
+def _check_param(family: str, name: str, value, default, used: bool):
+    """Refuse a non-finite parameter, or one that ``family`` does not use unless it keeps its default."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"parameter {name} of family {family} must be finite (got {value!r})")
     if not used and value != default:
         raise ValueError(f"family {family} takes no parameter {name} (got {value!r})")
 
 
 def ode_entry(key: str, C: float = 1.0, lam: float = -1.0) -> OdeEntry:
     """Normal forms D1, D2, J1, J2, J3, C1, C2(+/-), and the flat equation."""
-    _check_unused(key, "C", C, 1.0, key not in ("flat", "J3"))
-    _check_unused(key, "lam", lam, -1.0, key in ("D2", "C1"))
+    _check_param(key, "C", C, 1.0, key not in ("flat", "J3"))
+    _check_param(key, "lam", lam, -1.0, key in ("D2", "C1"))
     if key == "flat":
         return OdeEntry("flat", ScalarField(3, lambda x, y, z: 0.0, name="0"), _Z_FULL)
     if key == "D1":
-        def make(scale):
-            def f(x, y, z):
-                w = y * y - 2.0 * z
-                return C * power(w, 1.5) - scale * (y**3) + scale * 3.0 * y * z
-
-            return ScalarField(3, f, name="D1")
+        def f(x, y, z, p=1.0):
+            w = y * y - 2.0 * z
+            return C * power(w, 1.5) - p * (y**3) + p * 3.0 * y * z
 
         def inside(x, y, z):  # where y^2 - 2z, raised to 1.5, is positive
             return y * y - 2.0 * z > 1e-6
 
-        return OdeEntry(
-            "D1",
-            make(1.0),
-            _Z_FULL,
-            point_filter=inside,
-            perturbed_factory=lambda eps: (make(1.0 + eps), inside),
-        )
+        return OdeEntry("D1", ScalarField(3, f, name="D1"), _Z_FULL, inside, bump=lambda eps: 1.0 + eps)
     if key == "D2":
         if lam == 1.0:
             raise ValueError("D2 exponent is undefined for lam = 1")
         k = (lam - 2.0) / (lam - 1.0)
         integer_exp = float(k).is_integer() and k >= 0
 
-        def make(exponent):
-            def f(x, y, z):
-                return C * power(z, exponent)
+        def f(x, y, z, p=k):
+            return C * power(z, p)
 
-            return ScalarField(3, f, name="D2")
-
-        filt = None if integer_exp else _z_positive
         return OdeEntry(
             "D2",
-            make(k),
+            ScalarField(3, f, name="D2"),
             _Z_FULL if integer_exp else _Z_POS,
-            point_filter=filt,
-            perturbed_factory=lambda eps: (make(k + eps * max(abs(k), 1.0)), _z_positive),
+            None if integer_exp else _z_positive,
+            bump=lambda eps: k + eps * max(abs(k), 1.0),
+            perturbed_filter=_z_positive,
         )
     if key == "J1":
-        def make(s):
-            def f(x, y, z):
-                if jet_value(z) <= 0.0:
-                    return 0.0  # smooth extension below z = 0
-                return C * z**3 * exp(-s / z)
+        def f(x, y, z, p=1.0):
+            if jet_value(z) <= 0.0:
+                return 0.0  # smooth extension below z = 0
+            return C * z**3 * exp(-p / z)
 
-            return ScalarField(3, f, name="J1")
-
-        return OdeEntry(
-            "J1",
-            make(1.0),
-            _Z_POS,
-            point_filter=_z_positive,
-            perturbed_factory=lambda eps: (make(1.0 + eps), _z_positive),
-        )
+        return OdeEntry("J1", ScalarField(3, f, name="J1"), _Z_POS, _z_positive, bump=lambda eps: 1.0 + eps)
     if key == "J2":
-        def make(half):
-            def f(x, y, z):
-                return half * z + C * exp(-2.0 * x) * z**3
+        def f(x, y, z, p=0.5):
+            return p * z + C * exp(-2.0 * x) * z**3
 
-            return ScalarField(3, f, name="J2")
-
-        return OdeEntry(
-            "J2",
-            make(0.5),
-            _Z_FULL,
-            perturbed_factory=lambda eps: (make(0.5 * (1.0 + eps)), None),
-        )
+        return OdeEntry("J2", ScalarField(3, f, name="J2"), _Z_FULL, bump=lambda eps: 0.5 * (1.0 + eps))
     if key == "J3":
         def f(x, y, z):
             return (1.0 + y) * z**3
 
         return OdeEntry("J3", ScalarField(3, f, name="J3"), _Z_FULL)
     if key == "C1":
-        def make(expo):
-            def f(x, y, z):
-                return C * (z * z + 1.0) ** expo * exp(-lam * arctan(z))
+        def f(x, y, z, p=1.5):
+            return C * (z * z + 1.0) ** p * exp(-lam * arctan(z))
 
-            return ScalarField(3, f, name="C1")
-
-        return OdeEntry(
-            "C1",
-            make(1.5),
-            _Z_FULL,
-            perturbed_factory=lambda eps: (make(1.5 * (1.0 + eps)), None),
-        )
+        return OdeEntry("C1", ScalarField(3, f, name="C1"), _Z_FULL, bump=lambda eps: 1.5 * (1.0 + eps))
     if key in ("C2+", "C2-"):
         s = 1.0 if key == "C2+" else -1.0
 
-        def make(two):
-            def f(x, y, z):
-                return (C * (z * z + 1.0) ** 1.5 + s * two * (x * z - y) * (z * z + 1.0)) / (
-                    1.0 + s * (x * x + y * y)
-                )
+        def f(x, y, z, p=2.0):
+            return (C * (z * z + 1.0) ** 1.5 + s * p * (x * z - y) * (z * z + 1.0)) / (
+                1.0 + s * (x * x + y * y)
+            )
 
-            return ScalarField(3, f, name=key)
-
-        return OdeEntry(
-            key,
-            make(2.0),
-            _Z_FULL,
-            perturbed_factory=lambda eps: (make(2.0 * (1.0 + eps)), None),
-        )
+        return OdeEntry(key, ScalarField(3, f, name=key), _Z_FULL, bump=lambda eps: 2.0 * (1.0 + eps))
     raise KeyError(f"unknown equation family {key!r}")
 
 
@@ -221,7 +182,7 @@ class SprayEntry:
 
 
 def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
-    _check_unused(key, "k", k, 1.0, key in ("bk+", "bk-"))
+    _check_param(key, "k", k, 1.0, key in ("bk+", "bk-"))
     if key == "flat":
         return SprayEntry(Spray(lambda *a: (0.0, 0.0), Rectangle(-3.0, 3.0, -3.0, 3.0), "flat"))
     if key == "a":
@@ -269,8 +230,8 @@ class MetricEntry:
     metric: FinslerMetric
     spray_key: str
     domain: Rectangle  # where the entry's claims are verified
-    alpha: MetricField | None = None  # background for Randers entries, g itself otherwise
-    projective_basis: tuple = ()
+    alpha: MetricField  # background for Randers entries, g itself otherwise
+    projective_basis: tuple
 
 
 def _metric_c(sign: float) -> MetricField:
@@ -313,7 +274,7 @@ def _c2_fields(s: float):
 
 
 def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
-    _check_unused(key, "k", k, 1.0, key in ("bk+", "bk-"))
+    _check_param(key, "k", k, 1.0, key in ("bk+", "bk-"))
     if key == "euclidean":
         alpha = constant_curvature_metric("euclidean")
         return MetricEntry(
@@ -377,8 +338,8 @@ METRIC_KEYS = ("euclidean", "a", "bk+", "bk-", "c+", "c-")
 
 
 def lie_case(key: str, lam: float = -1.0, gamma=(1.0, 0.0)) -> LieAlgebraCase:
-    _check_unused(key, "lam", lam, -1.0, key in ("D2", "C1"))
-    _check_unused(key, "gamma", tuple(gamma), (1.0, 0.0), key == "J3")
+    _check_param(key, "lam", lam, -1.0, key in ("D2", "C1"))
+    _check_param(key, "gamma", tuple(gamma), (1.0, 0.0), key == "J3")
     if key == "D1":
         return LieAlgebraCase(
             (

@@ -154,20 +154,15 @@ class ProjectiveConnectionCoeffs(CubicForm):
         return cls(cf.fit)
 
 
-def _det_scaled(m: MetricField, p: float) -> MetricField:
-    """The matrix field (det m)^p m."""
-
-    def entries(x, y):
-        e11, e12, e22 = m.entries(x, y)
-        scale = power(checked_det(e11, e12, e22, "metric field", (x, y)), p)
-        return scale * e11, scale * e12, scale * e22
-
-    return MetricField(entries, m.domain)
-
-
 def liouville_candidate(g: MetricField) -> MetricField:
     """The density-rescaled metric a = (det g)^{-2/3} g."""
-    return _det_scaled(g, -2.0 / 3.0)
+
+    def entries(x, y):
+        e11, e12, e22 = g.entries(x, y)
+        scale = power(checked_det(e11, e12, e22, "metric field", (x, y)), -2.0 / 3.0)
+        return scale * e11, scale * e12, scale * e22
+
+    return MetricField(entries, g.domain)
 
 
 def liouville_residuals(

@@ -47,7 +47,7 @@ class Rectangle:
     def contains(self, x: float, y: float) -> bool:
         return self.x0 < x < self.x1 and self.y0 < y < self.y1
 
-    def shrunk(self, factor: float = 0.9) -> "Rectangle":
+    def shrunk(self, factor: float) -> "Rectangle":
         cx, cy = 0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)
         hx, hy = 0.5 * factor * (self.x1 - self.x0), 0.5 * factor * (self.y1 - self.y0)
         return Rectangle(cx - hx, cx + hx, cy - hy, cy + hy)
@@ -61,7 +61,7 @@ class Rectangle:
         return [(float(x), float(y)) for x in xs for y in ys]
 
 
-def fiber_directions(n: int = 8):
+def fiber_directions(n: int):
     """n >= 1 unit fiber directions, offset by 0.1 so none is axis-aligned."""
     if n < 1:
         raise ValueError(f"need at least one fiber direction, not {n}")

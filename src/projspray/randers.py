@@ -124,23 +124,23 @@ def constant_curvature_metric(model: str) -> MetricField:
     raise ValueError(f"unknown model {model!r}")
 
 
-def beta_for(model: str, k: float, sign: float = 1.0) -> Callable:
-    """Rotationally symmetric one-form (x, y) -> (b1, b2) with d(beta) = area_form(alpha, k).
+def _check_scale(k: float):
+    if not 0.0 < k < math.inf:  # false for NaN too
+        raise ValueError(f"curvature scale k must be positive and finite (got {k!r})")
 
-    ``sign`` = -1 gives the opposite orientation; the consistent choice for
-    the catalog sprays is +1.
-    """
-    if k <= 0:
-        raise ValueError("curvature scale k must be positive")
-    s = float(sign)
+
+def beta_for(model: str, k: float) -> Callable:
+    """Rotationally symmetric one-form (x, y) -> (b1, b2) with d(beta) = area_form(alpha, k),
+    in the orientation the catalog sprays match."""
+    _check_scale(k)
     if model == "euclidean":
-        return lambda x, y: (s * 0.5 * k * y, -s * 0.5 * k * x)
+        return lambda x, y: (0.5 * k * y, -0.5 * k * x)
     if model in ("sphere", "hyperbolic"):
         eps = 1.0 if model == "sphere" else -1.0
 
         def at(x, y):
             denom = 1.0 + eps * (x * x + y * y)
-            return s * 0.5 * k * y / denom, -s * 0.5 * k * x / denom
+            return 0.5 * k * y / denom, -0.5 * k * x / denom
 
         return at
     raise ValueError(f"unknown model {model!r}")
@@ -158,8 +158,7 @@ def _positive_det(e11, e12, e22, at: Sequence):
 
 def area_form(alpha: MetricField, k: float) -> Callable:
     """The area form's component (x, y) -> Omega_12 = -k sqrt(det alpha), on floats or jets."""
-    if k <= 0:
-        raise ValueError("curvature scale k must be positive")
+    _check_scale(k)
 
     def w(x, y):
         return -k * sqrt(_positive_det(*alpha.entries(x, y), (x, y)))

@@ -169,6 +169,25 @@ def test_symmetry_pairs_break_under_structural_perturbation():
         assert worst > 1e-4, (label, worst)
 
 
+def _perturbable_entries():
+    """Each perturbable ODE_KEYS family at its defaults, then every symmetry_pairs() entry."""
+    out = [(f"{key} default", ode_entry(key)) for key in ODE_KEYS if key not in ("flat", "J3")]
+    return out + [(label, entry) for label, _, entry in symmetry_pairs()]
+
+
+@pytest.mark.parametrize("label,entry", [pytest.param(*le, id=le[0]) for le in _perturbable_entries()])
+def test_perturbation_at_zero_is_the_catalog_form(label, entry):
+    # perturbed(eps) evaluates the form at p = bump(eps); bump(0.0) must be the default p
+    f0, filt = entry.perturbed(0.0)
+    pts = entry.grid()
+    assert pts and all(f0(*pt) == entry.f(*pt) for pt in pts), label
+    if label == "D2(lam=2)":  # its own filter is None, but the perturbed exponent is fractional
+        assert entry.point_filter is None
+        assert [pt for pt in pts if filt(*pt)] == [pt for pt in pts if pt[2] > 0.0]
+    else:
+        assert filt is entry.point_filter, label
+
+
 def test_j3_partial_symmetries():
     # the cubic family is preserved by the first two J3 fields for any h(y)
     entry = ode_entry("J3")
@@ -251,7 +270,12 @@ def test_wrong_beta_sign_breaks_equivalence():
     from projspray.randers import beta_for, constant_curvature_metric, randers_metric
 
     alpha = constant_curvature_metric("sphere")
-    beta = beta_for("sphere", 1.0, sign=-1.0)
+    b = beta_for("sphere", 1.0)
+
+    def beta(x, y):
+        b1, b2 = b(x, y)
+        return -b1, -b2
+
     m = randers_metric(alpha, beta, domain=Rectangle(-0.45, 0.45, -0.45, 0.45))
     gs = geodesic_spray(m)
     cat = spray_entry("bk+", k=1.0).spray
@@ -300,6 +324,34 @@ def test_catalog_key_listings():
 )
 def test_catalog_refuses_undefined_entries(build, error, match):
     with pytest.raises(error, match=match):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: spray_entry("bk+", k=math.nan), "parameter k of family bk"),
+        (lambda: spray_entry("bk-", k=math.inf), "parameter k of family bk"),
+        (lambda: metric_entry("bk+", k=math.nan), "parameter k of family bk"),
+        (lambda: metric_entry("bk-", k=-1.0), "curvature scale k must be positive"),
+        (lambda: ode_entry("D2", lam=math.nan), "parameter lam of family D2"),
+        (lambda: ode_entry("C1", lam=-math.inf), "parameter lam of family C1"),
+        (lambda: ode_entry("J2", C=math.nan), "parameter C of family J2"),
+        (lambda: ode_entry("D1", C=math.inf), "parameter C of family D1"),
+        (lambda: lie_case("D2", lam=math.nan), "parameter lam of family D2"),
+        (lambda: lie_case("J3", gamma=(1.0, math.nan)), "parameter gamma of family J3"),
+        (lambda: beta_for("sphere", math.nan), "curvature scale k must be positive and finite"),
+        (lambda: beta_for("euclidean", math.inf), "curvature scale k must be positive and finite"),
+        (lambda: area_form(constant_curvature_metric("sphere"), math.nan), "curvature scale k must be positive and"),
+    ],
+    ids=[
+        "spray-k-nan", "spray-k-inf", "metric-k-nan", "metric-k-negative", "ode-D2-lam-nan", "ode-C1-lam-inf",
+        "ode-J2-C-nan", "ode-D1-C-inf", "lie-D2-lam-nan", "lie-J3-gamma-nan", "beta-k-nan", "beta-k-inf",
+        "area-form-k-nan",
+    ],
+)
+def test_catalog_refuses_parameters_that_are_not_finite_or_not_positive(build, match):
+    with pytest.raises(ValueError, match=match):
         build()
 
 
