@@ -21,7 +21,6 @@ Notes on conventions, all confirmed by the residual suites:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -80,9 +79,13 @@ class OdeEntry:
         return pts
 
     def perturbed(self, eps: float = 0.01):
+        """The form at p = bump(eps) and its point filter; a non-finite eps raises ``ValueError``."""
         if self.bump is None:
             raise ValueError(f"no structural perturbation defined for {self.key}")
-        f = ScalarField(3, functools.partial(self.f.fn, p=self.bump(eps)), name=self.key)
+        if not math.isfinite(eps):
+            raise ValueError(f"perturbation eps of family {self.key} must be finite (got {eps!r})")
+        fn, p = self.f.fn, self.bump(eps)
+        f = ScalarField(3, lambda x, y, z: fn(x, y, z, p), name=self.key)
         return f, self.perturbed_filter or self.point_filter
 
 

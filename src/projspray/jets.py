@@ -62,7 +62,9 @@ reads only the Hessian of a product takes it from :func:`product_hessian`,
 the kernel ``hmul`` with ``mul``'s Hessian entries, which builds no jet.
 Forward mode carries only the coefficients that are read: a chain rule (a
 power, the reciprocal, ``arctan``) forms f'' only for a jet that carries a
-Hessian, so on an order-1 jet it forms f' alone.
+Hessian, so on an order-1 jet it forms f' alone.  A product by the float
+1.0 is the jet itself, since x * 1.0 is x exactly, so ``1.0 / jet`` is the
+reciprocal alone.
 ``Jet2.hess`` is a read-only view that unfolds the full symmetric matrix;
 the residuals read ``hess_packed`` directly.
 """
@@ -307,6 +309,8 @@ class Jet2:
         return self._mul_scalar(other)
 
     def _mul_scalar(self, s):
+        if type(s) is float and s == 1.0:  # x * 1.0 is x exactly
+            return self
         return self.level.k.scale(self.value * s, self.grad, self.hess_packed, s, self.level)
 
     __rmul__ = _mul_scalar

@@ -13,7 +13,9 @@ Pointwise 2x2 algebra is done on floats: one J formula, one magnetic
 equation, Gamma(xi, xi) = 1/2 K from ``finsler.levi_civita`` (whose 1/4 K
 are geodesic sprays), and the determinant guard ``finsler.checked_det``,
 which names a singular point; where alpha's area or dual norm is read, one
-more guard names a point where alpha is not positive definite.
+more guard names a point where alpha is not positive definite.  Both
+metrics read alpha(xi, xi) through one helper, which skips the cross term
+of a diagonal alpha.
 """
 
 from __future__ import annotations
@@ -178,6 +180,18 @@ def one_form_norm(alpha: MetricField, beta: Callable, x: float, y: float) -> flo
     return math.sqrt(q / _positive_det(e11, e12, e22, (x, y)))
 
 
+def _quadratic(a11, a12, a22, u, v):
+    """alpha(xi, xi) = a11 u u + 2 a12 u v + a22 v v, in that order, on floats
+    or jets: the one quadratic form of ``randers_metric`` and
+    ``riemannian_metric``.  Where ``a12`` is the float 0.0, as in every
+    catalog background, the cross term is left out: for finite u and v it
+    is a zero, so every value and derivative is the same up to the sign of a
+    zero, and the product of the fiber jets u and v is never built."""
+    if type(a12) is float and a12 == 0.0:
+        return a11 * u * u + a22 * v * v
+    return a11 * u * u + 2.0 * a12 * u * v + a22 * v * v
+
+
 def randers_metric(
     alpha: MetricField,
     beta: Callable,
@@ -193,9 +207,8 @@ def randers_metric(
             )
 
     def F(x, y, u, v):
-        a11, a12, a22 = alpha.entries(x, y)
         b1, b2 = beta(x, y)
-        return sqrt(a11 * u * u + 2.0 * a12 * u * v + a22 * v * v) + b1 * u + b2 * v
+        return sqrt(_quadratic(*alpha.entries(x, y), u, v)) + b1 * u + b2 * v
 
     return FinslerMetric(F, domain, name=name)
 
@@ -204,8 +217,7 @@ def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
     """F = sqrt(alpha(xi, xi)) as a Finsler metric."""
 
     def F(x, y, u, v):
-        a11, a12, a22 = alpha.entries(x, y)
-        return sqrt(a11 * u * u + 2.0 * a12 * u * v + a22 * v * v)
+        return sqrt(_quadratic(*alpha.entries(x, y), u, v))
 
     return FinslerMetric(F, alpha.domain, name=name)
 

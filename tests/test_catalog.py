@@ -343,11 +343,14 @@ def test_catalog_refuses_undefined_entries(build, error, match):
         (lambda: beta_for("sphere", math.nan), "curvature scale k must be positive and finite"),
         (lambda: beta_for("euclidean", math.inf), "curvature scale k must be positive and finite"),
         (lambda: area_form(constant_curvature_metric("sphere"), math.nan), "curvature scale k must be positive and"),
+        (lambda: ode_entry("J2").perturbed(math.nan), "perturbation eps of family J2 must be finite"),
+        (lambda: ode_entry("D2", lam=3.0).perturbed(math.inf), "perturbation eps of family D2 must be finite"),
+        (lambda: ode_entry("C1").perturbed(-math.inf), "perturbation eps of family C1 must be finite"),
     ],
     ids=[
         "spray-k-nan", "spray-k-inf", "metric-k-nan", "metric-k-negative", "ode-D2-lam-nan", "ode-C1-lam-inf",
         "ode-J2-C-nan", "ode-D1-C-inf", "lie-D2-lam-nan", "lie-J3-gamma-nan", "beta-k-nan", "beta-k-inf",
-        "area-form-k-nan",
+        "area-form-k-nan", "perturbed-J2-eps-nan", "perturbed-D2-eps-inf", "perturbed-C1-eps-minus-inf",
     ],
 )
 def test_catalog_refuses_parameters_that_are_not_finite_or_not_positive(build, match):

@@ -465,6 +465,28 @@ def test_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
 
 
 @pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_product_by_the_float_one_is_the_jet_itself(order, nested):
+    rng = np.random.default_rng(2000 * order + nested)
+    older_seed = seed_jets((0.0, 0.0))[0]
+
+    def real():
+        return float(rng.uniform(0.5, 2.0))
+
+    def older():
+        return _random_jet(2, older_seed.level, real)
+
+    x = _random_jet(2, seed_jets((0.0, 0.0), order)[0].level, older if nested else real, order)
+    for got in (x * 1.0, 1.0 * x, x / 1.0):
+        assert got is x
+    r = 1.0 / x.value
+    assert _floats(1.0 / x) == _floats(_loop_chain(x, r, -(r * r), 2.0 * r * r * r if order == 2 else None))
+    s = math.nextafter(1.0, 2.0)  # one ulp off: scaled entry by entry
+    for got in (x * s, s * x):
+        assert got is not x and _floats(got) == _floats(_loop_scalar_product(x, s))
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_order1_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
     for got, want in _kernel_cases(n, nested, order=1):

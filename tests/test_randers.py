@@ -8,7 +8,7 @@ import sympy
 from projspray.catalog import metric_entry, spray_entry
 from projspray.classify import liouville_candidate
 from projspray.finsler import Rectangle, fundamental_tensor, levi_civita, projective_residual
-from projspray.jets import EvaluationError, lift
+from projspray.jets import EvaluationError, Jet2, lift, seed_jets, sqrt
 from projspray.randers import (
     CurveSample,
     LorentzOperator,
@@ -24,6 +24,7 @@ from projspray.randers import (
     magnetic_rhs,
     one_form_norm,
     randers_metric,
+    riemannian_metric,
 )
 from projspray.symmetry import projective_field_residual
 from projspray.trace import GeodesicTrace, unit_speed_resample
@@ -280,6 +281,52 @@ def _sheared_metric():
     return MetricField(
         lambda x, y: (2.0 + x * x, 0.2 + 0.3 * x * y, 1.5 + y * y), Rectangle(-1.0, 1.0, -1.0, 1.0)
     )
+
+
+def _innermost(x):
+    """Every innermost float of a possibly nested jet: value, gradient, packed Hessian."""
+    if not isinstance(x, Jet2):
+        return [x]
+    return [f for c in (x.value, *x.grad, *(x.hess_packed or ())) for f in _innermost(c)]
+
+
+def _nested_lift(F, x, y, u, v):
+    """F through ``geodesic_spray``'s nesting: an order-2 (u, v) lift of an
+    order-1 (x, y) lift of F, whose coordinates may be jets of an older register."""
+
+    def base_jet(uf, vf):
+        j = lift(lambda xb, yb: F(xb, yb, uf, vf), (x, y), order=1)
+        return j.value, *j.grad
+
+    return [f for j in lift(base_jet, (u, v)) for f in _innermost(j)]
+
+
+@pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic", "sheared"])
+def test_metrics_equal_their_written_out_quadratic_form_on_nested_jets(model):
+    if model == "sheared":
+        alpha, beta, dom = _sheared_metric(), (lambda x, y: (0.1 * y, -0.1 * x)), Rectangle(-1.0, 1.0, -1.0, 1.0)
+    else:
+        alpha, beta, dom = constant_curvature_metric(model), beta_for(model, 0.5), Rectangle(-0.5, 0.5, -0.5, 0.5)
+
+    def alpha_xi(x, y, u, v):
+        a11, a12, a22 = alpha.entries(x, y)
+        return sqrt(a11 * u * u + 2.0 * a12 * u * v + a22 * v * v)
+
+    def written_out(x, y, u, v):
+        b1, b2 = beta(x, y)
+        return alpha_xi(x, y, u, v) + b1 * u + b2 * v
+
+    rng = np.random.default_rng(31)
+    pairs = ((randers_metric(alpha, beta, dom).F, written_out), (riemannian_metric(alpha).F, alpha_xi))
+    for _ in range(6):
+        x, y = rng.uniform(-0.5, 0.5, 2).tolist()
+        u, v = rng.uniform(-1.5, 1.5, 2).tolist()
+        (t,) = seed_jets((0.0,), order=1)  # a t-lift's coordinates, as a projective residual moves them
+        moved = (x + 0.3 * t, y - 0.2 * t, u + 0.7 * t, v + 0.1 * t)
+        for F, want in pairs:
+            assert F(x, y, u, v) == want(x, y, u, v)
+            assert _nested_lift(F, x, y, u, v) == _nested_lift(want, x, y, u, v), (x, y, u, v)
+            assert _nested_lift(F, *moved) == _nested_lift(want, *moved), (x, y, u, v)
 
 
 def _symbolic_christoffel(alpha):

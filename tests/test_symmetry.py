@@ -247,23 +247,37 @@ def test_point_symmetry_residual_makes_2_lifts(monkeypatch):
 
 @pytest.mark.parametrize(
     "what, jets_created",
-    [("fundamental_tensor", 15), ("geodesic_spray", 68), ("projective_field_residual", 728)],
+    [  # each id names the evaluation alone, so a new pinned count keeps the test's id
+        pytest.param(what, count, id=what)
+        for what, count in (
+            ("fundamental_tensor", 12),
+            ("geodesic_spray", 62),
+            ("projective_field_residual", 643),
+            ("projective_field_residual_of_a_translation", 184),
+        )
+    ],
 )
 def test_jet_construction_counts_at_one_bk_point(monkeypatch, what, jets_created):
     # Pins the Jet2 objects each evaluation builds, counted the way the
     # benchmark's tracer counts them, so a kernel that skipped Jet2.__init__
-    # or a change that builds more jets shows here.
+    # or a change that builds more jets shows here.  The translation C1.X1
+    # on spray a moves x alone, so its still coordinates build no t-jets.
     from projspray import jets
     from projspray.catalog import metric_entry
     from projspray.finsler import fundamental_tensor, geodesic_spray
 
     entry = metric_entry("bk+", k=1.0)
     spray = geodesic_spray(entry.metric)
+    entry_a = metric_entry("a")
+    spray_a = geodesic_spray(entry_a.metric)
     at = (0.1, 0.2, 0.6, 0.8)
     run = {
         "fundamental_tensor": lambda: fundamental_tensor(entry.metric, at),
         "geodesic_spray": lambda: spray.pair(*at),
         "projective_field_residual": lambda: projective_field_residual(entry.projective_basis[0], spray, at),
+        "projective_field_residual_of_a_translation": lambda: projective_field_residual(
+            entry_a.projective_basis[1], spray_a, at
+        ),
     }[what]
     created = []
     init = jets.Jet2.__init__
@@ -275,6 +289,50 @@ def test_jet_construction_counts_at_one_bk_point(monkeypatch, what, jets_created
     monkeypatch.setattr(jets.Jet2, "__init__", counted)
     run()
     assert len(created) == jets_created
+
+
+def _residual_moving_all_four(X, spray, at):
+    """``projective_field_residual`` with every coordinate moved along t,
+    still ones included: x + a t, y + b t, u + A3 t, v + B3 t."""
+    from projspray.finsler import non_radial
+    from projspray.jets import jet_value
+
+    def fiber(x, y, u, v):
+        ja, jb = lift(X.at, (x, y), order=2)
+        a, (ax, ay) = ja.value, ja.grad
+        b, (bx, by) = jb.value, jb.grad
+        axx, axy, ayy = ja.hess_packed
+        bxx, bxy, byy = jb.hess_packed
+        A3 = ax * u + ay * v
+        B3 = bx * u + by * v
+        jg1, jg2 = lift(
+            lambda t: spray.coefficients(x + a * t, y + b * t, u + A3 * t, v + B3 * t), (0.0,), order=1
+        )
+        G1, G2 = jet_value(jg1), jet_value(jg2)
+        xhat_g1, xhat_g2 = jet_value(jg1.grad[0]), jet_value(jg2.grad[0])
+        gamma_a3 = u * (axx * u + axy * v) + v * (axy * u + ayy * v) - 2.0 * G1 * ax - 2.0 * G2 * ay
+        gamma_b3 = u * (bxx * u + bxy * v) + v * (bxy * u + byy * v) - 2.0 * G1 * bx - 2.0 * G2 * by
+        return -2.0 * xhat_g1 - gamma_a3, -2.0 * xhat_g2 - gamma_b3
+
+    return abs(non_radial(fiber, at, "projective field residual"))
+
+
+def test_projective_field_residual_equals_the_residual_that_moves_all_four_coordinates():
+    from projspray.catalog import METRIC_KEYS, metric_entry
+    from projspray.finsler import geodesic_spray
+
+    rng = np.random.default_rng(31)
+    for key in METRIC_KEYS:
+        entry = metric_entry(key)
+        spray = geodesic_spray(entry.metric)
+        dom = entry.domain.shrunk(0.5)
+        points = [(0.0, 0.0, 0.6, -0.8)] + [
+            (float(rng.uniform(dom.x0, dom.x1)), float(rng.uniform(dom.y0, dom.y1)), *rng.normal(size=2).tolist())
+            for _ in range(4)
+        ]
+        for X in entry.projective_basis:
+            for at in points:
+                assert projective_field_residual(X, spray, at) == _residual_moving_all_four(X, spray, at), (X.name, at)
 
 
 def test_point_symmetry_c2_sphere_ode():
