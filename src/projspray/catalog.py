@@ -197,7 +197,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
     if key in ("bk+", "bk-"):
         s = 1.0 if key == "bk+" else -1.0
         if k <= 0:
-            raise ValueError("the b-family needs k > 0")
+            raise ValueError(f"the b-family needs k > 0 (got {k!r})")
 
         def pair(x, y, u, v):
             denom = 1.0 + s * (x * x + y * y)

@@ -64,9 +64,8 @@ Forward mode carries only the coefficients that are read: a chain rule (a
 power, the reciprocal, ``arctan``) forms f'' only for a jet that carries a
 Hessian, so on an order-1 jet it forms f' alone.  A product by the float
 1.0 is the jet itself, since x * 1.0 is x exactly, so ``1.0 / jet`` is the
-reciprocal alone.
-``Jet2.hess`` is a read-only view that unfolds the full symmetric matrix;
-the residuals read ``hess_packed`` directly.
+reciprocal alone.  The packed triangle is the Hessian's only form: every
+reader takes h_ij from ``hess_packed`` by its (i, j) row-order position.
 """
 
 from __future__ import annotations
@@ -139,7 +138,6 @@ class _Kernels(NamedTuple):
     packed Hessian of the product, as a tuple of ``mul``'s Hessian entries
     (None at order 1).  ``chain`` ignores f'' at order 1."""
 
-    pairs: tuple  # index pairs (i, j), i <= j, of the packed Hessian, in row order
     units: tuple  # unit gradient of each seeded variable
     zero_grad: tuple
     zero_hess: tuple | None  # the seeds' Hessian: zero packed Hessian, None at order 1
@@ -199,7 +197,7 @@ def _kernels(n, order):
     namespace = {"Jet2": Jet2}
     exec(compile(source, f"<jets kernels n={n} order={order}>", "exec"), namespace)
     units = tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n))
-    constants = (pairs, units, (0.0,) * n, (0.0,) * len(pairs) if order == 2 else None)
+    constants = (units, (0.0,) * n, (0.0,) * len(pairs) if order == 2 else None)
     return _Kernels(*constants, *(namespace[name] for name in _Kernels._fields[len(constants) :]))
 
 
@@ -223,8 +221,8 @@ class Jet2:
     ``grad`` has one entry per seeded variable of the register.
     ``hess_packed`` is the upper triangle of the Hessian, a flat tuple of
     n(n+1)/2 entries in row order ((h00, h01, h11) for n = 2), or ``None``
-    for a first-order jet; ``hess`` unfolds it into the full symmetric
-    tuple of rows.  Components may themselves be jets of an older register.
+    for a first-order jet.  Components may themselves be jets of an older
+    register.
     ``level`` is the jet's register, which holds the nesting rank and the
     kernels of the register's size and order.
 
@@ -253,18 +251,6 @@ class Jet2:
 
     def __bool__(self):
         raise TypeError("a jet has no truth value; test jet_value(jet)")
-
-    @property
-    def hess(self):
-        """The full symmetric Hessian as a tuple of rows, or ``None``."""
-        hp = self.hess_packed
-        if hp is None:
-            return None
-        n = len(self.grad)
-        rows = [[None] * n for _ in range(n)]
-        for (i, j), e in zip(self.level.k.pairs, hp):
-            rows[i][j] = rows[j][i] = e
-        return tuple(map(tuple, rows))
 
     # -- ring operations ------------------------------------------------
 
@@ -470,8 +456,8 @@ def lift(field, point: Sequence, order: int = 2):
     jets of an enclosing register.  A field that returns a tuple gives a
     tuple of jets, all of one register; a component that does not depend on
     the seeded variables is promoted to a constant jet, so callers can always
-    read ``grad``/``hess``.  ``order`` is 2, or 1 for gradients only; any
-    other raises ``ValueError``, as does an empty ``point``.  A
+    read ``grad``/``hess_packed``.  ``order`` is 2, or 1 for gradients only;
+    any other raises ``ValueError``, as does an empty ``point``.  A
     :class:`ScalarField` is called as such, so a point of the wrong length
     raises its arity ``TypeError``.
     """

@@ -1,5 +1,5 @@
 """Constant-curvature base metrics, area-form potentials, the Randers
-construction, the Lorentz operator, and magnetic-geodesic residuals.
+construction, the magnetic flow, and magnetic-geodesic residuals.
 
 The construction: pick a background metric alpha, scale its area form by
 -k, pick a potential one-form beta with d(beta) equal to that form, and
@@ -31,7 +31,6 @@ from .jets import EvaluationError, jet_value, lift, reject_first, sqrt
 
 __all__ = [
     "CurveSample",
-    "LorentzOperator",
     "MetricField",
     "area_form",
     "beta_for",
@@ -80,26 +79,11 @@ class MetricField:
 
 def _lorentz(e11, e12, e22, det, w, vel) -> tuple[float, float]:
     """J (u, v) = (e22 w v + e12 w u, -e12 w v - e11 w u) / det alpha, with
-    w = Omega_12 and det = det alpha already guarded: the one J formula."""
+    w = Omega_12 and det = det alpha already guarded: the one J formula, the
+    Lorentz operator J = alpha^{-1} Omega of the magnetic flow.  J squares to
+    -k^2 Id when Omega is ``area_form(alpha, k)``."""
     u, v = vel
     return (e22 * w * v + e12 * w * u) / det, (-e12 * w * v - e11 * w * u) / det
-
-
-@dataclass(frozen=True)
-class LorentzOperator:
-    """J = alpha^{-1} Omega; squares to -k^2 Id.  ``omega(x, y)`` is Omega_12."""
-
-    alpha: MetricField
-    omega: Callable
-
-    def __call__(self, x, y, vel) -> tuple[float, float]:
-        """J (u, v) at (x, y), from :func:`_lorentz`."""
-        e11, e12, e22 = (float(e) for e in self.alpha.entries(x, y))
-        det = checked_det(e11, e12, e22, "metric field", (x, y))
-        return _lorentz(e11, e12, e22, det, float(self.omega(x, y)), vel)
-
-    def matrix(self, x, y) -> np.ndarray:
-        return np.column_stack((self(x, y, (1.0, 0.0)), self(x, y, (0.0, 1.0))))
 
 
 def constant_curvature_metric(model: str) -> MetricField:

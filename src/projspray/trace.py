@@ -7,13 +7,14 @@ fixed step keeps convergence-order measurements clean.  The state is a point
 of the tangent bundle (x, y, u, v) held in plain floats; each step is
 written out component by component, and the states become arrays once, in
 one pass, when the run ends.  Two loops share one time grid.  ``_rk4``
-calls a right-hand side on the state as a tuple of four floats and refuses
-a state of any other length; ``integrate_flow`` (magnetic flows) and
-``integrate_ode`` run on it, the latter on the lift (x, y, 1, y') of
-y'' = f(x, y, y'), with x read from the time grid.  ``integrate_spray``
-has its own second-order loop for x'' = -2 G(x, x'), whose stages call
-``Spray.coefficients`` directly and take the stage velocities as position
-slopes; it rounds every float as ``_rk4`` would on (u, v, -2 G1, -2 G2).
+calls a right-hand side on the state as a tuple of four floats, refuses a
+state of any other length and returns the states alone; ``integrate_flow``
+(magnetic flows) and ``integrate_ode`` run on it, the latter on the lift
+(x, y, 1, y') of y'' = f(x, y, y'), with x read from the time grid.
+``integrate_spray`` has its own second-order loop for x'' = -2 G(x, x'),
+whose stages call ``Spray.coefficients`` directly and take the stage
+velocities as position slopes; it rounds every float as ``_rk4`` would on
+(u, v, -2 G1, -2 G2), and it keeps the acceleration at each state.
 Because every trace advances in equal steps, reparametrization needs no
 interpolant: the alpha-speeds at all nodes come from one array evaluation
 of the metric, their derivative from a seven-node differentiation stencil
@@ -105,13 +106,12 @@ def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
     out component by component on floats.  The times are those of
     ``_grid``.  A state is kept only if it is finite, ``stop`` does not fire
     on it and rhs evaluates there; otherwise the run ends early.  An
-    ``EvaluationError`` at ``init`` propagates.  Returns (times, states,
-    derivatives at the states, stopped early) as arrays, the last two of
-    shape (m, 4).  The derivative at a kept state is the next step's first
-    stage, so a run makes one evaluation more than 4 n.  Raises
-    ``ValueError``, checked in this order, for ``_grid``'s two reasons, when
-    ``init`` does not have four components, or when rhs at ``init`` returns
-    a number of components other than four.
+    ``EvaluationError`` at ``init`` propagates.  Returns (times, states of
+    shape (m, 4), stopped early), the first two as arrays.  rhs at a kept
+    state is the next step's first stage, so a run makes one evaluation
+    more than 4 n.  Raises ``ValueError``, checked in this order, for
+    ``_grid``'s two reasons, when ``init`` does not have four components,
+    or when rhs at ``init`` returns a number of components other than four.
     """
     times, h = _grid(t0, t1, step)
     state = tuple([float(c) for c in init])
@@ -122,7 +122,7 @@ def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
     k1 = rhs(t0, state)
     if len(k1) != 4:
         raise ValueError(f"rhs returned {len(k1)} components for a state of 4")
-    states, derivs = [state], [k1]
+    states = [state]
     stopped = False
     isfinite = math.isfinite
     for t, t_next in zip(times, times[1:]):
@@ -148,8 +148,7 @@ def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
             break
         x, y, u, v = state
         states.append(state)
-        derivs.append(k1)
-    return np.array(times[: len(states)]), _rows(states, 4), _rows(derivs, 4), stopped
+    return np.array(times[: len(states)]), _rows(states, 4), stopped
 
 
 def _rows(rows, width: int) -> np.ndarray:
@@ -169,8 +168,7 @@ def integrate_flow(rhs, init, tmax: float, step: float):
     ``ValueError`` when ``init`` or rhs at ``init`` has other than four
     components.
     """
-    times, states, _, stopped = _rk4(lambda t, s: rhs(s), init, 0.0, tmax, step)
-    return times, states, stopped
+    return _rk4(lambda t, s: rhs(s), init, 0.0, tmax, step)
 
 
 def integrate_spray(
@@ -266,7 +264,7 @@ def integrate_ode(
     def rhs(x, s):
         return 1.0, s[3], 0.0, fn(x, s[1], s[3])
 
-    xs, states, _, blown = _rk4(rhs, (x0, y0, 1.0, z0), x0, xmax, step, lambda s: abs(s[3]) > 1e6)
+    xs, states, blown = _rk4(rhs, (x0, y0, 1.0, z0), x0, xmax, step, lambda s: abs(s[3]) > 1e6)
     return OdeCurve(xs, states[:, 1], states[:, 3], blown_up=blown)
 
 

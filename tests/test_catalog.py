@@ -300,7 +300,7 @@ def test_catalog_key_listings():
         (lambda: ode_entry("flat").perturbed(), ValueError, "no structural perturbation defined for flat"),
         (lambda: ode_entry("J3").perturbed(), ValueError, "no structural perturbation defined for J3"),
         (lambda: ode_entry("D2", lam=1.0), ValueError, "undefined for lam = 1"),
-        (lambda: spray_entry("bk+", k=0.0), ValueError, "needs k > 0"),
+        (lambda: spray_entry("bk+", k=0.0), ValueError, r"needs k > 0 \(got 0\.0\)"),
         (lambda: area_form(constant_curvature_metric("sphere"), 0.0), ValueError, "k must be positive"),
         (lambda: ode_entry("D3"), KeyError, "unknown equation family 'D3'"),
         (lambda: spray_entry("b"), KeyError, "unknown spray 'b'"),

@@ -4,8 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from projspray.jets import (
     EvaluationError,
@@ -43,6 +41,10 @@ def central_diff2(fn, point, i, j, h):
     return central_diff(lambda *q: central_diff(fn, q, j, h), point, i, h)
 
 
+def _pairs(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
 def test_polynomial_by_hand():
     j = lift(ScalarField(2, lambda x, y: x * x * y), (2.0, 3.0))
     assert j.value == pytest.approx(12.0, abs=1e-14)
@@ -50,7 +52,7 @@ def test_polynomial_by_hand():
     assert j.grad[1] == pytest.approx(4.0, abs=1e-14)
     # d2/dxdy of x^2 y is 2x = 4 at this point
     expected = [[6.0, 4.0], [4.0, 0.0]]
-    assert np.allclose(np.array(j.hess, float), expected, atol=1e-14)
+    assert np.allclose(np.array(j.hess_packed, float), [expected[i][k] for i, k in _pairs(2)], atol=1e-14)
 
 
 def test_tuple_valued_field_lifts_from_one_register():
@@ -58,24 +60,24 @@ def test_tuple_valued_field_lifts_from_one_register():
     assert j.level == c.level
     assert c.value == 2.0
     assert c.grad == (0.0, 0.0)
-    assert np.array_equal(np.array(c.hess, float), np.zeros((2, 2)))
+    assert c.hess_packed == (0.0, 0.0, 0.0)
     # the first component is the field of test_polynomial_by_hand
     assert (j.value, j.grad) == (12.0, (12.0, 4.0))
-    assert np.array_equal(np.array(j.hess, float), [[6.0, 4.0], [4.0, 0.0]])
+    assert j.hess_packed == (6.0, 4.0, 0.0)
 
 
 def test_euclidean_norm_at_axis_point():
     j = lift(lambda u, v: sqrt(u * u + v * v), (1.0, 0.0))
     assert j.value == pytest.approx(1.0)
     assert np.allclose(np.array(j.grad, float), [1.0, 0.0], atol=1e-14)
-    assert np.allclose(np.array(j.hess, float), [[0.0, 0.0], [0.0, 1.0]], atol=1e-14)
+    assert np.allclose(np.array(j.hess_packed, float), [0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_exponential_single_variable():
     j = lift(lambda x: exp(-2.0 * x), (0.0,))
     assert j.value == pytest.approx(1.0)
     assert j.grad[0] == pytest.approx(-2.0)
-    assert j.hess[0][0] == pytest.approx(4.0)
+    assert j.hess_packed[0] == pytest.approx(4.0)
 
 
 class Poly2:
@@ -117,9 +119,9 @@ def test_random_polynomials_match_symbolic():
         for a in range(2):
             d = p.diff(a)
             assert abs(j.grad[a] - d(x0, y0)) <= 1e-12 * (abs(d(x0, y0)) + 1.0)
-            for b in range(2):
-                dd = d.diff(b)
-                assert abs(j.hess[a][b] - dd(x0, y0)) <= 1e-12 * (abs(dd(x0, y0)) + 1.0)
+        for (a, b), h in zip(_pairs(2), j.hess_packed):
+            dd = p.diff(a).diff(b)
+            assert abs(h - dd(x0, y0)) <= 1e-12 * (abs(dd(x0, y0)) + 1.0)
 
 
 @pytest.mark.parametrize(
@@ -135,25 +137,8 @@ def test_chain_rule_against_finite_differences(fn, point):
     for i in range(2):
         fd = central_diff(fn, point, i, 1e-5)
         assert abs(j.grad[i] - fd) <= 1e-6
-        for k in range(i, 2):
-            fd2 = central_diff2(fn, point, i, k, 1e-4)
-            assert abs(j.hess[i][k] - fd2) <= 1e-6
-
-
-@given(
-    st.floats(min_value=-2, max_value=2),
-    st.floats(min_value=-2, max_value=2),
-    st.floats(min_value=-2, max_value=2),
-)
-@settings(max_examples=60, derandomize=True, deadline=None)
-def test_hessian_symmetric_exactly(x, y, z):
-    j = lift(
-        lambda a, b, c: (a * b - c) * exp(0.3 * a) + arctan(b * c) * a,
-        (x, y, z),
-    )
-    for i in range(3):
-        for k in range(3):
-            assert j.hess[i][k] == j.hess[k][i]
+    for (i, k), h in zip(_pairs(2), j.hess_packed):
+        assert abs(h - central_diff2(fn, point, i, k, 1e-4)) <= 1e-6
 
 
 def test_leibniz_rule_on_jets():
@@ -211,7 +196,7 @@ def test_constant_field_promoted():
     j = lift(lambda x, y: 7.5, (1.0, 2.0))
     assert j.value == 7.5
     assert j.grad == (0.0, 0.0)
-    assert j.hess[0][0] == 0.0
+    assert j.hess_packed == (0.0, 0.0, 0.0)
 
 
 def test_nested_registers_give_higher_derivatives():
@@ -223,13 +208,13 @@ def test_nested_registers_give_higher_derivatives():
     outer = lift(deriv_field, (1.5,))
     assert outer.value == pytest.approx(4 * 1.5**3)
     assert outer.grad[0] == pytest.approx(12 * 1.5**2)
-    assert outer.hess[0][0] == pytest.approx(24 * 1.5)
+    assert outer.hess_packed[0] == pytest.approx(24 * 1.5)
 
 
 def test_first_order_jets_skip_hessian():
     (s,) = seed_jets((0.3,), order=1)
     out = exp(s * s)
-    assert out.hess is None
+    assert out.hess_packed is None
     assert out.grad[0] == pytest.approx(2 * 0.3 * math.exp(0.09))
 
 
@@ -238,10 +223,6 @@ def test_packed_hessian_of_a_three_variable_product():
     j = a * a * b * c
     # f = a^2 b c: f_aa = 2bc, f_ab = 2ac, f_ac = 2ab, f_bb = 0, f_bc = a^2, f_cc = 0
     assert j.hess_packed == (30.0, 20.0, 12.0, 0.0, 4.0, 0.0)
-    assert j.hess == ((30.0, 20.0, 12.0), (20.0, 0.0, 4.0), (12.0, 4.0, 0.0))
-    for i in range(3):
-        for k in range(3):
-            assert j.hess[i][k] == j.hess[k][i]
 
 
 def test_packed_entries_of_a_nested_jet_carry_outer_gradients():
@@ -261,7 +242,6 @@ def test_first_order_lift_has_no_hessian():
     j = lift(lambda x, y: x * y, (1.0, 2.0), order=1)
     assert j.grad == (2.0, 1.0)
     assert j.hess_packed is None
-    assert j.hess is None
 
 
 def test_exp_and_power_of_arrays_match_their_floats_bit_for_bit():
@@ -369,10 +349,6 @@ def test_seeding_any_order_but_1_or_2_raises(order):
 
 
 # --- the written-out kernels against the loops they replace -----------------
-
-
-def _pairs(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def _loop_product(x, y):

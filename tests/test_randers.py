@@ -11,9 +11,9 @@ from projspray.finsler import Rectangle, fundamental_tensor, levi_civita, projec
 from projspray.jets import EvaluationError, Jet2, lift, seed_jets, sqrt
 from projspray.randers import (
     CurveSample,
-    LorentzOperator,
     MetricField,
     _entries_lift,
+    _lorentz,
     area_form,
     beta_for,
     christoffel,
@@ -162,21 +162,30 @@ def test_exterior_derivative_matches_area_form(model, k):
         assert abs(float(j2.grad[0] - j1.grad[1]) - float(om(x, y))) <= 1e-10
 
 
+def _lorentz_at(alpha, omega, x, y, vel):
+    """J (u, v) at (x, y): ``_lorentz`` on alpha's float entries and omega's value."""
+    e11, e12, e22 = (float(e) for e in alpha.entries(x, y))
+    return _lorentz(e11, e12, e22, e11 * e22 - e12 * e12, float(omega(x, y)), vel)
+
+
+def _lorentz_matrix(alpha, omega, x, y):
+    return np.column_stack([_lorentz_at(alpha, omega, x, y, vel) for vel in ((1.0, 0.0), (0.0, 1.0))])
+
+
 def test_lorentz_euclidean_rotation():
     alpha = constant_curvature_metric("euclidean")
-    J = LorentzOperator(alpha, area_form(alpha, 1.0))
-    w = J(0.2, -0.4, (1.0, 0.0))
+    om = area_form(alpha, 1.0)
+    w = _lorentz_at(alpha, om, 0.2, -0.4, (1.0, 0.0))
     assert np.allclose(w, [0.0, 1.0], atol=1e-14)
-    w = J(0.2, -0.4, (0.3, 0.8))
+    w = _lorentz_at(alpha, om, 0.2, -0.4, (0.3, 0.8))
     assert np.allclose(w, [-0.8, 0.3], atol=1e-14)
-    m = J.matrix(0.0, 0.0)
+    m = _lorentz_matrix(alpha, om, 0.0, 0.0)
     assert np.allclose(m @ m, -np.eye(2), atol=1e-14)
 
 
 def test_lorentz_sphere_scaled_rotation():
     alpha = constant_curvature_metric("sphere")
-    J = LorentzOperator(alpha, area_form(alpha, 3.0))
-    m = J.matrix(0.0, 0.0)
+    m = _lorentz_matrix(alpha, area_form(alpha, 3.0), 0.0, 0.0)
     assert np.allclose(m, 3.0 * np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-13)
     assert np.allclose(m @ m, -9.0 * np.eye(2), atol=1e-12)
 
@@ -399,11 +408,14 @@ def test_magnetic_rhs_of_a_singular_metric_raises_and_names_the_point():
 def test_lorentz_of_a_sheared_metric_matches_a_numpy_solve(k):
     alpha = _sheared_metric()
     om = area_form(alpha, k)
-    J = LorentzOperator(alpha, om)
     for x, y in alpha.domain.grid(3, 3):
         om12 = float(om(x, y))
         want = np.linalg.solve(alpha.matrix(x, y), [[0.0, om12], [-om12, 0.0]])
-        assert np.abs(J.matrix(x, y) - want).max() <= 1e-14 * np.abs(want).max(), (x, y)
+        m = _lorentz_matrix(alpha, om, x, y)
+        assert np.abs(m - want).max() <= 1e-14 * np.abs(want).max(), (x, y)
+        # Omega alpha^{-1} Omega = -w^2 alpha / det alpha and w^2 = k^2 det alpha,
+        # so J^2 = -k^2 Id for every alpha, not only the diagonal backgrounds
+        assert np.abs(m @ m + k * k * np.eye(2)).max() <= 1e-14 * k * k, (x, y)
 
 
 def test_one_form_norm_of_a_sheared_metric_matches_a_numpy_solve():
@@ -445,11 +457,10 @@ def test_area_form_and_magnetic_rhs_reject_a_metric_that_is_not_positive_definit
     "call",
     [
         lambda alpha, om: one_form_norm(alpha, beta_for("euclidean", 1.0), 0.1, 0.2),
-        lambda alpha, om: LorentzOperator(alpha, om)(0.1, 0.2, (1.0, 0.0)),
         lambda alpha, om: magnetic_residual(alpha, om, CurveSample((0.1, 0.2), (1.0, 0.0), (0.0, 0.0))),
         lambda alpha, om: om(0.1, 0.2),
     ],
-    ids=["one_form_norm", "lorentz_operator", "magnetic_residual", "area_form"],
+    ids=["one_form_norm", "magnetic_residual", "area_form"],
 )
 def test_pointwise_algebra_of_a_singular_metric_names_the_point(call):
     alpha = MetricField(lambda x, y: (1.0, 1.0, 1.0), Rectangle(-1.0, 1.0, -1.0, 1.0))
@@ -461,11 +472,10 @@ def test_pointwise_algebra_of_a_singular_metric_names_the_point(call):
     "call",
     [
         lambda alpha, om: christoffel(alpha, 0.1, 0.2),
-        lambda alpha, om: LorentzOperator(alpha, om)(0.1, 0.2, (1.0, 0.0)),
         lambda alpha, om: one_form_norm(alpha, beta_for("euclidean", 1.0), 0.1, 0.2),
         lambda alpha, om: magnetic_rhs(alpha, om)((0.1, 0.2, 1.0, 0.0)),
     ],
-    ids=["christoffel", "lorentz_operator", "one_form_norm", "magnetic_rhs"],
+    ids=["christoffel", "one_form_norm", "magnetic_rhs"],
 )
 def test_numerically_singular_metric_names_the_point(call):
     # det = 3 * (1/3) - (1 + 2^-52)^2 rounds to -2^-51, not to 0
@@ -488,10 +498,10 @@ def test_magnetic_rhs_is_j_less_half_k_bit_for_bit_from_two_reads_of_alpha(model
 
     alpha = MetricField(entries, base.domain)
     rhs = magnetic_rhs(alpha, area_form(alpha, k))
-    J = LorentzOperator(base, area_form(base, k))
+    om = area_form(base, k)
     for x, y in base.domain.grid(3, 3):
         for vel in ((1.0, 0.0), (0.0, -0.7), (0.6, 0.8), (-1.3, 0.4)):
-            j1, j2 = J(x, y, vel)
+            j1, j2 = _lorentz_at(base, om, x, y, vel)
             k1, k2 = levi_civita(*_entries_lift(base, x, y), vel, "metric field", (x, y))
             reads.clear()
             assert rhs((x, y, *vel)) == (*vel, j1 - 0.5 * k1, j2 - 0.5 * k2), (x, y, vel)
