@@ -173,7 +173,11 @@ def is_strongly_convex(
     ndirs: int = 16,
     margin: float = 0.9,
 ) -> ConvexityReport:
-    """Sample the fundamental tensor over base points and unit fiber directions."""
+    """Sample the fundamental tensor over base points and unit fiber directions.
+
+    Raises ``EvaluationError`` at the first sample whose least eigenvalue is
+    not finite, which no comparison with the others would catch (NaN).
+    """
     worst = math.inf
     witness = None
     directions = fiber_directions(ndirs)
@@ -181,6 +185,8 @@ def is_strongly_convex(
         for (u, v) in directions:
             (a, b), (_, c) = fundamental_tensor(metric, (x, y, u, v))
             lo = min_eigenvalue_2x2(a, b, c)
+            if not math.isfinite(lo):
+                raise EvaluationError(f"fundamental tensor has eigenvalue {lo} at ({x}, {y}, {u}, {v})")
             if lo < worst:
                 worst = lo
                 witness = (x, y, u, v)

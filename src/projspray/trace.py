@@ -328,7 +328,7 @@ def unit_speed_resample(trace: GeodesicTrace, alpha: MetricField) -> GeodesicTra
     parameter, starts at 0 and advances by the Hermite rule s+ = s + h/2
     (sigma + sigma+) + h^2/12 (sigma' - sigma'+).  Raises ``ValueError`` for a trace of one state
     or one whose times do not advance in equal steps (``integrate_spray``
-    traces always do).
+    traces always do).  The result keeps the trace's ``domain_exit``.
     """
     n = len(trace)
     if n < 2:
@@ -349,7 +349,8 @@ def unit_speed_resample(trace: GeodesicTrace, alpha: MetricField) -> GeodesicTra
     steps = 0.5 * h * (speeds[:-1] + speeds[1:]) + h * h / 12.0 * (rates[:-1] - rates[1:])
     uv = trace.uv / speeds[:, None]
     acc = (trace.acc - (rates / speeds)[:, None] * trace.uv) / speeds[:, None] ** 2
-    return GeodesicTrace(t=np.concatenate(([0.0], np.cumsum(steps))), xy=trace.xy, uv=uv, acc=acc)
+    return GeodesicTrace(t=np.concatenate(([0.0], np.cumsum(steps))), xy=trace.xy, uv=uv, acc=acc,
+                         domain_exit=trace.domain_exit)
 
 
 def curve_samples(trace: GeodesicTrace, interior: int = 50) -> list[CurveSample]:

@@ -1,9 +1,10 @@
 """The third-party modules imported in the code are its declared dependencies.
 
 Those imported in ``src/`` equal ``[project].dependencies``; those imported in
-``tests/`` are covered by the dependencies plus the ``test`` extra.  Each
-distribution declared here installs a module of the same name, so names are
-compared directly.
+``tests/`` are covered by the dependencies plus the ``test`` extra.  The
+test files and the modules of ``perfbench/`` and ``tools/``, which tests
+import by their file names, are local.  Each distribution declared here
+installs a module of the same name, so names are compared directly.
 """
 
 import ast
@@ -21,7 +22,8 @@ PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 def third_party_imports(directory: str) -> set[str]:
     files = list((ROOT / directory).rglob("*.py"))
-    local = {"projspray"} | {p.stem for p in files}
+    tools = [p for d in ("perfbench", "tools") for p in (ROOT / d).glob("*.py")]
+    local = {"projspray"} | {p.stem for p in files + tools}
     names = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):

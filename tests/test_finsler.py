@@ -367,6 +367,20 @@ def test_randers_with_large_one_form_fails_convexity():
 
 
 @pytest.mark.parametrize(
+    "nan_from_x, first",
+    [(-math.inf, r"-0\.45, -0\.45"), (0.0, r"0\.225\d*, -0\.45")],
+    ids=["everywhere", "where x > 0"],
+)
+def test_convexity_refuses_a_metric_that_is_nan_at_a_sample(nan_from_x, first):
+    # NaN compares false with the running minimum, so only its own check can catch it
+    def F(x, y, u, v):
+        return sqrt(u * u + v * v) * (math.nan if x > nan_from_x else 1.0)
+
+    with pytest.raises(EvaluationError, match=rf"eigenvalue nan at \({first}, "):
+        is_strongly_convex(FinslerMetric(F, BOX, "nan"), BOX)
+
+
+@pytest.mark.parametrize(
     "g",
     [
         [[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]],  # nearly singular

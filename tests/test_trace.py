@@ -384,6 +384,12 @@ def test_unit_speed_resample_spray_a():
     assert np.all(np.diff(out.t) > 0)
 
 
+def test_unit_speed_resample_keeps_the_domain_exit_flag():
+    tr = integrate_spray(spray_entry("a").spray, (2.4, 0.0, 1.0, 0.5), 1.0, 1e-2)
+    assert tr.domain_exit
+    assert unit_speed_resample(tr, constant_curvature_metric("euclidean")).domain_exit
+
+
 def _euclidean_trace(t, speed, rate):
     """A trace along the x-axis with speed sigma(t) and acceleration sigma'(t)."""
     zero = np.zeros_like(t)

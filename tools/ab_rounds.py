@@ -28,55 +28,16 @@ such a swing cancels out of it.  It writes no file.  A claimed gain is
 still measured by ``tools/bench_pairs.py``, which runs the benchmark itself.
 """
 
-import os
+import argparse
+import gc
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # as perfbench/run.py sets them, before numpy loads
-
-import argparse  # noqa: E402
-import gc  # noqa: E402
-import importlib  # noqa: E402
-import math  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-from time import perf_counter  # noqa: E402
-
-import numpy as np  # noqa: E402
+from verdict_digest import load, ops_of, row  # pins the BLAS threads before numpy loads
 
 SIDES = ("parent", "change")
-
-
-def load(src: Path, bench: Path, workload: str, seed: int):
-    """``(common, ops)`` of one side: ``src``'s package under ``bench``'s workload.
-
-    The previous side's modules leave ``sys.modules`` first, so each side
-    imports its own; its operations keep their modules alive.
-    """
-    for name in [m for m in sys.modules if m in ("projspray", "common") or m.startswith(("projspray.", "wl_"))]:
-        del sys.modules[name]
-    sys.path[:0] = [str(src), str(bench)]
-    try:
-        common = importlib.import_module("common")
-        pkg = common.import_package()
-        if Path(pkg.__file__).resolve().parent != src / "projspray":
-            raise SystemExit(f"error: projspray imported from {pkg.__file__}, not from {src}")
-        wl = common.workload(workload)
-        ops = wl.ops(wl.build(), np.random.default_rng(seed))
-    finally:
-        del sys.path[:2]
-    return common, ops
-
-
-def run_op(common, op):
-    """One operation's time in seconds and its row."""
-    t0 = perf_counter()
-    try:
-        v = op.fn(common.Work())
-        ok, worst = v.ok, v.worst
-    except Exception:  # a raising op fails, as in run.py
-        ok, worst = False, math.nan
-    return perf_counter() - t0, (op.kind, op.key, ok, repr(worst))
 
 
 def run_round(sides, r):
@@ -90,9 +51,9 @@ def run_round(sides, r):
     for i in range(len(sides["parent"][1])):
         for side in SIDES if (r + i) % 2 else SIDES[::-1]:
             common, ops = sides[side]
-            t, row = run_op(common, ops[i])
-            runs[side][0].append(t)
-            runs[side][1].append(row)
+            t0 = perf_counter()
+            runs[side][1].append(row(common, ops[i]))
+            runs[side][0].append(perf_counter() - t0)
     return runs
 
 
@@ -106,9 +67,10 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
-    bench = args.parent.resolve() / "perfbench"
-    sides = {side: load(root.resolve() / "src", bench, args.workload, args.seed)
-             for side, root in zip(SIDES, (args.parent, args.change))}
+    sides = {}
+    for side, root in zip(SIDES, (args.parent, args.change)):
+        common = load(root.resolve() / "src", args.parent.resolve() / "perfbench")
+        sides[side] = common, ops_of(common.workload(args.workload), args.seed)
     kinds = [op.kind for op in sides["parent"][1]]
     if kinds != [op.kind for op in sides["change"][1]]:
         raise SystemExit("error: the two sides built different operation lists")

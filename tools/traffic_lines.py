@@ -20,7 +20,7 @@ import ast
 import sys
 from pathlib import Path
 
-from verdict_digest import SEEDS, rows_of
+from verdict_digest import SEEDS, load, rows_of
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -85,21 +85,15 @@ def main(argv):
     def call(frame, event, arg):
         return local if frame.f_code.co_filename in hits else None
 
-    sys.path[:0] = [str(src), str(bench)]
     sys.settrace(call)
     try:
-        import common
-
-        projspray = common.import_package()
+        common = load(src, bench)
         for name in common.WORKLOADS:
             wl = common.workload(name)
             for seed in SEEDS:
                 rows_of(common, wl, seed)
     finally:
         sys.settrace(None)
-    if Path(projspray.__file__).resolve().parent != pkg:
-        print(f"error: projspray imported from {projspray.__file__}, not from {src}", file=sys.stderr)
-        return 2
 
     total = missed = never = 0
     for name, path in files.items():
