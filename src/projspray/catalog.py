@@ -282,7 +282,7 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
         alpha = constant_curvature_metric("euclidean")
         return MetricEntry(
             "euclidean",
-            riemannian_metric(alpha, name="euclidean"),
+            riemannian_metric(alpha),
             "flat",
             alpha=alpha,
             projective_basis=(
@@ -298,7 +298,7 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
         dom = Rectangle(-0.5, 0.5, -0.5, 0.5)
         return MetricEntry(
             "a",
-            randers_metric(alpha, beta, domain=dom, name="a"),
+            randers_metric(alpha, beta, domain=dom),
             "a",
             alpha=alpha,
             projective_basis=_c1_fields(0.0),
@@ -312,7 +312,7 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
         dom = Rectangle(-0.45, 0.45, -0.45, 0.45)
         return MetricEntry(
             key,
-            randers_metric(alpha, beta, domain=dom, name=key),
+            randers_metric(alpha, beta, domain=dom),
             key,
             alpha=alpha,
             projective_basis=_c2_fields(s),
@@ -323,7 +323,7 @@ def metric_entry(key: str, k: float = 1.0) -> MetricEntry:
         g = _metric_c(s)
         return MetricEntry(
             key,
-            riemannian_metric(g, name=key),
+            riemannian_metric(g),
             key,
             alpha=g,
             projective_basis=_j2_fields(),

@@ -77,7 +77,6 @@ class FinslerMetric:
 
     F: Callable
     domain: Rectangle
-    name: str = ""
 
     def __call__(self, x, y, u, v):
         return self.F(x, y, u, v)
@@ -266,7 +265,7 @@ def geodesic_spray(metric: FinslerMetric) -> Spray:
         k1, k2 = levi_civita(h, h_x, h_y, (u, v), "fundamental tensor", (x, y, u, v))
         return 0.25 * k1, 0.25 * k2
 
-    return Spray(pair, metric.domain, name=f"geodesic({metric.name})" if metric.name else "geodesic")
+    return Spray(pair, metric.domain, name="geodesic")
 
 
 def induced_odes(spray: Spray) -> OdePair:

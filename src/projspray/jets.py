@@ -274,7 +274,7 @@ class Jet2:
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.value - other, self.grad, self.hess_packed, self.level)
+            return self._add_scalar(-other)
         level = self.level
         if other.level is not level:
             return self + (-other)
@@ -312,18 +312,7 @@ class Jet2:
         return self._chain(r, -(r * r), None if self.hess_packed is None else 2.0 * r * r * r)
 
     def __pow__(self, p):
-        p = float(p)
-        if p == 0.0:
-            return 1.0
-        if p == 1.0:
-            return self
-        if p == 2.0:
-            return self * self
-        v = self.value
-        f0 = _pow_any(v, p)
-        d1 = p * _pow_any(v, p - 1.0)
-        d2 = None if self.hess_packed is None else (p * (p - 1.0)) * _pow_any(v, p - 2.0)
-        return self._chain(f0, d1, d2)
+        return _pow_any(self, float(p))
 
     # -- chain rule through a scalar function ---------------------------
 
@@ -358,7 +347,14 @@ def _pow_any(x, p):
     if p == 0.0:
         return 1.0
     if isinstance(x, Jet2):
-        return x.__pow__(p)
+        if p == 1.0:
+            return x
+        if p == 2.0:
+            return x * x
+        f0 = _pow_any(x.value, p)  # f before f' and f'': a bad base names the exponent asked for
+        d1 = p * _pow_any(x.value, p - 1.0)
+        d2 = None if x.hess_packed is None else (p * (p - 1.0)) * _pow_any(x.value, p - 2.0)
+        return x._chain(f0, d1, d2)
     if isinstance(x, np.ndarray):
         if p < 0.0:
             reject_first(x == 0.0, "zero raised to a negative power", x)
@@ -383,7 +379,7 @@ def power(x, p):
 def sqrt(x):
     """Square root of a positive float or jet; a plain float is tested first."""
     if type(x) is not float and isinstance(x, Jet2):
-        return x**0.5
+        return _pow_any(x, 0.5)
     if x <= 0.0:
         raise EvaluationError(f"sqrt of non-positive value {x}")
     return math.sqrt(x)

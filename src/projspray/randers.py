@@ -14,8 +14,8 @@ equation, Gamma(xi, xi) = 1/2 K from ``finsler.levi_civita`` (whose 1/4 K
 are geodesic sprays), and the determinant guard ``finsler.checked_det``,
 which names a singular point; where alpha's area or dual norm is read, one
 more guard names a point where alpha is not positive definite.  Both
-metrics read alpha(xi, xi) through one helper, which skips the cross term
-of a diagonal alpha.
+metrics, lengths and the dual norm read quadratic forms through one helper,
+``_quadratic``, which skips the cross term of a diagonal alpha.
 """
 
 from __future__ import annotations
@@ -59,22 +59,15 @@ class MetricField:
         return np.array([[e11, e12], [e12, e22]])
 
     def norm(self, x, y, w):
-        """The length sqrt(q), q = w1 (e11 w1 + e12 w2) + w2 (e12 w1 + e22 w2),
-        of the vector w = (w1, w2) at (x, y).
+        """The length sqrt(q) of w = (w1, w2) at (x, y), with q = alpha(w, w) from ``_quadratic``.
 
         Takes floats, or float arrays of one shape: then the entries are
         evaluated once on the arrays and the lengths come back as an array.
         Raises ``EvaluationError`` naming the (first) point where q < 0.
         """
-        e11, e12, e22 = self.entries(x, y)
-        w1, w2 = w
-        q = w1 * (e11 * w1 + e12 * w2) + w2 * (e12 * w1 + e22 * w2)
-        if isinstance(q, np.ndarray):
-            reject_first(q < 0.0, "matrix field is not positive on this vector", x, y)
-            return np.sqrt(q)
-        if q < 0.0:
-            raise EvaluationError(f"matrix field is not positive on this vector at ({x}, {y})")
-        return math.sqrt(q)
+        q = _quadratic(*self.entries(x, y), *w)
+        reject_first(q < 0.0, "matrix field is not positive on this vector", x, y)
+        return np.sqrt(q) if isinstance(q, np.ndarray) else math.sqrt(q)
 
 
 def _lorentz(e11, e12, e22, det, w, vel) -> tuple[float, float]:
@@ -160,16 +153,15 @@ def one_form_norm(alpha: MetricField, beta: Callable, x: float, y: float) -> flo
     """
     e11, e12, e22 = (float(e) for e in alpha.entries(x, y))
     b1, b2 = (float(c) for c in beta(x, y))
-    q = e22 * b1 * b1 - 2.0 * e12 * b1 * b2 + e11 * b2 * b2
-    return math.sqrt(q / _positive_det(e11, e12, e22, (x, y)))
+    return math.sqrt(_quadratic(e22, -e12, e11, b1, b2) / _positive_det(e11, e12, e22, (x, y)))
 
 
 def _quadratic(a11, a12, a22, u, v):
-    """alpha(xi, xi) = a11 u u + 2 a12 u v + a22 v v, in that order, on floats
-    or jets: the one quadratic form of ``randers_metric`` and
-    ``riemannian_metric``.  Where ``a12`` is the float 0.0, as in every
-    catalog background, the cross term is left out: for finite u and v it
-    is a zero, so every value and derivative is the same up to the sign of a
+    """alpha(xi, xi) = a11 u u + 2 a12 u v + a22 v v, in that order, on floats,
+    jets or arrays: the one quadratic form, of both metrics, of lengths and,
+    on (a22, -a12, a11), of the dual norm.  A float 0.0 ``a12``, as in every
+    catalog background, drops the cross term: for finite u and v it is a
+    zero, so every value and derivative is the same up to the sign of a
     zero, and the product of the fiber jets u and v is never built."""
     if type(a12) is float and a12 == 0.0:
         return a11 * u * u + a22 * v * v
@@ -180,7 +172,6 @@ def randers_metric(
     alpha: MetricField,
     beta: Callable,
     domain: Rectangle,
-    name: str = "",
 ) -> FinslerMetric:
     """F = sqrt(alpha(xi, xi)) + beta(xi); requires |beta|_alpha < 1 on ``domain``."""
     for (x, y) in domain.grid(5, 5, margin=1.0 - 1e-9):
@@ -194,16 +185,16 @@ def randers_metric(
         b1, b2 = beta(x, y)
         return sqrt(_quadratic(*alpha.entries(x, y), u, v)) + b1 * u + b2 * v
 
-    return FinslerMetric(F, domain, name=name)
+    return FinslerMetric(F, domain)
 
 
-def riemannian_metric(alpha: MetricField, name: str = "") -> FinslerMetric:
+def riemannian_metric(alpha: MetricField) -> FinslerMetric:
     """F = sqrt(alpha(xi, xi)) as a Finsler metric."""
 
     def F(x, y, u, v):
         return sqrt(_quadratic(*alpha.entries(x, y), u, v))
 
-    return FinslerMetric(F, alpha.domain, name=name)
+    return FinslerMetric(F, alpha.domain)
 
 
 def _entries_lift(alpha: MetricField, x, y) -> tuple:

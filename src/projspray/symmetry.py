@@ -63,19 +63,22 @@ def prolong(X: PlaneVectorField) -> Callable:
     return at
 
 
+def _bracket(jx, jy):
+    """[X, Y] = (a, b) at a point, from the order-1 lifts jx of X.at and jy of Y.at there."""
+    return tuple(
+        jx[0].value * cy.grad[0]
+        + jx[1].value * cy.grad[1]
+        - jy[0].value * cx.grad[0]
+        - jy[1].value * cx.grad[1]
+        for cx, cy in zip(jx, jy)
+    )
+
+
 def lie_bracket(X: PlaneVectorField, Y: PlaneVectorField) -> PlaneVectorField:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, returned as a new field."""
 
     def at(x, y):
-        jxa, jxb = lift(X.at, (x, y), order=1)
-        jya, jyb = lift(Y.at, (x, y), order=1)
-        return tuple(
-            jxa.value * jy.grad[0]
-            + jxb.value * jy.grad[1]
-            - jya.value * jx.grad[0]
-            - jyb.value * jx.grad[1]
-            for jx, jy in ((jxa, jya), (jxb, jyb))
-        )
+        return _bracket(lift(X.at, (x, y), order=1), lift(Y.at, (x, y), order=1))
 
     return PlaneVectorField(at, name=f"[{X.name},{Y.name}]")
 
@@ -224,15 +227,12 @@ def structure_constants(
         raise ValueError(
             f"npoints {npoints} must lie between 3 and the sample pool of {len(_SAMPLE_POOL)} points"
         )
-    brackets = [lie_bracket(basis[i], basis[j]) for (i, j) in _PAIRS]
-    pts = _SAMPLE_POOL[:npoints]
-
-    def stacked(fields):
-        # (point, field, component) -> rows (point, component), one column per field
-        values = np.array([[F.at(x, y) for F in fields] for (x, y) in pts], dtype=float)
-        return values.transpose(0, 2, 1).reshape(2 * npoints, 3)
-
-    A, R = stacked(basis), stacked(brackets)
+    A, R = [], []  # rows (point, component), one column per field or bracket, from one lift per field
+    for (x, y) in _SAMPLE_POOL[:npoints]:
+        jets = [lift(X.at, (x, y), order=1) for X in basis]
+        A.extend(zip(*[(ja.value, jb.value) for ja, jb in jets]))
+        R.extend(zip(*[_bracket(jets[i], jets[j]) for (i, j) in _PAIRS]))
+    A, R = np.array(A, dtype=float), np.array(R, dtype=float)
     C, _, _, sv = np.linalg.lstsq(A, R)
     if sv[-1] <= 1e-10 * sv[0]:
         raise DegenerateBasisError(

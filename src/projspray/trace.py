@@ -86,9 +86,11 @@ def _grid(t0: float, t1: float, step: float) -> tuple:
     bound, up to a relative 1e-9), at least one when t1 > t0, with times
     t0 + i (t1 - t0) / n as a list of floats, so the last time is t1
     exactly; t1 == t0 gives the one time t0 and h = 0.  Raises
-    ``ValueError`` when t1 precedes t0 or, next, when ``step`` is not finite
-    and positive.
+    ``ValueError``, checked in this order, when t0 or t1 is not finite, when
+    t1 precedes t0, or when ``step`` is not finite and positive.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"integration ends {t0} and {t1} must be finite")
     if t1 < t0:
         raise ValueError(f"integration end {t1} precedes its start {t0}")
     if not (math.isfinite(step) and step > 0.0):
@@ -110,7 +112,7 @@ def _rk4(rhs, init, t0: float, t1: float, step: float, stop=None):
     shape (m, 4), stopped early), the first two as arrays.  rhs at a kept
     state is the next step's first stage, so a run makes one evaluation
     more than 4 n.  Raises ``ValueError``, checked in this order, for
-    ``_grid``'s two reasons, when ``init`` does not have four components,
+    ``_grid``'s three reasons, when ``init`` does not have four components,
     or when rhs at ``init`` returns a number of components other than four.
     """
     times, h = _grid(t0, t1, step)

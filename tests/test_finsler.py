@@ -26,21 +26,21 @@ BOX = Rectangle(-0.5, 0.5, -0.5, 0.5)
 
 
 def euclidean_metric():
-    return FinslerMetric(lambda x, y, u, v: sqrt(u * u + v * v), BOX, "euclidean")
+    return FinslerMetric(lambda x, y, u, v: sqrt(u * u + v * v), BOX)
 
 
 def randers_a_metric():
     def F(x, y, u, v):
         return sqrt(u * u + v * v) + 0.5 * (y * u - x * v)
 
-    return FinslerMetric(F, BOX, "a")
+    return FinslerMetric(F, BOX)
 
 
 def metric_c_minus():
     def F(x, y, u, v):
         return sqrt(exp(3.0 * x) * u * u + exp(x) * v * v)
 
-    return FinslerMetric(F, BOX, "c-")
+    return FinslerMetric(F, BOX)
 
 
 def spray_a():
@@ -230,14 +230,14 @@ def test_direct_matches_catalog_c_minus():
 
 
 def test_degenerate_fiber_direction_raises():
-    m = FinslerMetric(lambda x, y, u, v: u, BOX, "deg")
+    m = FinslerMetric(lambda x, y, u, v: u, BOX)
     p = induced_ode_direct(m)
     with pytest.raises(EvaluationError):
         p.fplus(0.0, 0.0, 0.5)
 
 
 def test_singular_fundamental_tensor_names_point():
-    m = FinslerMetric(lambda x, y, u, v: u, BOX, "deg")
+    m = FinslerMetric(lambda x, y, u, v: u, BOX)
     s = geodesic_spray(m)
     with pytest.raises(EvaluationError, match="singular"):
         s.coefficients(0.0, 0.0, 1.0, 0.5)
@@ -295,7 +295,7 @@ def test_checked_det_on_arrays_matches_floats_and_names_the_first_singular_point
 
 
 def test_geodesic_spray_of_fiber_constant_metric_raises():
-    m = FinslerMetric(lambda x, y, u, v: 1.0 + x * x, BOX, "const")
+    m = FinslerMetric(lambda x, y, u, v: 1.0 + x * x, BOX)
     s = geodesic_spray(m)
     with pytest.raises(EvaluationError, match="singular"):
         s.coefficients(0.1, 0.2, 1.0, 0.5)
@@ -360,7 +360,7 @@ def test_randers_with_large_one_form_fails_convexity():
     def F(x, y, u, v):
         return sqrt(u * u + v * v) + 2.0 * (y * u - x * v)
 
-    m = FinslerMetric(F, Rectangle(0.6, 1.4, -0.4, 0.4), "bad")
+    m = FinslerMetric(F, Rectangle(0.6, 1.4, -0.4, 0.4))
     rep = is_strongly_convex(m, m.domain)
     assert not rep.ok
     assert rep.min_eigenvalue < 0.0
@@ -377,7 +377,7 @@ def test_convexity_refuses_a_metric_that_is_nan_at_a_sample(nan_from_x, first):
         return sqrt(u * u + v * v) * (math.nan if x > nan_from_x else 1.0)
 
     with pytest.raises(EvaluationError, match=rf"eigenvalue nan at \({first}, "):
-        is_strongly_convex(FinslerMetric(F, BOX, "nan"), BOX)
+        is_strongly_convex(FinslerMetric(F, BOX), BOX)
 
 
 @pytest.mark.parametrize(

@@ -260,6 +260,12 @@ def test_power_of_an_array_with_a_negative_entry_names_it():
     assert np.array_equal(power(np.array([-2.0, 3.0]), 2), [4.0, 9.0])
 
 
+def test_power_of_a_negative_jet_names_the_exponent_asked_for():
+    # f is formed before f' and f'', so the guard names 1.5, not 0.5 or -0.5
+    with pytest.raises(EvaluationError, match=r"fractional power 1\.5 of negative value -2\.0$"):
+        lift(lambda x: x**1.5, (-2.0,))
+
+
 # Cross-register operations: x is seeded in the older register, y in the
 # newer one, so each result is a jet in y whose entries are jets in x (or
 # floats), and its parts give f, f_x, f_y, f_xx, f_xy and f_yy.

@@ -292,6 +292,18 @@ def _sheared_metric():
     )
 
 
+def test_norm_of_the_sheared_metric_matches_a_numpy_quadratic_form():
+    """The one non-diagonal alpha, whose lengths take ``_quadratic``'s cross term."""
+    alpha = _sheared_metric()
+    ws = ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8), (-1.3, 0.4))
+    for x, y in alpha.domain.grid(3, 3):
+        for w in ws:
+            want = math.sqrt(np.array(w) @ alpha.matrix(x, y) @ np.array(w))
+            assert alpha.norm(x, y, w) == pytest.approx(want, rel=1e-15, abs=0.0)
+            got = alpha.norm(np.full(2, x), np.full(2, y), (np.full(2, w[0]), np.full(2, w[1])))
+            assert got == pytest.approx([want, want], rel=1e-15, abs=0.0)
+
+
 def _innermost(x):
     """Every innermost float of a possibly nested jet: value, gradient, packed Hessian."""
     if not isinstance(x, Jet2):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projspray.catalog import lie_case, symmetry_pairs
+from projspray.catalog import LIE_CASE_KEYS, lie_case, symmetry_pairs
 from projspray.finsler import Rectangle, Spray
 from projspray.jets import ScalarField, arctan, exp, lift, sqrt
 from projspray.symmetry import (
@@ -470,7 +470,8 @@ def test_structure_constants_refuses_two_points():
         structure_constants(basis, npoints=3)
 
 
-def test_structure_constants_c2_plus_makes_30_lifts(monkeypatch):
+def test_structure_constants_c2_plus_makes_15_lifts(monkeypatch):
+    """One order-1 lift per basis field and sample point: 3 fields x 5 points."""
     from projspray import symmetry
 
     calls = []
@@ -482,7 +483,35 @@ def test_structure_constants_c2_plus_makes_30_lifts(monkeypatch):
 
     monkeypatch.setattr(symmetry, "lift", counted)
     structure_constants(lie_case("C2+"))
-    assert len(calls) == 30
+    assert len(calls) == 15
+    assert sorted(set(calls)) == sorted(symmetry._SAMPLE_POOL[:5])
+    assert all(calls.count(p) == 3 for p in set(calls))
+
+
+# perfbench's bases: every key at its defaults (C1's default lam is -1.0), D2 at lam 2 and J3 at gamma (0, 1)
+_BENCH_CASES = [(key, {}) for key in LIE_CASE_KEYS] + [("D2", {"lam": 2.0}), ("J3", {"gamma": (0.0, 1.0)})]
+
+
+@pytest.mark.parametrize("key, params", _BENCH_CASES, ids=[*LIE_CASE_KEYS, "D2(lam=2)", "J3(gamma=0,1)"])
+def test_structure_constants_keep_the_bits_of_plain_values_and_lie_bracket(key, params):
+    """A from the fields' float values and R from ``lie_bracket``'s give the
+    same constants and residual, under ==, as one lift per field and point."""
+    from projspray.symmetry import _PAIRS, _SAMPLE_POOL
+
+    basis = lie_case(key, **params).basis
+
+    def stacked(fields):
+        values = np.array([[F.at(x, y) for F in fields] for (x, y) in _SAMPLE_POOL[:5]], dtype=float)
+        return values.transpose(0, 2, 1).reshape(10, 3)
+
+    A, R = stacked(basis), stacked([lie_bracket(basis[i], basis[j]) for (i, j) in _PAIRS])
+    C = np.linalg.lstsq(A, R)[0]
+    want = np.zeros((3, 3, 3))
+    for col, (i, j) in enumerate(_PAIRS):
+        want[i, j], want[j, i] = C[:, col], -C[:, col]
+    got = structure_constants(lie_case(key, **params))
+    assert (got.constants == want).all()
+    assert got.residual == float(np.abs(A @ C - R).max())
 
 
 def test_bracket_reads_each_operand_once():

@@ -116,6 +116,15 @@ def test_integrators_reject_an_end_before_the_start_or_a_bad_step():
             integrate_ode(f, (0.0, 0.0, 1.0), 1.0, step)
         with pytest.raises(ValueError, match=f"step {step} "):
             integrate_flow(lambda s: s, (1.0,), 1.0, step)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"ends 0.0 and {bad} must be finite"):
+            integrate_spray(flat, (0.0, 0.0, 1.0, 0.0), bad, 1e-2)
+        with pytest.raises(ValueError, match=f"ends 0.0 and {bad} must be finite"):
+            integrate_flow(lambda s: s, (0.0, 0.0, 1.0, 0.0), bad, 1e-2)
+        with pytest.raises(ValueError, match=f"ends 0.0 and {bad} must be finite"):
+            integrate_ode(f, (0.0, 0.0, 1.0), bad, 1e-2)
+        with pytest.raises(ValueError, match=f"ends {bad} and 1.0 must be finite"):
+            integrate_ode(f, (bad, 0.0, 1.0), 1.0, 1e-2)
     tr = integrate_spray(flat, (0.0, 0.0, 1.0, 0.0), 0.0, 1e-2)
     assert len(tr) == 1 and not tr.domain_exit
 

@@ -8,7 +8,11 @@ round with a fresh ``common.Work()`` per operation, and prints the number of
 operations, the number whose verdict is ok, and the first 16 hex digits of
 the SHA-256 of ``json.dumps(rows)``, where ``rows`` lists
 ``(kind, key, ok, repr(worst))`` per operation in run order.  Two checkouts
-with equal digests reach bit-identical verdicts.  An operation that raises
+with equal digests reach bit-identical verdicts.  The round runs under
+CHECKOUT's ``perfbench/tracer.py``, and each line ends with the round's
+traced ``jets.lift`` calls, ``seed_jets`` calls and jets created, the
+numbers ``perfbench/run.py --trace 1`` reports as ``jets.lift.calls``,
+``jets.seed_jets.calls`` and ``jets.jet2.created``.  An operation that raises
 counts as failed with a worst of ``nan``, as in ``perfbench/run.py``.  With
 OUT.json, the rows are also written there, keyed by workload and seed.
 
@@ -81,14 +85,24 @@ def main(argv):
         return 2
     root = Path(argv[1]).resolve()
     common = load(root / "src", root / "perfbench")
+    tracer = importlib.import_module("tracer")
     out = {}
     for name in common.WORKLOADS:
         wl = common.workload(name)
         for seed in SEEDS:
-            rows = rows_of(common, wl, seed)
+            ops, traced = ops_of(wl, seed), tracer.Tracer()
+            traced.install()
+            try:
+                rows = [row(common, op) for op in ops]
+            finally:
+                traced.uninstall()
             digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
             ok = sum(1 for r in rows if r[2])
-            print(f"{name:13s} seed {seed:<7d} {len(rows):4d} ops  {ok:4d} ok  {digest}")
+            lifts = traced.self_times()[0]["jets.lift"]
+            print(
+                f"{name:13s} seed {seed:<7d} {len(rows):4d} ops  {ok:4d} ok  {digest}"
+                f"  {lifts:6d} lifts {traced.seed_jets:6d} seeds {traced.jets_created:7d} jets"
+            )
             out.setdefault(name, {})[str(seed)] = rows
     if len(argv) == 3:
         Path(argv[2]).write_text(json.dumps(out, indent=1) + "\n")
