@@ -47,12 +47,11 @@ A jet stores the Hessian of its n seeded variables as the packed upper
 triangle: one flat tuple of n(n+1)/2 entries h_ij, i <= j, in row order,
 so (h00, h01, h11) for n = 2 and (h00, h01, h02, h11, h12, h22) for n = 3.
 No operation touches a mirrored lower half.  A register chooses its
-arithmetic once, when it is seeded: its size and order fix one kernel
-table, and every jet of the register reaches that table through its
-``level``.  So each operation between jets of one register (sum,
-difference, negation, product, product by a scalar and the chain rule) is
-one call of a generated kernel that builds its result jet, with no lookup
-and no branch on order.  The kernels are written out entry by entry, in
+arithmetic once, when it is seeded: its size and order fix its class,
+whose methods are the kernels, and a jet calls them on its ``level``.  So
+each operation between jets of one register (sum, difference, negation,
+product, product by a scalar and the chain rule) is one method call of a
+generated kernel that builds its result jet, with no branch on order.  The kernels are written out entry by entry, in
 that row order, for each register size and order on first use; at order 1
 they take the same operands, ignore the Hessian ones and build jets
 without one.  Each entry is the plain loop's expression in the loop's
@@ -74,7 +73,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,28 +127,6 @@ def reject_first(bad, message: str, *at):
     raise EvaluationError(f"{message} at ({', '.join(str(jet_value(a)) for a in at)})")
 
 
-class _Kernels(NamedTuple):
-    """The arithmetic and constants of the n-variable registers of one order,
-    written out entry by entry.  At order 2 the kernels work on gradient and
-    packed Hessian; at order 1 they take the same operands, ignore the
-    Hessian ones (None) and build jets with none.  Each kernel but ``hmul``
-    takes the result's value (``mul`` forms it from its operands) and
-    register and returns the finished ``Jet2``.  ``hmul`` returns only the
-    packed Hessian of the product, as a tuple of ``mul``'s Hessian entries
-    (None at order 1).  ``chain`` ignores f'' at order 1."""
-
-    units: tuple  # unit gradient of each seeded variable
-    zero_grad: tuple
-    zero_hess: tuple | None  # the seeds' Hessian: zero packed Hessian, None at order 1
-    add: Callable  # (v, g1, h1, g2, h2, level) -> sum
-    sub: Callable  # (v, g1, h1, g2, h2, level) -> difference
-    neg: Callable  # (v, g1, h1, level) -> negation
-    mul: Callable  # (v1, g1, h1, v2, g2, h2, level) -> product
-    scale: Callable  # (v, g1, h1, s, level) -> product by the scalar s
-    chain: Callable  # (v, g1, h1, d1, d2, level) -> f(jet) = v, f' = d1, f'' = d2
-    hmul: Callable  # (v1, g1, h1, v2, g2, h2) -> packed Hessian of the product
-
-
 def _tuple(entries):
     """Source of the tuple of ``entries``, or of None when there are none."""
     return f"({', '.join(entries)},)" if entries else "None"
@@ -162,13 +139,38 @@ def _def(name, params, unpack, result):
     return f"def {name}({params}):\n{body}    return {result}\n"
 
 
+class _Register:
+    """One seeded register: its nesting ``rank`` (a newer register ranks
+    higher).  A register is an instance of the class :func:`_kernels`
+    generates for its size and order, so its kernels are its methods."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self):
+        self.rank = next(_RANKS)
+
+    def __repr__(self):
+        return f"<register {self.rank}>"
+
+
 @functools.cache
 def _kernels(n, order):
-    """Generate the kernel table of the n-variable registers of ``order``.
-    Each entry is the loop's expression over unpacked locals, in the loop's
-    order; at order 1 the Hessian entry lists are empty, so the same sources
-    read and build no Hessian.  Each (n, order) compiles under its own file
-    name, so profilers keep every register kind's kernels apart."""
+    """The register class of the n-variable registers of ``order``, its
+    kernels written out entry by entry as methods.
+
+    Each kernel but ``hmul`` takes the result's value (``mul`` forms it) and
+    returns the register's ``Jet2``: ``add`` and ``sub`` (v, g1, h1, g2, h2),
+    ``neg`` (v, g1, h1), ``mul`` (v1, g1, h1, v2, g2, h2), ``scale``
+    (v, g1, h1, s) and ``chain`` (v, g1, h1, d1, d2), f(jet) with f = v,
+    f' = d1 and f'' = d2.  ``hmul`` (v1, g1, h1, v2, g2, h2) returns only
+    ``mul``'s packed Hessian.  At order 1 the Hessian entry lists are empty,
+    so the same sources ignore the Hessian operands (None), build jets with
+    none, ignore f'' and ``hmul`` returns None.  The class constants are
+    ``units`` (each seed's unit gradient), ``zero_grad`` and ``zero_hess``
+    (the seeds' Hessian, None at order 1).  Each entry is the loop's
+    expression over unpacked locals, in the loop's order.  Each (n, order)
+    compiles under its own file name, so profilers keep every register
+    kind's kernels apart."""
     pairs = tuple((i, j) for i in range(n) for j in range(i, n))
     hpairs = pairs if order == 2 else ()  # the packed Hessian entries the kernels carry
     p, q = [f"p{i}" for i in range(n)], [f"q{i}" for i in range(n)]  # gradient entries
@@ -183,7 +185,7 @@ def _kernels(n, order):
     chain_hess = [f"d1 * {a[k]} + d2 * ({p[i]} * {p[j]})" for k, (i, j) in enumerate(hpairs)]
 
     def kernel(name, params, unpack, value, grad, hess):
-        return _def(name, f"{params}, level", unpack, f"Jet2({value}, {_tuple(grad)}, {_tuple(hess)}, level)")
+        return _def(name, f"self, {params}", unpack, f"Jet2({value}, {_tuple(grad)}, {_tuple(hess)}, self)")
 
     source = (
         kernel("add", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", add[:n], add[n:])
@@ -192,27 +194,14 @@ def _kernels(n, order):
         + kernel("mul", "v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), "v1 * v2", mul_grad, mul_hess)
         + kernel("scale", "v, g1, h1, s", (g1, h1), "v", [f"{e} * s" for e in p], [f"{e} * s" for e in a])
         + kernel("chain", "v, g1, h1, d1, d2", (g1, h1), "v", [f"d1 * {e}" for e in p], chain_hess)
-        + _def("hmul", "v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), _tuple(mul_hess))
+        + _def("hmul", "self, v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), _tuple(mul_hess))
     )
-    namespace = {"Jet2": Jet2}
-    exec(compile(source, f"<jets kernels n={n} order={order}>", "exec"), namespace)
+    kernels = {}
+    exec(compile(source, f"<jets kernels n={n} order={order}>", "exec"), {"Jet2": Jet2}, kernels)
     units = tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n))
-    constants = (units, (0.0,) * n, (0.0,) * len(pairs) if order == 2 else None)
-    return _Kernels(*constants, *(namespace[name] for name in _Kernels._fields[len(constants) :]))
-
-
-class _Register:
-    """One seeded register: its nesting ``rank`` (a newer register ranks
-    higher) and ``k``, the kernel table of its size and order."""
-
-    __slots__ = ("rank", "k")
-
-    def __init__(self, n, order):
-        self.rank = next(_RANKS)
-        self.k = _kernels(n, order)
-
-    def __repr__(self):
-        return f"<register {self.rank}>"
+    zero_hess = (0.0,) * len(pairs) if order == 2 else None
+    constants = {"units": units, "zero_grad": (0.0,) * n, "zero_hess": zero_hess}
+    return type(f"_Register{n}_{order}", (_Register,), {"__slots__": (), **constants, **kernels})
 
 
 class Jet2:
@@ -223,8 +212,8 @@ class Jet2:
     n(n+1)/2 entries in row order ((h00, h01, h11) for n = 2), or ``None``
     for a first-order jet.  Components may themselves be jets of an older
     register.
-    ``level`` is the jet's register, which holds the nesting rank and the
-    kernels of the register's size and order.
+    ``level`` is the jet's register: it holds the nesting rank, and its
+    class the kernels of the register's size and order.
 
     Across registers the newer jet is the outer object and the other
     operand one scalar coefficient of it; subtraction goes through ``+`` and
@@ -259,7 +248,7 @@ class Jet2:
             level = self.level
             if other.level is level:
                 v = self.value + other.value
-                return level.k.add(v, self.grad, self.hess_packed, other.grad, other.hess_packed, level)
+                return level.add(v, self.grad, self.hess_packed, other.grad, other.hess_packed)
             if other.level.rank > level.rank:
                 return other._add_scalar(self)
         return self._add_scalar(other)
@@ -270,7 +259,7 @@ class Jet2:
     __radd__ = _add_scalar
 
     def __neg__(self):
-        return self.level.k.neg(-self.value, self.grad, self.hess_packed, self.level)
+        return self.level.neg(-self.value, self.grad, self.hess_packed)
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
@@ -279,7 +268,7 @@ class Jet2:
         if other.level is not level:
             return self + (-other)
         v = self.value - other.value
-        return level.k.sub(v, self.grad, self.hess_packed, other.grad, other.hess_packed, level)
+        return level.sub(v, self.grad, self.hess_packed, other.grad, other.hess_packed)
 
     def __rsub__(self, s):
         return (-self)._add_scalar(s)
@@ -289,7 +278,7 @@ class Jet2:
             level = self.level
             if other.level is level:
                 g1, h1, g2, h2 = self.grad, self.hess_packed, other.grad, other.hess_packed
-                return level.k.mul(self.value, g1, h1, other.value, g2, h2, level)
+                return level.mul(self.value, g1, h1, other.value, g2, h2)
             if other.level.rank > level.rank:
                 return other._mul_scalar(self)
         return self._mul_scalar(other)
@@ -297,7 +286,7 @@ class Jet2:
     def _mul_scalar(self, s):
         if type(s) is float and s == 1.0:  # x * 1.0 is x exactly
             return self
-        return self.level.k.scale(self.value * s, self.grad, self.hess_packed, s, self.level)
+        return self.level.scale(self.value * s, self.grad, self.hess_packed, s)
 
     __rmul__ = _mul_scalar
 
@@ -319,7 +308,7 @@ class Jet2:
     def _chain(self, f0, d1, d2):
         """f(self) from f's value and first two derivatives at self.value;
         an order-1 jet reads f' alone, so its callers pass ``d2`` as None."""
-        return self.level.k.chain(f0, self.grad, self.hess_packed, d1, d2, self.level)
+        return self.level.chain(f0, self.grad, self.hess_packed, d1, d2)
 
 
 def _recip_any(x):
@@ -413,7 +402,7 @@ def product_hessian(p: Jet2, q: Jet2) -> tuple:
         raise ValueError("product_hessian needs two order-2 jets")
     if p.level is not q.level:
         raise ValueError(f"product_hessian needs one register, not {p.level} and {q.level}")
-    return p.level.k.hmul(p.value, p.grad, p.hess_packed, q.value, q.grad, q.hess_packed)
+    return p.level.hmul(p.value, p.grad, p.hess_packed, q.value, q.grad, q.hess_packed)
 
 
 @dataclass(frozen=True)
@@ -439,9 +428,8 @@ def seed_jets(values: Sequence, order: int = 2):
     (``order`` 2) or none (``order`` 1)."""
     if order not in (1, 2):
         raise ValueError(f"jets have order 1 or 2, not {order!r}")
-    level = _Register(len(values), order)
-    k = level.k
-    return tuple([Jet2(v, g, k.zero_hess, level) for v, g in zip(values, k.units)])
+    level = _kernels(len(values), order)()
+    return tuple([Jet2(v, g, level.zero_hess, level) for v, g in zip(values, level.units)])
 
 
 def lift(field, point: Sequence, order: int = 2):
@@ -461,7 +449,7 @@ def lift(field, point: Sequence, order: int = 2):
         raise ValueError("a lift of a 0-variable point seeds nothing")
     seeds = seed_jets(point, order)
     level = seeds[0].level
-    zg, zh = level.k.zero_grad, level.k.zero_hess
+    zg, zh = level.zero_grad, level.zero_hess
     out = field(*seeds)
     many = isinstance(out, tuple)
     comps = [

@@ -537,7 +537,9 @@ def test_each_register_kind_compiles_its_kernels_under_its_own_file_name():
     from projspray.jets import _kernels
 
     kinds = [(n, order) for n in range(1, 5) for order in (1, 2)]
-    names = {(n, o): {k.__code__.co_filename for k in _kernels(n, o) if callable(k)} for n, o in kinds}
+    methods = {kind: {k: f for k, f in vars(_kernels(*kind)).items() if callable(f)} for kind in kinds}
+    assert all(set(m) == {"add", "sub", "neg", "mul", "scale", "chain", "hmul"} for m in methods.values())
+    names = {kind: {f.__code__.co_filename for f in m.values()} for kind, m in methods.items()}
     assert names == {(n, o): {f"<jets kernels n={n} order={o}>"} for n, o in kinds}
 
 
@@ -555,14 +557,32 @@ def test_a_register_holds_the_kernels_of_its_size_and_order(n, order):
     total, constant = lift(field, tuple(0.25 * (i + 1) for i in range(n)), order)
     register = seeds[0].level
     assert all(j.level is register for j in (*seeds, total, constant))
-    assert register.k is _kernels(n, order)
-    assert (constant.grad, constant.hess_packed) == (register.k.zero_grad, register.k.zero_hess)
+    assert type(register) is _kernels(n, order)
+    assert (constant.grad, constant.hess_packed) == (register.zero_grad, register.zero_hess)
+    assert register.zero_grad == (0.0,) * n
+    assert register.zero_hess == (None if order == 1 else (0.0,) * len(_pairs(n)))
+    units = tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+    assert register.units == tuple(s.grad for s in seeds) == units
     # a jet whose gradient does not fit its register is refused, not computed
     (x,) = seed_jets((0.5,), order)
     wide = Jet2(0.5, (1.0, 0.0), None if order == 1 else (0.0, 0.0, 0.0), x.level)
     for use in (operator.add, operator.sub, operator.mul, lambda w, x: -w, lambda w, x: w * 2.0, lambda w, x: exp(w)):
         with pytest.raises(ValueError):
             use(wide, x)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_two_lifts_of_one_kind_share_the_class_but_not_the_register(order):
+    from projspray.jets import _kernels
+
+    first = lift(lambda x, y: x * y, (0.5, 1.5), order)
+    second = lift(lambda x, y: x + y, (0.5, 1.5), order)
+    assert type(first.level) is type(second.level) is _kernels(2, order)
+    assert first.level is not second.level and second.level.rank > first.level.rank
+    assert repr(second.level) == f"<register {second.level.rank}>"
+    # the newer register's jet is the outer one: the older jet enters as one coefficient
+    mixed = first * second
+    assert mixed.level is second.level and mixed.value.level is first.level
 
 
 # --- the Hessian of a product without its jet --------------------------------
