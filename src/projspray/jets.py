@@ -37,7 +37,8 @@ closure over it.
 
 The elementary functions take a float or a jet; :func:`exp` and
 :func:`power` also take a float ndarray, evaluated entry by entry with the
-float path's libm call.  A closed-form field built from them (a metric's
+float path's libm call.  The power 0.5 is libm's ``sqrt`` on every path, so
+a jet's value, :func:`sqrt` and ``power(x, 0.5)`` agree bit for bit.  A closed-form field built from them (a metric's
 ``entries``) thus evaluates at many points in one call and agrees bit for
 bit with its evaluations point by point.  Domain guards reduce over the
 array through :func:`reject_first` and name the first bad point; on floats
@@ -349,13 +350,13 @@ def _pow_any(x, p):
             reject_first(x == 0.0, "zero raised to a negative power", x)
         if not p.is_integer():
             reject_first(x < 0.0, f"fractional power {p} of negative value", x)
-        return _each(math.pow, x, p)
+        return _each(math.sqrt, x) if p == 0.5 else _each(math.pow, x, p)
     x = float(x)
     if x == 0.0 and p < 0.0:
         raise EvaluationError("zero raised to a negative power")
     if x < 0.0 and not p.is_integer():
         raise EvaluationError(f"fractional power {p} of negative value {x}")
-    return math.pow(x, p)
+    return math.sqrt(x) if p == 0.5 else math.pow(x, p)
 
 
 def power(x, p):

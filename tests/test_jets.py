@@ -677,6 +677,17 @@ def test_sqrt_of_a_positive_float_is_libms(x):
     assert type(got) is float and got == math.sqrt(x)
 
 
+def test_a_jets_square_root_is_libms_on_every_path():
+    # math.pow(x, 0.5) is 1 ulp off math.sqrt(x) at 17 of these points
+    xs = np.random.default_rng(0).uniform(1e-3, 10.0, 20_000)
+    want = [math.sqrt(x) for x in xs.tolist()]
+    assert [x for x, w in zip(xs.tolist(), want) if lift(sqrt, (x,)).value != w] == []
+    assert [lift(lambda u: power(u, 0.5), (x,), 1).value for x in xs[:100].tolist()] == want[:100]
+    assert [power(x, 0.5) for x in xs.tolist()] == [sqrt(x) for x in xs.tolist()] == want
+    got = power(xs.reshape(200, 100), 0.5)
+    assert got.shape == (200, 100) and got.ravel().tolist() == want
+
+
 @pytest.mark.parametrize("x", [-745.2, -700.0, -1.5, -0.0, 0.0, 0.3, 709.7, -math.inf, math.inf])
 def test_exp_of_a_float_is_libms(x):
     got = exp(x)
