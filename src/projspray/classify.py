@@ -65,7 +65,8 @@ def extract_cubic(f: ScalarField, at: Sequence[float], tol: float = 1e-9):
     nodes {-2, 3} reproduce it to ``tol``.
 
     Returns a :class:`CubicForm` whose ``fit`` repeats the fit pointwise
-    (so it stays liftable), or :class:`NotCubic` with the offending residual.
+    (so it stays liftable), or :class:`NotCubic` with the offending residual,
+    which may be NaN.
     """
 
     def fit(x, y):
@@ -76,7 +77,7 @@ def extract_cubic(f: ScalarField, at: Sequence[float], tol: float = 1e-9):
     A, B, C, D = (float(c) for c in fit(x, y))
     for z in _CHECK_NODES:
         r = abs(float(f(x, y, z)) - (A + z * (B + z * (C + z * D))))
-        if r > tol:
+        if not r <= tol:  # NaN included
             return NotCubic(residual=r, node=z)
     return CubicForm(fit)
 
@@ -129,7 +130,9 @@ def is_projectively_flat(
     cubic_tol: float = 1e-9,
     margin: float = 0.9,
 ) -> FlatnessVerdict:
-    """Flat iff the cubic fit succeeds and both obstructions vanish on the grid."""
+    """Flat iff the cubic fit succeeds and both obstructions vanish on the
+    grid; the first point where either is NaN or above ``tol`` is the
+    witness, with the larger of the two, NaN kept, as ``worst``."""
     worst = 0.0
     for (x, y) in region.grid(nx, ny, margin):
         try:
@@ -138,10 +141,10 @@ def is_projectively_flat(
             return FlatnessVerdict(False, (x, y))
         if isinstance(cf, NotCubic):
             return FlatnessVerdict(False, (x, y), cf.residual)
-        r1, r2 = flatness_residuals(cf, (x, y))
-        worst = max(worst, abs(r1), abs(r2))
-        if abs(r1) > tol or abs(r2) > tol:
-            return FlatnessVerdict(False, (x, y), max(abs(r1), abs(r2)))
+        r1, r2 = (abs(r) for r in flatness_residuals(cf, (x, y)))
+        if not (r1 <= tol and r2 <= tol):  # NaN included
+            return FlatnessVerdict(False, (x, y), float(np.maximum(r1, r2)))
+        worst = max(worst, r1, r2)
     return FlatnessVerdict(True, None, worst)
 
 

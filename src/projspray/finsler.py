@@ -194,18 +194,20 @@ def is_strongly_convex(
 
 def checked_det(h11, h12, h22, field: str, at: Sequence):
     """det h = h11 h22 - h12^2, on floats, jets or float arrays; raises
-    ``EvaluationError`` "singular <field> at (<at>)" where
-    |det| <= 1e-15 max(|h11|, |h22|)^2, at the first such point of an array."""
+    ``EvaluationError`` "singular <field> at (<at>)" unless
+    |det| > 1e-15 max(|h11|, |h22|)^2, so also where det is NaN, at the
+    first such point of an array."""
     det = h11 * h22 - h12 * h12
     if type(det) is float:  # the float path: no jet or array to unwrap
         a, c = abs(h11), abs(h22)
-        scale = c if c > a else a  # max(a, c), NaN included
-        if abs(det) <= 1e-15 * scale * scale:
+        scale = c if c > a else a  # max(a, c)
+        if not abs(det) > 1e-15 * scale * scale:  # NaN included
             reject_first(True, "singular " + field, *at)
         return det
     d, a, c = jet_value(det), abs(jet_value(h11)), abs(jet_value(h22))
     scale = np.maximum(a, c) if isinstance(d, np.ndarray) else max(a, c)
-    reject_first(abs(d) <= 1e-15 * scale * scale, "singular " + field, *at)
+    fine = abs(d) > 1e-15 * scale * scale  # False where det is NaN
+    reject_first(~fine if isinstance(fine, np.ndarray) else not fine, "singular " + field, *at)
     return det
 
 

@@ -15,7 +15,7 @@ from projspray.classify import (
     liouville_residuals,
 )
 from projspray.finsler import Rectangle, induced_ode_direct
-from projspray.jets import EvaluationError, ScalarField, exp
+from projspray.jets import EvaluationError, Jet2, ScalarField, exp, jet_value
 from projspray.randers import MetricField, constant_curvature_metric
 
 BOX = Rectangle(-0.3, 0.3, -0.3, 0.3)
@@ -88,6 +88,27 @@ def test_projective_flatness_dichotomy():
         verdict = is_projectively_flat(ode_entry(key, **kwargs).f, BOX)
         assert not verdict.flat, key
         assert verdict.witness is not None
+
+
+def _nan_beyond(cut, x, nan):
+    """0.0 where x <= cut, ``nan`` beyond."""
+    return 0.0 if jet_value(x) <= cut else nan
+
+
+def test_flatness_never_passes_on_nan():
+    first = next(iter(BOX.grid(4, 4, 0.9)))
+    # NaN where x > 0.1: the first such grid point is the witness, not a pass
+    verdict = is_projectively_flat(ScalarField(3, lambda x, y, z: _nan_beyond(0.1, x, math.nan)), BOX)
+    assert not verdict.flat and verdict.witness == pytest.approx((0.27, -0.27)) and math.isnan(verdict.worst)
+    nowhere = is_projectively_flat(ScalarField(3, lambda x, y, z: math.nan), BOX)
+    assert not nowhere.flat and nowhere.witness == first and math.isnan(nowhere.worst)
+    out = extract_cubic(ScalarField(3, lambda x, y, z: math.nan), first)
+    assert isinstance(out, NotCubic) and math.isnan(out.residual) and out.node == -2.0
+    # a cubic (zero) on floats whose lifted coefficients are NaN beyond x = 0.1:
+    # the fit passes and the obstructions are NaN
+    f = ScalarField(3, lambda x, y, z: _nan_beyond(0.1, x, math.nan * x if isinstance(x, Jet2) else 0.0))
+    verdict = is_projectively_flat(f, BOX)
+    assert not verdict.flat and verdict.witness == pytest.approx((0.27, -0.27)) and math.isnan(verdict.worst)
 
 
 def test_liouville_candidate_euclidean():

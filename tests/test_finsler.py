@@ -20,7 +20,7 @@ from projspray.finsler import (
     projective_residual,
 )
 from projspray.catalog import METRIC_KEYS, metric_entry
-from projspray.jets import EvaluationError, exp, lift, seed_jets, sqrt
+from projspray.jets import EvaluationError, exp, jet_value, lift, seed_jets, sqrt
 
 BOX = Rectangle(-0.5, 0.5, -0.5, 0.5)
 
@@ -380,6 +380,16 @@ def test_convexity_refuses_a_metric_that_is_nan_at_a_sample(nan_from_x, first):
         is_strongly_convex(FinslerMetric(F, BOX), BOX)
 
 
+def test_geodesic_spray_of_a_metric_that_is_nan_names_the_point():
+    def F(x, y, u, v):
+        return sqrt(u * u + v * v) * (math.nan if jet_value(x) > 0.2 else 1.0)
+
+    spray = geodesic_spray(FinslerMetric(F, BOX))
+    assert spray.pair(0.1, 0.1, 1.0, 0.5) == (0.0, 0.0)
+    with pytest.raises(EvaluationError, match=r"singular fundamental tensor at \(0\.3, 0\.1, 1\.0, 0\.5\)"):
+        spray.pair(0.3, 0.1, 1.0, 0.5)
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -432,9 +442,14 @@ def test_checked_det_of_a_singular_float_triple_names_the_field_and_the_point():
 
 
 def test_checked_det_of_nan_and_numpy_scalars():
-    # NaN fails no comparison, so it passes the guard and comes back as det
+    # NaN fails every comparison, so the guard asks det to pass rather than to fail
+    singular = r"singular metric field at \(0\.1, 0\.2\)"
     for h in ((math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.nan)):
-        assert math.isnan(checked_det(*h, "metric field", (0.1, 0.2)))
+        for entries in (h, tuple(map(np.float64, h)), (seed_jets((h[0],))[0], *h[1:])):
+            with pytest.raises(EvaluationError, match=singular):
+                checked_det(*entries, "metric field", (0.1, 0.2))
+    with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.2, 0\.5\)"):
+        checked_det(np.array([1.0, math.nan, 2.0]), 0.0, 1.0, "metric field", (np.array([0.1, 0.2, 0.3]), 0.5))
     det = checked_det(np.float64(2.0), np.float64(0.5), np.float64(1.0), "metric field", (0.1, 0.2))
     assert type(det) is np.float64 and det == 1.75
     with pytest.raises(EvaluationError, match=r"singular metric field at \(0\.1, 0\.2\)"):
