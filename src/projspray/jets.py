@@ -37,12 +37,13 @@ closure over it.
 
 The elementary functions take a float or a jet; :func:`exp` and
 :func:`power` also take a float ndarray, evaluated entry by entry with the
-float path's libm call.  The power 0.5 is libm's ``sqrt`` on every path, so
-a jet's value, :func:`sqrt` and ``power(x, 0.5)`` agree bit for bit.  A closed-form field built from them (a metric's
-``entries``) thus evaluates at many points in one call and agrees bit for
-bit with its evaluations point by point.  Domain guards reduce over the
-array through :func:`reject_first` and name the first bad point; on floats
-and jets a guard stays one plain comparison.
+float path's libm call.  The power 0.5 is libm's ``sqrt`` on every path,
+so a jet's value, :func:`sqrt` and ``power(x, 0.5)`` agree bit for bit.  A
+closed-form field built from them (a metric's ``entries``) thus evaluates
+at many points in one call and agrees bit for bit with its evaluations
+point by point.  Domain guards reduce over the array through
+:func:`reject_first` and name the first bad point; on floats and jets a
+guard stays one plain comparison.
 
 A jet stores the Hessian of its n seeded variables as the packed upper
 triangle: one flat tuple of n(n+1)/2 entries h_ij, i <= j, in row order,
@@ -52,20 +53,21 @@ arithmetic once, when it is seeded: its size and order fix its class,
 whose methods are the kernels, and a jet calls them on its ``level``.  So
 each operation between jets of one register (sum, difference, negation,
 product, product by a scalar and the chain rule) is one method call of a
-generated kernel that builds its result jet, with no branch on order.  The kernels are written out entry by entry, in
-that row order, for each register size and order on first use; at order 1
-they take the same operands, ignore the Hessian ones and build jets
-without one.  Each entry is the plain loop's expression in the loop's
-operation order, so the written-out kernels and a loop agree bit for bit
-(Griewank & Walther, *Evaluating Derivatives*, ch. 13).  A caller that
-reads only the Hessian of a product takes it from :func:`product_hessian`,
-the kernel ``hmul`` with ``mul``'s Hessian entries, which builds no jet.
-Forward mode carries only the coefficients that are read: a chain rule (a
-power, the reciprocal, ``arctan``) forms f'' only for a jet that carries a
-Hessian, so on an order-1 jet it forms f' alone.  A product by the float
-1.0 is the jet itself, since x * 1.0 is x exactly, so ``1.0 / jet`` is the
-reciprocal alone.  The packed triangle is the Hessian's only form: every
-reader takes h_ij from ``hess_packed`` by its (i, j) row-order position.
+generated kernel that builds its result jet, with no branch on order.  The
+kernels are written out entry by entry, in that row order, for each
+register size and order on first use; at order 1 they take the same
+operands, ignore the Hessian ones and build jets without one.  Each entry
+is the plain loop's expression in the loop's operation order, so the
+written-out kernels and a loop agree bit for bit (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13).  A caller that reads only the Hessian
+of a product takes it from :func:`product_hessian`, the kernel ``hmul``
+with ``mul``'s Hessian entries, which builds no jet.  Forward mode carries
+only the coefficients that are read: a chain rule (a power, the
+reciprocal, ``arctan``) forms f'' only for a jet that carries a Hessian,
+so on an order-1 jet it forms f' alone.  A product by the float 1.0 is the
+jet itself, since x * 1.0 is x exactly, so ``1.0 / jet`` is the reciprocal
+alone.  The packed triangle is the Hessian's only form: every reader takes
+h_ij from ``hess_packed`` by its (i, j) row-order position.
 """
 
 from __future__ import annotations
