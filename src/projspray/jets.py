@@ -199,12 +199,11 @@ def _kernels(n, order):
         + kernel("chain", "v, g1, h1, d1, d2", (g1, h1), "v", [f"d1 * {e}" for e in p], chain_hess)
         + _def("hmul", "self, v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), _tuple(mul_hess))
     )
-    kernels = {}
-    exec(compile(source, f"<jets kernels n={n} order={order}>", "exec"), {"Jet2": Jet2}, kernels)
     units = tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n))
     zero_hess = (0.0,) * len(pairs) if order == 2 else None
-    constants = {"units": units, "zero_grad": (0.0,) * n, "zero_hess": zero_hess}
-    return type(f"_Register{n}_{order}", (_Register,), {"__slots__": (), **constants, **kernels})
+    body = {"__slots__": (), "units": units, "zero_grad": (0.0,) * n, "zero_hess": zero_hess}
+    exec(compile(source, f"<jets kernels n={n} order={order}>", "exec"), {"Jet2": Jet2}, body)  # adds the kernels
+    return type(f"_Register{n}_{order}", (_Register,), body)
 
 
 class Jet2:
