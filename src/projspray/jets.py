@@ -52,22 +52,33 @@ No operation touches a mirrored lower half.  A register chooses its
 arithmetic once, when it is seeded: its size and order fix its class,
 whose methods are the kernels, and a jet calls them on its ``level``.  So
 each operation between jets of one register (sum, difference, negation,
-product, product by a scalar and the chain rule) is one method call of a
-generated kernel that builds its result jet, with no branch on order.  The
-kernels are written out entry by entry, in that row order, for each
-register size and order on first use; at order 1 they take the same
-operands, ignore the Hessian ones and build jets without one.  Each entry
-is the plain loop's expression in the loop's operation order, so the
-written-out kernels and a loop agree bit for bit (Griewank & Walther,
-*Evaluating Derivatives*, ch. 13).  A caller that reads only the Hessian
-of a product takes it from :func:`product_hessian`, the kernel ``hmul``
-with ``mul``'s Hessian entries, which builds no jet.  Forward mode carries
-only the coefficients that are read: a chain rule (a power, the
-reciprocal, ``arctan``) forms f'' only for a jet that carries a Hessian,
-so on an order-1 jet it forms f' alone.  A product by the float 1.0 is the
-jet itself, since x * 1.0 is x exactly, so ``1.0 / jet`` is the reciprocal
-alone.  The packed triangle is the Hessian's only form: every reader takes
-h_ij from ``hess_packed`` by its (i, j) row-order position.
+product, sum with and product by a scalar, and the chain rule) is one
+method call of a generated kernel that builds its result jet, with no
+branch on order.  The kernels are written out entry by entry, in that row
+order, for each register size and order on first use; at order 1 they
+take the same operands, ignore the Hessian ones and build jets without
+one.  Each entry is the plain loop's expression in the loop's operation
+order, so the written-out kernels and a loop agree bit for bit (Griewank &
+Walther, *Evaluating Derivatives*, ch. 13).  A caller that reads only the
+Hessian of a product takes it from :func:`product_hessian`, the kernel
+``hmul`` with ``mul``'s Hessian entries, which builds no jet.  Forward
+mode carries only the coefficients that are read: a chain rule (a power,
+the reciprocal, ``arctan``) forms f'' only for a jet that carries a
+Hessian, so on an order-1 jet it forms f' alone.  The packed triangle is
+the Hessian's only form: every reader takes h_ij from ``hess_packed`` by
+its (i, j) row-order position.
+
+Two scalar products are exact identities and build no jet.  A product by
+the float 1.0 is the jet itself, since x * 1.0 is x exactly, so
+``1.0 / jet`` is the reciprocal alone.  A product by the float 0.0 or -0.0
+is the float value * s, a signed zero, when that is a float zero and every
+gradient and Hessian entry is a finite float, since every entry of the
+scaled jet would be a zero.  The ``scale`` kernel makes that test after it
+unpacks the operand, so a jet that does not fit its register still raises.
+A jet with a NaN or an infinity keeps the kernel path, because 0 * NaN and
+0 * inf are NaN, and a NaN dropped here would let a verdict pass on it.  A
+nested jet keeps it too: its entries are jets, which have no equality to
+test.
 """
 
 from __future__ import annotations
@@ -164,16 +175,19 @@ def _kernels(n, order):
     Each kernel but ``hmul`` takes the result's value (``mul`` forms it) and
     returns the register's ``Jet2``: ``add`` and ``sub`` (v, g1, h1, g2, h2),
     ``neg`` (v, g1, h1), ``mul`` (v1, g1, h1, v2, g2, h2), ``scale``
-    (v, g1, h1, s) and ``chain`` (v, g1, h1, d1, d2), f(jet) with f = v,
-    f' = d1 and f'' = d2.  ``hmul`` (v1, g1, h1, v2, g2, h2) returns only
-    ``mul``'s packed Hessian.  At order 1 the Hessian entry lists are empty,
-    so the same sources ignore the Hessian operands (None), build jets with
-    none, ignore f'' and ``hmul`` returns None.  The class constants are
-    ``units`` (each seed's unit gradient), ``zero_grad`` and ``zero_hess``
-    (the seeds' Hessian, None at order 1).  Each entry is the loop's
-    expression over unpacked locals, in the loop's order.  Each (n, order)
-    compiles under its own file name, so profilers keep every register
-    kind's kernels apart."""
+    (v, g1, h1, s), ``shift`` (v, g1, h1), a sum with a scalar, which keeps
+    the operand's tuples, and ``chain`` (v, g1, h1, d1, d2), f(jet) with
+    f = v, f' = d1 and f'' = d2.  ``scale`` returns the float v instead
+    where s is a float zero and v and every entry are finite floats, the
+    module docstring's zero product.  ``hmul`` (v1, g1, h1, v2, g2, h2)
+    returns only ``mul``'s packed Hessian.  At order 1 the Hessian entry
+    lists are empty, so the same sources ignore the Hessian operands (None),
+    build jets with none, ignore f'' and ``hmul`` returns None.  The class
+    constants are ``units`` (each seed's unit gradient), ``zero_grad`` and
+    ``zero_hess`` (the seeds' Hessian, None at order 1).  Each entry is the
+    loop's expression over unpacked locals, in the loop's order.  Each
+    (n, order) compiles under its own file name, so profilers keep every
+    register kind's kernels apart."""
     pairs = tuple((i, j) for i in range(n) for j in range(i, n))
     hpairs = pairs if order == 2 else ()  # the packed Hessian entries the kernels carry
     p, q = [f"p{i}" for i in range(n)], [f"q{i}" for i in range(n)]  # gradient entries
@@ -187,15 +201,27 @@ def _kernels(n, order):
     ]
     chain_hess = [f"d1 * {a[k]} + d2 * ({p[i]} * {p[j]})" for k, (i, j) in enumerate(hpairs)]
 
+    # x * ±0.0 is the signed zero v when s and v are float zeros and every entry is a finite float
+    zero_product = " and ".join(
+        ["type(s) is float and s == 0.0 and type(v) is float and v == 0.0"]
+        + [f"type({e}) is float and {e} - {e} == 0.0" for e in p + a]
+    )
+
+    def jet(value, grad, hess):
+        return f"Jet2({value}, {_tuple(grad)}, {_tuple(hess)}, self)"
+
     def kernel(name, params, unpack, value, grad, hess):
-        return _def(name, f"self, {params}", unpack, f"Jet2({value}, {_tuple(grad)}, {_tuple(hess)}, self)")
+        return _def(name, f"self, {params}", unpack, jet(value, grad, hess))
+
+    scaled = jet("v", [f"{e} * s" for e in p], [f"{e} * s" for e in a])
 
     source = (
         kernel("add", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", add[:n], add[n:])
         + kernel("sub", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", sub[:n], sub[n:])
         + kernel("neg", "v, g1, h1", (g1, h1), "v", neg[:n], neg[n:])
         + kernel("mul", "v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), "v1 * v2", mul_grad, mul_hess)
-        + kernel("scale", "v, g1, h1, s", (g1, h1), "v", [f"{e} * s" for e in p], [f"{e} * s" for e in a])
+        + _def("scale", "self, v, g1, h1, s", (g1, h1), f"v if {zero_product} else {scaled}")
+        + _def("shift", "self, v, g1, h1", (g1, h1), f"Jet2(v, g1, {'h1' if a else 'None'}, self)")
         + kernel("chain", "v, g1, h1, d1, d2", (g1, h1), "v", [f"d1 * {e}" for e in p], chain_hess)
         + _def("hmul", "self, v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), _tuple(mul_hess))
     )
@@ -256,7 +282,7 @@ class Jet2:
         return self._add_scalar(other)
 
     def _add_scalar(self, s):
-        return Jet2(self.value + s, self.grad, self.hess_packed, self.level)
+        return self.level.shift(self.value + s, self.grad, self.hess_packed)
 
     __radd__ = _add_scalar
 

@@ -111,13 +111,6 @@ def point_symmetry_residual(X: PlaneVectorField, f: ScalarField, at: Sequence[fl
     return abs(a * fx + b * fy + c * fz - (cz - ax - z * ay) * fval - cx - z * cy)
 
 
-def _moved(c, rate, t):
-    """The coordinate c moved along the seed t at ``rate``: c + rate t, or
-    the float c itself where the rate is exactly 0.0, whose t-jet would
-    carry only zero derivatives."""
-    return c if rate == 0.0 else c + rate * t
-
-
 def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[float]) -> float:
     """Non-radial part of the Lie derivative of the spray along the lift of X.
 
@@ -125,9 +118,9 @@ def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[fl
     vanish identically for complete lifts.  The derivative X^G of the spray
     along the complete lift X^ = (a, b, A3, B3) is read from one seeded
     variable t, as d/dt G(x + a t, y + b t, u + A3 t, v + B3 t) at t = 0.
-    A coordinate whose rate is exactly 0.0 stays a float (``_moved``), so a
-    translation does t-work on one coordinate of four: c + 0.0 t has value c,
-    up to the sign of a zero c, and zero derivatives.
+    A coordinate whose rate is exactly 0.0 stays a float, since 0.0 t is the
+    float zero (the jets' zero product), so a translation does t-work on one
+    coordinate of four.
     Zero (up to roundoff) exactly when the flow of X permutes the spray's
     oriented geodesics.
     """
@@ -141,9 +134,7 @@ def projective_field_residual(X: PlaneVectorField, spray: Spray, at: Sequence[fl
         A3 = ax * u + ay * v
         B3 = bx * u + by * v
         jg1, jg2 = lift(
-            lambda t: spray.coefficients(_moved(x, a, t), _moved(y, b, t), _moved(u, A3, t), _moved(v, B3, t)),
-            (0.0,),
-            order=1,
+            lambda t: spray.coefficients(x + a * t, y + b * t, u + A3 * t, v + B3 * t), (0.0,), order=1
         )
         G1, G2 = jet_value(jg1), jet_value(jg2)
         xhat_g1, xhat_g2 = jet_value(jg1.grad[0]), jet_value(jg2.grad[0])

@@ -468,6 +468,66 @@ def test_a_product_by_the_float_one_is_the_jet_itself(order, nested):
         assert got is not x and _floats(got) == _floats(_loop_scalar_product(x, s))
 
 
+def _reprs(x):
+    """``_floats`` of x by ``repr``, so NaN equals NaN and -0.0 differs from 0.0."""
+    return [repr(f) for f in _floats(x)]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_product_by_a_float_zero_of_a_finite_jet_is_a_signed_zero(order, nested):
+    rng = np.random.default_rng(3000 * order + nested)
+    older_seed = seed_jets((0.0, 0.0))[0]
+
+    def real():
+        return float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+
+    def older():
+        return _random_jet(2, older_seed.level, real)
+
+    level = seed_jets((0.0, 0.0), order)[0].level
+    for _ in range(4):
+        x = _random_jet(2, level, older if nested else real, order)
+        for s in (0.0, -0.0):
+            want = _loop_scalar_product(x, s)
+            for got in (x * s, s * x):
+                if nested:  # an older jet entry keeps the kernel: the scaled jet, entry by entry
+                    assert isinstance(got, Jet2) and got.level is level
+                    assert _reprs(got) == _reprs(want)
+                else:
+                    assert type(got) is float and repr(got) == repr(x.value * s)
+                    assert all(f == 0.0 for f in _floats(want)[1:])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_product_by_a_float_zero_keeps_a_non_finite_entry(order, nested, bad):
+    # 0 * NaN and 0 * inf are NaN: a jet carrying one is scaled entry by entry, never dropped to a zero
+    rng = np.random.default_rng(4000 * order + nested)
+    older_seed = seed_jets((0.0, 0.0))[0]
+
+    def real():
+        return float(rng.uniform(0.5, 2.0))
+
+    def older():
+        return _random_jet(2, older_seed.level, real)
+
+    level = seed_jets((0.0, 0.0), order)[0].level
+    x = _random_jet(2, level, older if nested else real, order)
+    slots = 1 + len(x.grad) + (0 if x.hess_packed is None else len(x.hess_packed))
+    for k in range(slots):  # the value, then each gradient entry, then each Hessian entry
+        parts = [x.value, *x.grad, *(x.hess_packed or ())]
+        parts[k] = Jet2(bad, parts[k].grad, parts[k].hess_packed, parts[k].level) if nested else bad
+        g, h = tuple(parts[1:3]), None if order == 1 else tuple(parts[3:])
+        y = Jet2(parts[0], g, h, level)
+        for s in (0.0, -0.0):
+            want = _loop_scalar_product(y, s)
+            for got in (y * s, s * y):
+                assert isinstance(got, Jet2) and _reprs(got) == _reprs(want)
+                assert any(f != f for f in _floats(got)[1:])
+
+
 @pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_order1_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
@@ -538,7 +598,7 @@ def test_each_register_kind_compiles_its_kernels_under_its_own_file_name():
 
     kinds = [(n, order) for n in range(1, 5) for order in (1, 2)]
     methods = {kind: {k: f for k, f in vars(_kernels(*kind)).items() if callable(f)} for kind in kinds}
-    assert all(set(m) == {"add", "sub", "neg", "mul", "scale", "chain", "hmul"} for m in methods.values())
+    assert all(set(m) == {"add", "sub", "neg", "mul", "scale", "shift", "chain", "hmul"} for m in methods.values())
     names = {kind: {f.__code__.co_filename for f in m.values()} for kind, m in methods.items()}
     assert names == {(n, o): {f"<jets kernels n={n} order={o}>"} for n, o in kinds}
 
@@ -569,6 +629,18 @@ def test_a_register_holds_the_kernels_of_its_size_and_order(n, order):
     for use in (operator.add, operator.sub, operator.mul, lambda w, x: -w, lambda w, x: w * 2.0, lambda w, x: exp(w)):
         with pytest.raises(ValueError):
             use(wide, x)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_scalar_sum_refuses_a_jet_that_does_not_fit_its_register(order):
+    (x,) = seed_jets((0.5,), order)
+    wide = Jet2(0.5, (1.0, 0.0), None if order == 1 else (0.0, 0.0, 0.0), x.level)
+    for use in (lambda w: w + 1.0, lambda w: 1.0 + w, lambda w: w - 1.0, lambda w: 1.0 - w, lambda w: w * 0.0):
+        with pytest.raises(ValueError):
+            use(wide)
+    # a jet that fits keeps its gradient and Hessian tuples
+    shifted = x + 1.0
+    assert shifted.value == 1.5 and shifted.grad is x.grad and shifted.hess_packed is x.hess_packed
 
 
 @pytest.mark.parametrize("order", [1, 2])
