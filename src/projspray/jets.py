@@ -53,32 +53,33 @@ arithmetic once, when it is seeded: its size and order fix its class,
 whose methods are the kernels, and a jet calls them on its ``level``.  So
 each operation between jets of one register (sum, difference, negation,
 product, sum with and product by a scalar, and the chain rule) is one
-method call of a generated kernel that builds its result jet, with no
+call of a generated kernel on the operand jets themselves: it reads their
+values, gradients and Hessians and returns the finished result, with no
 branch on order.  The kernels are written out entry by entry, in that row
 order, for each register size and order on first use; at order 1 they
-take the same operands, ignore the Hessian ones and build jets without
-one.  Each entry is the plain loop's expression in the loop's operation
-order, so the written-out kernels and a loop agree bit for bit (Griewank &
-Walther, *Evaluating Derivatives*, ch. 13).  A caller that reads only the
-Hessian of a product takes it from :func:`product_hessian`, the kernel
-``hmul`` with ``mul``'s Hessian entries, which builds no jet.  Forward
-mode carries only the coefficients that are read: a chain rule (a power,
-the reciprocal, ``arctan``) forms f'' only for a jet that carries a
-Hessian, so on an order-1 jet it forms f' alone.  The packed triangle is
-the Hessian's only form: every reader takes h_ij from ``hess_packed`` by
-its (i, j) row-order position.
+ignore the operands' Hessians and build jets without one.  Each entry is
+the plain loop's expression in the loop's operation order, so the
+written-out kernels and a loop agree bit for bit (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13).  A caller that reads only the Hessian
+of a product takes it from :func:`product_hessian`, the kernel ``hmul``
+with ``mul``'s Hessian entries, which builds no jet.  Forward mode carries
+only the coefficients that are read: a chain rule (a power, the
+reciprocal, ``arctan``) forms f'' only for a jet that carries a Hessian,
+so on an order-1 jet it forms f' alone.  The packed triangle is the
+Hessian's only form: every reader takes h_ij from ``hess_packed`` by its
+(i, j) row-order position.
 
 Two scalar products are exact identities and build no jet.  A product by
 the float 1.0 is the jet itself, since x * 1.0 is x exactly, so
 ``1.0 / jet`` is the reciprocal alone.  A product by the float 0.0 or -0.0
 is the float value * s, a signed zero, when that is a float zero and every
 gradient and Hessian entry is a finite float, since every entry of the
-scaled jet would be a zero.  The ``scale`` kernel makes that test after it
-unpacks the operand, so a jet that does not fit its register still raises.
-A jet with a NaN or an infinity keeps the kernel path, because 0 * NaN and
-0 * inf are NaN, and a NaN dropped here would let a verdict pass on it.  A
-nested jet keeps it too: its entries are jets, which have no equality to
-test.
+scaled jet would be a zero.  The ``scale`` kernel tests both after it
+unpacks the operand, so a jet that does not fit its register raises on
+either, and tests 1.0 before it forms value * s.  A jet with a NaN or an
+infinity keeps the kernel path at 0.0, because 0 * NaN and 0 * inf are
+NaN, and a NaN dropped here would let a verdict pass on it.  A nested jet
+keeps it too: its entries are jets, which have no equality to test.
 """
 
 from __future__ import annotations
@@ -146,11 +147,11 @@ def _tuple(entries):
     return f"({', '.join(entries)},)" if entries else "None"
 
 
-def _def(name, params, unpack, result):
+def _def(name, params, unpack, *body):
     """Source of one kernel: unpack each operand tuple that has entries into
-    its locals and return ``result``."""
-    body = "".join(f"    {', '.join(names)}, = {operand}\n" for names, operand in unpack if names)
-    return f"def {name}({params}):\n{body}    return {result}\n"
+    its locals, then run the statements ``body``, the last a ``return``."""
+    lines = [f"{', '.join(names)}, = {operand}" for names, operand in unpack if names] + list(body)
+    return f"def {name}(self, {params}):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 class _Register:
@@ -172,27 +173,28 @@ def _kernels(n, order):
     """The register class of the n-variable registers of ``order``, its
     kernels written out entry by entry as methods.
 
-    Each kernel but ``hmul`` takes the result's value (``mul`` forms it) and
-    returns the register's ``Jet2``: ``add`` and ``sub`` (v, g1, h1, g2, h2),
-    ``neg`` (v, g1, h1), ``mul`` (v1, g1, h1, v2, g2, h2), ``scale``
-    (v, g1, h1, s), ``shift`` (v, g1, h1), a sum with a scalar, which keeps
-    the operand's tuples, and ``chain`` (v, g1, h1, d1, d2), f(jet) with
-    f = v, f' = d1 and f'' = d2.  ``scale`` returns the float v instead
-    where s is a float zero and v and every entry are finite floats, the
-    module docstring's zero product.  ``hmul`` (v1, g1, h1, v2, g2, h2)
-    returns only ``mul``'s packed Hessian.  At order 1 the Hessian entry
-    lists are empty, so the same sources ignore the Hessian operands (None),
-    build jets with none, ignore f'' and ``hmul`` returns None.  The class
-    constants are ``units`` (each seed's unit gradient), ``zero_grad`` and
-    ``zero_hess`` (the seeds' Hessian, None at order 1).  Each entry is the
-    loop's expression over unpacked locals, in the loop's order.  Each
-    (n, order) compiles under its own file name, so profilers keep every
-    register kind's kernels apart."""
+    Each kernel takes its operand jets, reads their ``value``, ``grad`` and
+    ``hess_packed`` itself and returns the finished result, a ``Jet2`` of
+    the register: ``add``, ``sub`` and ``mul`` (x, y), ``neg`` (x),
+    ``scale`` (x, s) and ``shift`` (x, s), the product by and sum with a
+    scalar s (``shift`` keeps the operand's tuples), and ``chain``
+    (x, f0, d1, d2), f(x) with f = f0, f' = d1 and f'' = d2.  After its
+    unpack ``scale`` returns x itself where s is the float 1.0, before it
+    forms x.value * s, and that product where it is the module docstring's
+    zero product.  ``hmul`` (x, y) returns only ``mul``'s packed Hessian.
+    At order 1 the Hessian entry lists are empty, so the same sources
+    ignore the operands' Hessians, build jets with none, ignore f'' and
+    ``hmul`` returns None.  The class constants are ``units`` (each seed's
+    unit gradient), ``zero_grad`` and ``zero_hess`` (the seeds' Hessian,
+    None at order 1).  Each entry is the loop's expression over unpacked
+    locals, in the loop's order.  Each (n, order) compiles under its own
+    file name, so profilers keep every register kind's kernels apart."""
     pairs = tuple((i, j) for i in range(n) for j in range(i, n))
     hpairs = pairs if order == 2 else ()  # the packed Hessian entries the kernels carry
     p, q = [f"p{i}" for i in range(n)], [f"q{i}" for i in range(n)]  # gradient entries
     a, b = [f"a{k}" for k in range(len(hpairs))], [f"b{k}" for k in range(len(hpairs))]  # Hessian entries
-    g1, h1, g2, h2 = (p, "g1"), (a, "h1"), (q, "g2"), (b, "h2")  # locals unpacked from each operand
+    ux = (p, "x.grad"), (a, "x.hess_packed")  # the locals unpacked from each operand
+    uxy = ux + ((q, "y.grad"), (b, "y.hess_packed"))
     add, sub = ([f"{x} {op} {y}" for x, y in zip(p + a, q + b)] for op in "+-")  # gradient, then Hessian
     neg = [f"-{e}" for e in p + a]
     mul_grad = [f"{p[i]} * v2 + v1 * {q[i]}" for i in range(n)]
@@ -200,6 +202,7 @@ def _kernels(n, order):
         f"{a[k]} * v2 + {p[i]} * {q[j]} + {q[i]} * {p[j]} + v1 * {b[k]}" for k, (i, j) in enumerate(hpairs)
     ]
     chain_hess = [f"d1 * {a[k]} + d2 * ({p[i]} * {p[j]})" for k, (i, j) in enumerate(hpairs)]
+    values = "v1, v2 = x.value, y.value"
 
     # x * ±0.0 is the signed zero v when s and v are float zeros and every entry is a finite float
     zero_product = " and ".join(
@@ -210,20 +213,17 @@ def _kernels(n, order):
     def jet(value, grad, hess):
         return f"Jet2({value}, {_tuple(grad)}, {_tuple(hess)}, self)"
 
-    def kernel(name, params, unpack, value, grad, hess):
-        return _def(name, f"self, {params}", unpack, jet(value, grad, hess))
-
     scaled = jet("v", [f"{e} * s" for e in p], [f"{e} * s" for e in a])
-
+    one = "if type(s) is float and s == 1.0: return x"  # x * 1.0 is x, tested before x.value * s
     source = (
-        kernel("add", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", add[:n], add[n:])
-        + kernel("sub", "v, g1, h1, g2, h2", (g1, h1, g2, h2), "v", sub[:n], sub[n:])
-        + kernel("neg", "v, g1, h1", (g1, h1), "v", neg[:n], neg[n:])
-        + kernel("mul", "v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), "v1 * v2", mul_grad, mul_hess)
-        + _def("scale", "self, v, g1, h1, s", (g1, h1), f"v if {zero_product} else {scaled}")
-        + _def("shift", "self, v, g1, h1", (g1, h1), f"Jet2(v, g1, {'h1' if a else 'None'}, self)")
-        + kernel("chain", "v, g1, h1, d1, d2", (g1, h1), "v", [f"d1 * {e}" for e in p], chain_hess)
-        + _def("hmul", "self, v1, g1, h1, v2, g2, h2", (g1, h1, g2, h2), _tuple(mul_hess))
+        _def("add", "x, y", uxy, "return " + jet("x.value + y.value", add[:n], add[n:]))
+        + _def("sub", "x, y", uxy, "return " + jet("x.value - y.value", sub[:n], sub[n:]))
+        + _def("neg", "x", ux, "return " + jet("-x.value", neg[:n], neg[n:]))
+        + _def("mul", "x, y", uxy, values, "return " + jet("v1 * v2", mul_grad, mul_hess))
+        + _def("scale", "x, s", ux, one, "v = x.value * s", f"return v if {zero_product} else {scaled}")
+        + _def("shift", "x, s", ux, f"return Jet2(x.value + s, x.grad, {'x.hess_packed' if a else 'None'}, self)")
+        + _def("chain", "x, f0, d1, d2", ux, "return " + jet("f0", [f"d1 * {e}" for e in p], chain_hess))
+        + _def("hmul", "x, y", uxy, values, "return " + _tuple(mul_hess))
     )
     units = tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n))
     zero_hess = (0.0,) * len(pairs) if order == 2 else None
@@ -275,73 +275,54 @@ class Jet2:
         if isinstance(other, Jet2):
             level = self.level
             if other.level is level:
-                v = self.value + other.value
-                return level.add(v, self.grad, self.hess_packed, other.grad, other.hess_packed)
+                return level.add(self, other)
             if other.level.rank > level.rank:
-                return other._add_scalar(self)
-        return self._add_scalar(other)
+                return other.level.shift(other, self)
+        return self.level.shift(self, other)
 
-    def _add_scalar(self, s):
-        return self.level.shift(self.value + s, self.grad, self.hess_packed)
-
-    __radd__ = _add_scalar
+    def __radd__(self, s):
+        return self.level.shift(self, s)
 
     def __neg__(self):
-        return self.level.neg(-self.value, self.grad, self.hess_packed)
+        return self.level.neg(self)
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
-            return self._add_scalar(-other)
+            return self.level.shift(self, -other)
         level = self.level
         if other.level is not level:
             return self + (-other)
-        v = self.value - other.value
-        return level.sub(v, self.grad, self.hess_packed, other.grad, other.hess_packed)
+        return level.sub(self, other)
 
     def __rsub__(self, s):
-        return (-self)._add_scalar(s)
+        return self.level.shift(-self, s)
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
             level = self.level
             if other.level is level:
-                g1, h1, g2, h2 = self.grad, self.hess_packed, other.grad, other.hess_packed
-                return level.mul(self.value, g1, h1, other.value, g2, h2)
+                return level.mul(self, other)
             if other.level.rank > level.rank:
-                return other._mul_scalar(self)
-        return self._mul_scalar(other)
+                return other.level.scale(other, self)
+        return self.level.scale(self, other)
 
-    def _mul_scalar(self, s):
-        if type(s) is float and s == 1.0:  # x * 1.0 is x exactly
-            return self
-        return self.level.scale(self.value * s, self.grad, self.hess_packed, s)
-
-    __rmul__ = _mul_scalar
+    def __rmul__(self, s):
+        return self.level.scale(self, s)
 
     def __truediv__(self, other):
         return self * _recip_any(other)
 
     def __rtruediv__(self, s):
-        return self._reciprocal()._mul_scalar(s)
-
-    def _reciprocal(self):
-        r = _recip_any(self.value)
-        return self._chain(r, -(r * r), None if self.hess_packed is None else 2.0 * r * r * r)
+        return self.level.scale(_recip_any(self), s)
 
     def __pow__(self, p):
         return _pow_any(self, float(p))
 
-    # -- chain rule through a scalar function ---------------------------
-
-    def _chain(self, f0, d1, d2):
-        """f(self) from f's value and first two derivatives at self.value;
-        an order-1 jet reads f' alone, so its callers pass ``d2`` as None."""
-        return self.level.chain(f0, self.grad, self.hess_packed, d1, d2)
-
 
 def _recip_any(x):
-    if isinstance(x, Jet2):
-        return x._reciprocal()
+    if isinstance(x, Jet2):  # the chain rule of 1/x; an order-1 jet reads f' alone
+        r = _recip_any(x.value)
+        return x.level.chain(x, r, -(r * r), None if x.hess_packed is None else 2.0 * r * r * r)
     if x == 0.0:
         raise EvaluationError("division by zero")
     return 1.0 / x
@@ -371,7 +352,7 @@ def _pow_any(x, p):
         f0 = _pow_any(x.value, p)  # f before f' and f'': a bad base names the exponent asked for
         d1 = p * _pow_any(x.value, p - 1.0)
         d2 = None if x.hess_packed is None else (p * (p - 1.0)) * _pow_any(x.value, p - 2.0)
-        return x._chain(f0, d1, d2)
+        return x.level.chain(x, f0, d1, d2)
     if isinstance(x, np.ndarray):
         if p < 0.0:
             reject_first(x == 0.0, "zero raised to a negative power", x)
@@ -407,7 +388,7 @@ def exp(x):
     if type(x) is not float:
         if isinstance(x, Jet2):
             f0 = exp(x.value)
-            return x._chain(f0, f0, f0)
+            return x.level.chain(x, f0, f0, f0)
         if isinstance(x, np.ndarray):
             return _each(math.exp, x)
     return math.exp(x)
@@ -418,7 +399,7 @@ def arctan(x):
     if isinstance(x, Jet2):
         v = x.value
         w = _recip_any(1.0 + v * v)
-        return x._chain(arctan(v), w, None if x.hess_packed is None else -2.0 * (v * (w * w)))
+        return x.level.chain(x, arctan(v), w, None if x.hess_packed is None else -2.0 * (v * (w * w)))
     return math.atan(x)
 
 
@@ -430,7 +411,7 @@ def product_hessian(p: Jet2, q: Jet2) -> tuple:
         raise ValueError("product_hessian needs two order-2 jets")
     if p.level is not q.level:
         raise ValueError(f"product_hessian needs one register, not {p.level} and {q.level}")
-    return p.level.hmul(p.value, p.grad, p.hess_packed, q.value, q.grad, q.hess_packed)
+    return p.level.hmul(p, q)
 
 
 @dataclass(frozen=True)

@@ -63,11 +63,14 @@ class MetricField:
 
         Takes floats, or float arrays of one shape: then the entries are
         evaluated once on the arrays and the lengths come back as an array.
-        Raises ``EvaluationError`` naming the (first) point where q < 0.
+        Raises ``EvaluationError`` naming the (first) point where q < 0 or
+        q is NaN.
         """
         q = _quadratic(*self.entries(x, y), *w)
-        reject_first(q < 0.0, "matrix field is not positive on this vector", x, y)
-        return np.sqrt(q) if isinstance(q, np.ndarray) else math.sqrt(q)
+        many = isinstance(q, np.ndarray)
+        bad = ~(q >= 0.0) if many else not q >= 0.0  # NaN fails q >= 0.0 where it passes q < 0.0
+        reject_first(bad, "matrix field is negative or NaN on this vector", x, y)
+        return np.sqrt(q) if many else math.sqrt(q)
 
 
 def _lorentz(e11, e12, e22, det, w, vel) -> tuple[float, float]:

@@ -231,7 +231,7 @@ def structure_constants(
             f"(singular values {sv[-1]:.3e} against {sv[0]:.3e})"
         )
     residual = float(np.abs(A @ C - R).max())
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual is not closed either
         raise NotClosedError(f"brackets leave the span of the basis (residual {residual:.3e})")
 
     constants = np.zeros((3, 3, 3))

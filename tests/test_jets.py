@@ -644,6 +644,20 @@ def test_a_scalar_sum_refuses_a_jet_that_does_not_fit_its_register(order):
 
 
 @pytest.mark.parametrize("order", [1, 2])
+def test_every_scalar_product_refuses_a_jet_that_does_not_fit_its_register(order):
+    # the kernels test x * 1.0 after they unpack the operand, as they do x * 0.0
+    (x,) = seed_jets((0.5,), order)
+    w = Jet2(0.5, (1.0, 0.0), None if order == 1 else (0.0, 0.0, 0.0), x.level)
+    uses = [
+        lambda w: w * 1.0, lambda w: 1.0 * w, lambda w: w / 1.0, lambda w: w * 0.0,
+        lambda w: w * 2.0, lambda w: w + 1.0, lambda w: 1.0 - w, lambda w: -w,
+    ]
+    for use in uses:
+        with pytest.raises(ValueError):
+            use(w)
+
+
+@pytest.mark.parametrize("order", [1, 2])
 def test_two_lifts_of_one_kind_share_the_class_but_not_the_register(order):
     from projspray.jets import _kernels
 

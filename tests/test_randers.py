@@ -68,6 +68,20 @@ def test_domain_guards_name_the_point(call):
         call()
 
 
+def test_norm_refuses_nan_and_names_the_point():
+    # q < 0.0 is False for NaN: the guard refuses wherever q >= 0.0 fails
+    alpha = constant_curvature_metric("sphere")
+    with pytest.raises(EvaluationError, match=r"NaN on this vector at \(nan, 0\.1\)"):
+        alpha.norm(math.nan, 0.1, (1.0, 0.0))
+    xs, ys = np.array([0.1, 0.3, math.nan]), np.array([0.2, 0.4, 0.5])
+    with pytest.raises(EvaluationError, match=r"at \(nan, 0\.5\)"):
+        alpha.norm(xs, ys, (np.ones(3), np.zeros(3)))
+    with pytest.raises(EvaluationError, match=r"at \(0\.1, 0\.2\)"):
+        geodesic_curvature(alpha, CurveSample((0.1, 0.2), (math.nan, 0.0), (0.0, 0.0)))
+    with pytest.raises(EvaluationError, match=r"at \(0\.1, 0\.2\)"):
+        magnetic_residual(alpha, area_form(alpha, 1.0), CurveSample((0.1, 0.2), (1.0, 0.0), (math.nan, 0.0)))
+
+
 def _vanishing_velocity_trace():
     """A trace whose velocity is zero at node 4, the point (0.4, -0.5)."""
     t = np.linspace(0.0, 1.0, 11)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from projspray.catalog import LIE_CASE_KEYS, lie_case, symmetry_pairs
 from projspray.finsler import Rectangle, Spray
-from projspray.jets import ScalarField, arctan, exp, lift, sqrt
+from projspray.jets import ScalarField, arctan, exp, jet_value, lift, sqrt
 from projspray.symmetry import (
     DegenerateBasisError,
     NotClosedError,
@@ -153,6 +153,17 @@ def test_structure_constants_not_closed():
         VF(lambda x, y: 0.0, lambda x, y: 1.0),
     ]
     with pytest.raises(NotClosedError):
+        structure_constants(basis)
+
+
+def test_structure_constants_refuses_a_nan_residual():
+    # at x > 0.2 the third field's second component has value pi/2 and a NaN x-derivative,
+    # so two brackets are NaN there and the residual is NaN, which is not within tol
+    def steep(x, y):
+        return arctan(x * math.inf) if jet_value(x) > 0.2 else 0.0
+
+    basis = [VF(lambda x, y: x, lambda x, y: y), D_X, VF(lambda x, y: 0.0, steep)]
+    with pytest.raises(NotClosedError, match="residual nan"):
         structure_constants(basis)
 
 
