@@ -7,6 +7,4 @@ Riemannian metrizability, and the Randers / magnetic-geodesic construction
 over constant-curvature backgrounds.
 """
 
-from .jets import EvaluationError, Jet2, ScalarField, jet_value, lift, seed_jets
-
 __version__ = "0.1.0"

@@ -201,7 +201,7 @@ def spray_entry(key: str, k: float = 1.0) -> SprayEntry:
 
         def pair(x, y, u, v):
             denom = 1.0 + s * (x * x + y * y)
-            if (denom if type(denom) is float else jet_value(denom)) <= 0.0:  # the float path first
+            if not (denom if type(denom) is float else jet_value(denom)) > 0.0:  # the float path first; NaN fails
                 raise EvaluationError(f"outside the unit disk at ({jet_value(x)}, {jet_value(y)})")
             q = (k * sqrt(u * u + v * v) - s * 2.0 * (y * u - x * v)) / denom
             return 0.5 * q * v, -0.5 * q * u
@@ -245,8 +245,8 @@ def _metric_c(sign: float) -> MetricField:
         ex = exp(x)
         w = 2.0 * ex - 1.0
         wv = jet_value(w)
-        if isinstance(wv, np.ndarray) or wv <= 0.0:
-            reject_first(wv <= 0.0, "outside 2 e^x - 1 > 0", x, y)
+        if isinstance(wv, np.ndarray) or not wv > 0.0:  # NaN fails w > 0.0 where it passes w <= 0.0
+            reject_first(np.logical_not(wv > 0.0), "outside 2 e^x - 1 > 0", x, y)
         return exp(3.0 * x) / (w * w), 0.0, ex / w
 
     return MetricField(entries, Rectangle(-0.5, 0.5, -0.5, 0.5))

@@ -62,12 +62,12 @@ the plain loop's expression in the loop's operation order, so the
 written-out kernels and a loop agree bit for bit (Griewank & Walther,
 *Evaluating Derivatives*, ch. 13).  A caller that reads only the Hessian
 of a product takes it from :func:`product_hessian`, the kernel ``hmul``
-with ``mul``'s Hessian entries, which builds no jet.  Forward mode carries
-only the coefficients that are read: a chain rule (a power, the
-reciprocal, ``arctan``) forms f'' only for a jet that carries a Hessian,
-so on an order-1 jet it forms f' alone.  The packed triangle is the
-Hessian's only form: every reader takes h_ij from ``hess_packed`` by its
-(i, j) row-order position.
+of an order-2 register with ``mul``'s Hessian entries, which builds no
+jet.  Forward mode carries only the coefficients that are read: a chain
+rule (a power, the reciprocal, ``arctan``) forms f'' only for a jet that
+carries a Hessian, so on an order-1 jet it forms f' alone.  The packed
+triangle is the Hessian's only form: every reader takes h_ij from
+``hess_packed`` by its (i, j) row-order position.
 
 Two scalar products are exact identities and build no jet.  A product by
 the float 1.0 is the jet itself, since x * 1.0 is x exactly, so
@@ -181,10 +181,10 @@ def _kernels(n, order):
     (x, f0, d1, d2), f(x) with f = f0, f' = d1 and f'' = d2.  After its
     unpack ``scale`` returns x itself where s is the float 1.0, before it
     forms x.value * s, and that product where it is the module docstring's
-    zero product.  ``hmul`` (x, y) returns only ``mul``'s packed Hessian.
-    At order 1 the Hessian entry lists are empty, so the same sources
-    ignore the operands' Hessians, build jets with none, ignore f'' and
-    ``hmul`` returns None.  The class constants are ``units`` (each seed's
+    zero product.  ``hmul`` (x, y), at order 2 only, returns only
+    ``mul``'s packed Hessian.  At order 1 the Hessian entry lists are
+    empty, so the same sources ignore the operands' Hessians, build jets
+    with none and ignore f''.  The class constants are ``units`` (each seed's
     unit gradient), ``zero_grad`` and ``zero_hess`` (the seeds' Hessian,
     None at order 1).  Each entry is the loop's expression over unpacked
     locals, in the loop's order.  Each (n, order) compiles under its own
@@ -223,8 +223,9 @@ def _kernels(n, order):
         + _def("scale", "x, s", ux, one, "v = x.value * s", f"return v if {zero_product} else {scaled}")
         + _def("shift", "x, s", ux, f"return Jet2(x.value + s, x.grad, {'x.hess_packed' if a else 'None'}, self)")
         + _def("chain", "x, f0, d1, d2", ux, "return " + jet("f0", [f"d1 * {e}" for e in p], chain_hess))
-        + _def("hmul", "x, y", uxy, values, "return " + _tuple(mul_hess))
     )
+    if order == 2:  # product_hessian refuses order-1 jets, so only order 2 has hmul
+        source += _def("hmul", "x, y", uxy, values, "return " + _tuple(mul_hess))
     units = tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n))
     zero_hess = (0.0,) * len(pairs) if order == 2 else None
     body = {"__slots__": (), "units": units, "zero_grad": (0.0,) * n, "zero_hess": zero_hess}
@@ -375,10 +376,11 @@ def power(x, p):
 
 
 def sqrt(x):
-    """Square root of a positive float or jet; a plain float is tested first."""
+    """Square root of a positive float or jet; a plain float is tested
+    first, and a NaN one raises as a non-positive one does."""
     if type(x) is not float and isinstance(x, Jet2):
         return _pow_any(x, 0.5)
-    if x <= 0.0:
+    if not x > 0.0:  # NaN fails x > 0.0 where it passes x <= 0.0
         raise EvaluationError(f"sqrt of non-positive value {x}")
     return math.sqrt(x)
 

@@ -1,5 +1,6 @@
 """Constant-curvature base metrics, area-form potentials, the Randers
-construction, the magnetic flow, and magnetic-geodesic residuals.
+construction, the magnetic flow, and the geodesic curvature of sampled
+curves.
 
 The construction: pick a background metric alpha, scale its area form by
 -k, pick a potential one-form beta with d(beta) equal to that form, and
@@ -39,7 +40,6 @@ __all__ = [
     "covariant_acceleration",
     "geodesic_curvature",
     "magnetic_rhs",
-    "magnetic_residual",
     "one_form_norm",
     "randers_metric",
     "riemannian_metric",
@@ -97,8 +97,8 @@ def constant_curvature_metric(model: str) -> MetricField:
         def entries(x, y):
             w = 1.0 - x * x - y * y
             wv = jet_value(w)
-            if isinstance(wv, np.ndarray) or wv <= 0.0:
-                reject_first(wv <= 0.0, "outside the unit disk", x, y)
+            if isinstance(wv, np.ndarray) or not wv > 0.0:  # NaN fails w > 0.0 where it passes w <= 0.0
+                reject_first(np.logical_not(wv > 0.0), "outside the unit disk", x, y)
             phi = 1.0 / (w * w)
             return phi, 0.0, phi
 
@@ -179,9 +179,9 @@ def randers_metric(
     """F = sqrt(alpha(xi, xi)) + beta(xi); requires |beta|_alpha < 1 on ``domain``."""
     for (x, y) in domain.grid(5, 5, margin=1.0 - 1e-9):
         n = one_form_norm(alpha, beta, x, y)
-        if n >= 1.0:
+        if not n < 1.0:  # a NaN norm fails too
             raise EvaluationError(
-                f"one-form norm {n:.3f} >= 1 at ({x}, {y}); positivity fails"
+                f"one-form norm {n:.3f} is not below 1 at ({x}, {y}); positivity fails"
             )
 
     def F(x, y, u, v):
@@ -240,18 +240,6 @@ def covariant_acceleration(alpha: MetricField, sample: CurveSample) -> tuple[flo
     k1, k2 = levi_civita(*_entries_lift(alpha, x, y), (u, v), "metric field", (x, y))
     a1, a2 = (float(c) for c in sample.acc)
     return a1 + 0.5 * k1, a2 + 0.5 * k2
-
-
-def magnetic_residual(alpha: MetricField, omega: Callable, sample: CurveSample) -> float:
-    """alpha-norm of (acceleration - the magnetic flow's acceleration at
-    (pos, vel)), that is, of covariant acceleration - J velocity."""
-    x, y = sample.pos
-    if sample.vel[0] == 0.0 and sample.vel[1] == 0.0:
-        raise EvaluationError(f"magnetic residual needs a nonzero velocity at ({x}, {y})")
-    u, v = (float(c) for c in sample.vel)
-    _, _, m1, m2 = magnetic_rhs(alpha, omega)((x, y, u, v))
-    a1, a2 = (float(c) for c in sample.acc)
-    return alpha.norm(x, y, (a1 - m1, a2 - m2))
 
 
 def geodesic_curvature(alpha: MetricField, sample: CurveSample, speed_tol: float = 1e-9) -> float:

@@ -1,15 +1,13 @@
-"""Plane vector fields: prolongation, Lie brackets, structure constants,
-point-symmetry and projective-vector-field residuals.
+"""Plane vector fields: structure constants, point-symmetry and
+projective-vector-field residuals.
 
 A field a(x,y) dx + b(x,y) dy acts on the equation space (x, y, z = y')
 through its prolongation with third coefficient
 c = b_x + z b_y - z (a_x + z a_y), and on the tangent bundle through its
 complete lift, whose fiber part is the Jacobian of (a, b) applied to (u, v).
-A field's ``at(x, y)`` returns (a, b) and is lifted as one register;
-``prolong(X)`` returns the callable (x, y, z) -> (a, b, c), and the
-residuals read both actions off lifts of ``at`` directly.  All coefficient
-derivatives come from jets, so bracket fields and prolongations remain
-liftable themselves.
+A field's ``at(x, y)`` returns (a, b) and is lifted as one register; the
+residuals read both actions, and ``structure_constants`` the Lie brackets,
+off lifts of ``at`` directly.  All coefficient derivatives come from jets.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .finsler import Spray, non_radial
-from .jets import ScalarField, jet_value, lift
+from .jets import ScalarField, jet_value, lift, reject_first
 
 __all__ = [
     "DegenerateBasisError",
@@ -29,10 +27,8 @@ __all__ = [
     "PlaneVectorField",
     "StructureConstants",
     "jacobi_residual",
-    "lie_bracket",
     "point_symmetry_residual",
     "projective_field_residual",
-    "prolong",
     "structure_constants",
 ]
 
@@ -53,18 +49,9 @@ class PlaneVectorField:
     name: str = ""
 
 
-def prolong(X: PlaneVectorField) -> Callable:
-    """The prolonged field (x, y, z) -> (a, b, c) of X."""
-
-    def at(x, y, z):
-        ja, jb = lift(X.at, (x, y), order=1)
-        return ja.value, jb.value, jb.grad[0] + z * jb.grad[1] - z * (ja.grad[0] + z * ja.grad[1])
-
-    return at
-
-
 def _bracket(jx, jy):
-    """[X, Y] = (a, b) at a point, from the order-1 lifts jx of X.at and jy of Y.at there."""
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, as (a, b) at a point, from the
+    order-1 lifts jx of X.at and jy of Y.at there."""
     return tuple(
         jx[0].value * cy.grad[0]
         + jx[1].value * cy.grad[1]
@@ -72,15 +59,6 @@ def _bracket(jx, jy):
         - jy[1].value * cx.grad[1]
         for cx, cy in zip(jx, jy)
     )
-
-
-def lie_bracket(X: PlaneVectorField, Y: PlaneVectorField) -> PlaneVectorField:
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, returned as a new field."""
-
-    def at(x, y):
-        return _bracket(lift(X.at, (x, y), order=1), lift(Y.at, (x, y), order=1))
-
-    return PlaneVectorField(at, name=f"[{X.name},{Y.name}]")
 
 
 def point_symmetry_residual(X: PlaneVectorField, f: ScalarField, at: Sequence[float]) -> float:
@@ -93,7 +71,8 @@ def point_symmetry_residual(X: PlaneVectorField, f: ScalarField, at: Sequence[fl
     c_x = b_xx + z b_xy - z (a_xx + z a_xy),
     c_y = b_xy + z b_yy - z (a_xy + z a_yy),
     c_z = b_y - (a_x + z a_y + z a_y),
-    in the order of operations that lifting :func:`prolong` would take.
+    in the order of operations that an order-1 lift of the prolonged field
+    (x, y, z) -> (a, b, c) would take.
     """
     x, y, z = at
     jf = lift(f, (x, y, z), order=1)
@@ -202,7 +181,9 @@ def structure_constants(
     fix the constants.  At the first ``npoints`` points of a fixed pool of
     eight, the fields' (a, b) fill the columns of A, two rows per point, and
     the brackets' (a, b) the columns of R; one least-squares solve gives
-    A C = R.  A singular value of A at most 1e-10 times the largest raises
+    A C = R.  A field value or bracket that is not finite raises
+    ``EvaluationError`` naming the first sample point where it is, before
+    the solve.  A singular value of A at most 1e-10 times the largest raises
     ``DegenerateBasisError``, max|A C - R| above ``tol`` raises
     ``NotClosedError`` and is otherwise the residual.  A basis of other
     than three fields raises ``ValueError`` before anything is evaluated,
@@ -218,12 +199,16 @@ def structure_constants(
         raise ValueError(
             f"npoints {npoints} must lie between 3 and the sample pool of {len(_SAMPLE_POOL)} points"
         )
+    points = _SAMPLE_POOL[:npoints]
     A, R = [], []  # rows (point, component), one column per field or bracket, from one lift per field
-    for (x, y) in _SAMPLE_POOL[:npoints]:
+    for (x, y) in points:
         jets = [lift(X.at, (x, y), order=1) for X in basis]
         A.extend(zip(*[(ja.value, jb.value) for ja, jb in jets]))
         R.extend(zip(*[_bracket(jets[i], jets[j]) for (i, j) in _PAIRS]))
     A, R = np.array(A, dtype=float), np.array(R, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(R).all()):
+        finite = (np.isfinite(A) & np.isfinite(R)).reshape(npoints, -1).all(axis=1)  # one entry per point
+        reject_first(~finite, "a basis field or bracket is not finite", *zip(*points))
     C, _, _, sv = np.linalg.lstsq(A, R)
     if sv[-1] <= 1e-10 * sv[0]:
         raise DegenerateBasisError(

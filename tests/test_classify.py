@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projspray.catalog import metric_entry, ode_entry
 from projspray.classify import (
@@ -14,9 +17,10 @@ from projspray.classify import (
     liouville_candidate,
     liouville_residuals,
 )
-from projspray.finsler import Rectangle, induced_ode_direct
-from projspray.jets import EvaluationError, Jet2, ScalarField, exp, jet_value
-from projspray.randers import MetricField, constant_curvature_metric
+from projspray.finsler import FinslerMetric, Rectangle, induced_ode_direct, is_strongly_convex
+from projspray.jets import EvaluationError, Jet2, ScalarField, exp, jet_value, sqrt
+from projspray.randers import MetricField, constant_curvature_metric, randers_metric
+from projspray.symmetry import PlaneVectorField, structure_constants
 
 BOX = Rectangle(-0.3, 0.3, -0.3, 0.3)
 
@@ -109,6 +113,41 @@ def test_flatness_never_passes_on_nan():
     f = ScalarField(3, lambda x, y, z: _nan_beyond(0.1, x, math.nan * x if isinstance(x, Jet2) else 0.0))
     verdict = is_projectively_flat(f, BOX)
     assert not verdict.flat and verdict.witness == pytest.approx((0.27, -0.27)) and math.isnan(verdict.worst)
+
+
+def _on_a_field_nan_beyond(verdict, cut):
+    """(ok, x of the witness) of ``verdict`` on a field that is NaN where x > cut."""
+    if verdict == "is_projectively_flat":
+        v = is_projectively_flat(ScalarField(3, lambda x, y, z: _nan_beyond(cut, x, math.nan)), BOX)
+        return v.flat, v.witness[0] if v.witness else None
+    if verdict == "is_strongly_convex":
+        metric = FinslerMetric(lambda x, y, u, v: sqrt(u * u + v * v) + _nan_beyond(cut, x, math.nan), BOX)
+        report = is_strongly_convex(metric, BOX)
+        return report.ok, report.witness[0]
+    if verdict == "structure_constants":
+        third = PlaneVectorField(lambda x, y: (0.0, y + _nan_beyond(cut, x, math.nan)))
+        structure_constants([PlaneVectorField(lambda x, y: (x, y)), PlaneVectorField(lambda x, y: (1.0, 0.0)), third])
+        return True, None
+    def beta(x, y):
+        return 0.1 + _nan_beyond(cut, x, math.nan), 0.0
+
+    randers_metric(constant_curvature_metric("euclidean"), beta, BOX)
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "verdict", ["is_projectively_flat", "is_strongly_convex", "structure_constants", "randers_metric"]
+)
+@given(cut=st.floats(-0.2, 0.25, exclude_min=True, exclude_max=True))
+@settings(max_examples=15, derandomize=True, deadline=None)
+def test_no_verdict_passes_on_a_field_that_turns_nan_part_of_the_way(verdict, cut):
+    # cut > -0.2 keeps the grids' first point (x = -0.27 or -0.3) finite, and cut < 0.25 leaves
+    # a point of every grid, and of structure_constants' sample pool, beyond it
+    try:
+        ok, x = _on_a_field_nan_beyond(verdict, cut)
+    except EvaluationError as err:
+        ok, x = False, float(re.search(r" at \(([^,]+),", str(err)).group(1))
+    assert not ok and x > cut
 
 
 def test_liouville_candidate_euclidean():

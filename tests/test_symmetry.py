@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from projspray.catalog import LIE_CASE_KEYS, lie_case, symmetry_pairs
 from projspray.finsler import Rectangle, Spray
-from projspray.jets import ScalarField, arctan, exp, jet_value, lift, sqrt
+from projspray.jets import EvaluationError, ScalarField, arctan, exp, jet_value, lift, sqrt
 from projspray.symmetry import (
     DegenerateBasisError,
     NotClosedError,
     PlaneVectorField,
+    _bracket,
     jacobi_residual,
-    lie_bracket,
     point_symmetry_residual,
     projective_field_residual,
-    prolong,
     structure_constants,
 )
 
@@ -29,6 +28,11 @@ D_Y = VF(lambda x, y: 0.0, lambda x, y: 1.0, "dy")
 D_X = VF(lambda x, y: 1.0, lambda x, y: 0.0, "dx")
 X_DY = VF(lambda x, y: 0.0, lambda x, y: x, "x*dy")
 ROTATION = VF(lambda x, y: y, lambda x, y: -x, "rot")
+
+
+def bracket_at(X, Y, x, y):
+    """[X, Y] = (a, b) at (x, y), from ``_bracket`` on order-1 lifts of X and Y there."""
+    return _bracket(lift(X.at, (x, y), order=1), lift(Y.at, (x, y), order=1))
 
 
 # --- prolongation ---------------------------------------------------------
@@ -51,8 +55,6 @@ def test_prolong_scaling_field():
 def test_prolongation_formula_pointwise():
     # c = b_x + z b_y - z (a_x + z a_y) against jet derivatives of a, b
     X = VF(lambda x, y: x * y + 0.3 * y * y, lambda x, y: x * x - y)
-    from projspray.jets import lift
-
     for (x, y, z) in [(0.2, -0.4, 1.3), (-0.5, 0.1, -0.7)]:
         ja, jb = lift(X.at, (x, y))
         want = jb.grad[0] + z * jb.grad[1] - z * (ja.grad[0] + z * ja.grad[1])
@@ -63,15 +65,13 @@ def test_prolongation_formula_pointwise():
 
 
 def test_bracket_dx_with_x_dy():
-    B = lie_bracket(D_X, X_DY)
-    assert B.at(0.7, -0.3) == (pytest.approx(0.0), pytest.approx(1.0))
+    assert bracket_at(D_X, X_DY, 0.7, -0.3) == (pytest.approx(0.0), pytest.approx(1.0))
 
 
 def test_bracket_c1_case():
     X0 = VF(lambda x, y: y, lambda x, y: -x)
     X2 = VF(lambda x, y: 0.0, lambda x, y: -1.0)
-    B = lie_bracket(X0, X2)
-    a, b = B.at(0.4, 0.9)
+    a, b = bracket_at(X0, X2, 0.4, 0.9)
     assert a == pytest.approx(1.0)
     assert b == pytest.approx(0.0)
 
@@ -80,8 +80,7 @@ def test_bracket_d2_case():
     lam = 2.0
     X0 = VF(lambda x, y: -x, lambda x, y: -lam * y)
     X1 = VF(lambda x, y: 1.0, lambda x, y: 0.0)
-    B = lie_bracket(X0, X1)
-    a, b = B.at(0.3, -0.8)
+    a, b = bracket_at(X0, X1, 0.3, -0.8)
     assert a == pytest.approx(1.0)
     assert b == pytest.approx(0.0)
 
@@ -91,24 +90,21 @@ def test_bracket_d2_case():
 def test_bracket_antisymmetry(x, y):
     X = VF(lambda a, b: a * b + 0.2, lambda a, b: a - b * b)
     Y = VF(lambda a, b: exp(0.3 * a), lambda a, b: arctan(b) + a)
-    B1 = lie_bracket(X, Y)
-    B2 = lie_bracket(Y, X)
-    a1, b1 = B1.at(x, y)
-    a2, b2 = B2.at(x, y)
+    a1, b1 = bracket_at(X, Y, x, y)
+    a2, b2 = bracket_at(Y, X, x, y)
     assert a1 + a2 == pytest.approx(0.0, abs=1e-12)
     assert b1 + b2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nested_bracket_evaluates():
-    inner = lie_bracket(ROTATION, X_DY)
-    outer = lie_bracket(D_X, inner)
-    a, b = outer.at(0.2, 0.5)
+    # the inner field [rot, x dy] lifts its operands in a register nested inside the outer lift
+    inner = PlaneVectorField(lambda x, y: bracket_at(ROTATION, X_DY, x, y), "[rot,x*dy]")
+    a, b = bracket_at(D_X, inner, 0.2, 0.5)
     # [rot, x dy] = -x dx + ... compute directly: rot(x)=y... oracle via finite structure:
     # [rot, x dy]^1 = rot(0) - x*dy-part... checked numerically against hand result (-x, y):
     # rot = y dx - x dy; X = x dy.  [rot, X]^1 = rot(0) - X(y) = -x; ^2 = rot(x) - X(-x) = y + x*...
     # Just require closure under a second bracket and antisymmetry:
-    swapped = lie_bracket(inner, D_X)
-    a2, b2 = swapped.at(0.2, 0.5)
+    a2, b2 = bracket_at(inner, D_X, 0.2, 0.5)
     assert a == pytest.approx(-a2, abs=1e-12)
     assert b == pytest.approx(-b2, abs=1e-12)
 
@@ -158,13 +154,25 @@ def test_structure_constants_not_closed():
 
 def test_structure_constants_refuses_a_nan_residual():
     # at x > 0.2 the third field's second component has value pi/2 and a NaN x-derivative,
-    # so two brackets are NaN there and the residual is NaN, which is not within tol
+    # so two brackets are NaN there, and would make the residual NaN: the first such
+    # sample point is named before the solve
     def steep(x, y):
         return arctan(x * math.inf) if jet_value(x) > 0.2 else 0.0
 
     basis = [VF(lambda x, y: x, lambda x, y: y), D_X, VF(lambda x, y: 0.0, steep)]
-    with pytest.raises(NotClosedError, match="residual nan"):
+    with pytest.raises(EvaluationError, match=r"bracket is not finite at \(0\.301, -0\.157\)"):
         structure_constants(basis)
+
+
+def test_structure_constants_name_the_first_point_of_a_nan_field_and_print_nothing(capfd):
+    # a NaN entry of A must not reach the least-squares solve: LAPACK prints to stderr, numpy raises LinAlgError
+    def third(x, y):
+        return 0.0, y * math.nan if jet_value(x) > 0.2 else y
+
+    basis = [VF(lambda x, y: x, lambda x, y: y), D_X, PlaneVectorField(third)]
+    with pytest.raises(EvaluationError, match=r"not finite at \(0\.301, -0\.157\)"):
+        structure_constants(basis)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_structure_constants_degenerate_basis():
@@ -213,6 +221,17 @@ def test_jacobi_detects_bad_constants():
 def test_point_symmetry_trivial_translation():
     f = ScalarField(3, lambda x, y, z: x * z + z**3)
     assert point_symmetry_residual(D_Y, f, (0.2, 0.5, 1.0)) == pytest.approx(0.0, abs=1e-14)
+
+
+def prolong(X: PlaneVectorField):
+    """The prolonged field (x, y, z) -> (a, b, c) of X, with
+    c = b_x + z b_y - z (a_x + z a_y) from an order-1 lift of ``X.at``."""
+
+    def at(x, y, z):
+        ja, jb = lift(X.at, (x, y), order=1)
+        return ja.value, jb.value, jb.grad[0] + z * jb.grad[1] - z * (ja.grad[0] + z * ja.grad[1])
+
+    return at
 
 
 def _prolonged_residual(X, f, at):
@@ -506,17 +525,19 @@ _BENCH_CASES = [(key, {}) for key in LIE_CASE_KEYS] + [("D2", {"lam": 2.0}), ("J
 
 @pytest.mark.parametrize("key, params", _BENCH_CASES, ids=[*LIE_CASE_KEYS, "D2(lam=2)", "J3(gamma=0,1)"])
 def test_structure_constants_keep_the_bits_of_plain_values_and_lie_bracket(key, params):
-    """A from the fields' float values and R from ``lie_bracket``'s give the
-    same constants and residual, under ==, as one lift per field and point."""
+    """A from the fields' float values and R from ``_bracket`` on fresh lifts
+    of each pair give the same constants and residual, under ==, as one lift
+    per field and point."""
     from projspray.symmetry import _PAIRS, _SAMPLE_POOL
 
     basis = lie_case(key, **params).basis
 
-    def stacked(fields):
-        values = np.array([[F.at(x, y) for F in fields] for (x, y) in _SAMPLE_POOL[:5]], dtype=float)
+    def stacked(at):
+        values = np.array([[F(x, y) for F in at] for (x, y) in _SAMPLE_POOL[:5]], dtype=float)
         return values.transpose(0, 2, 1).reshape(10, 3)
 
-    A, R = stacked(basis), stacked([lie_bracket(basis[i], basis[j]) for (i, j) in _PAIRS])
+    brackets = [lambda x, y, i=i, j=j: bracket_at(basis[i], basis[j], x, y) for (i, j) in _PAIRS]
+    A, R = stacked([F.at for F in basis]), stacked(brackets)
     C = np.linalg.lstsq(A, R)[0]
     want = np.zeros((3, 3, 3))
     for col, (i, j) in enumerate(_PAIRS):
@@ -538,7 +559,7 @@ def test_bracket_reads_each_operand_once():
 
     X = PlaneVectorField(counted("X", lambda x, y: (x * y, y)), "X")
     Y = PlaneVectorField(counted("Y", lambda x, y: (exp(x), x - y)), "Y")
-    lie_bracket(X, Y).at(0.3, -0.2)
+    bracket_at(X, Y, 0.3, -0.2)
     assert calls == {"X": 1, "Y": 1}
 
 

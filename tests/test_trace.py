@@ -12,7 +12,6 @@ from projspray.randers import (
     area_form,
     constant_curvature_metric,
     geodesic_curvature,
-    magnetic_residual,
     magnetic_rhs,
 )
 from projspray.trace import (
@@ -27,6 +26,7 @@ from projspray.trace import (
     integrate_spray,
     unit_speed_resample,
 )
+from test_randers import magnetic_defect
 
 
 def test_flat_spray_straight_line():
@@ -448,7 +448,7 @@ def test_magnetic_residual_at_every_node_of_resampled_b_trace(key, k, tmax):
     om = area_form(alpha, k)
     out = unit_speed_resample(tr, alpha)
     res = [
-        magnetic_residual(alpha, om, CurveSample(tuple(p), tuple(v), tuple(a)))
+        magnetic_defect(alpha, om, CurveSample(tuple(p), tuple(v), tuple(a)))
         for p, v, a in zip(out.xy, out.uv, out.acc)
     ]
     assert len(res) == len(tr) and max(res) <= 1e-10
@@ -523,7 +523,7 @@ def test_magnetic_residual_along_resampled_b_trace():
     alpha = constant_curvature_metric("sphere")
     om = area_form(alpha, k)
     resampled = unit_speed_resample(tr, alpha)
-    res = [magnetic_residual(alpha, om, s) for s in curve_samples(resampled, 25)]
+    res = [magnetic_defect(alpha, om, s) for s in curve_samples(resampled, 25)]
     assert max(res) <= 1e-6
 
 

@@ -6,19 +6,15 @@ Pair i (1-based) runs ``python3 perfbench/run.py --workload W --seed s
 --seconds S --trace 0`` once in each checkout, each from its own root and
 with its own ``perfbench/``, with s = FIRST + i - 1 (FIRST defaults to 1).
 The parent runs first on odd pairs, the change on even ones.  Each run's
-last line of standard output is its JSON record; its set-up samples, the
-fresh-interpreter set-ups whose median is ``setup_s``, are read from the
-``setup_samples_s`` of the record it leaves in
-``perfbench/out/W-seed<s>-trace0.json``.
+last line of standard output is its JSON record.
 
 Prints one JSON object: per pair, each side's ``correct``, ``attempted``,
-``failed``, metric values and set-up samples; per end-to-end metric
-declared in PARENT's ``BENCHMARK.json``, each side's median, quartiles
-(numpy's linear percentiles) and runs, the change of the medians relative
-to the parent's, ``change_wins``, the pairs in which the change reads
-better (ties count for neither side), the parent's quartile spread q3 - q1
-and the gate's ``verdict`` (also printed to standard error, one line per
-metric):
+``failed`` and metric values; per end-to-end metric declared in PARENT's
+``BENCHMARK.json``, each side's median, quartiles (numpy's linear
+percentiles) and runs, the change of the medians relative to the parent's,
+``change_wins``, the pairs in which the change reads better (ties count for
+neither side), the parent's quartile spread q3 - q1 and the gate's
+``verdict`` (also printed to standard error, one line per metric):
 
 - ``improved``: the change wins at least nine tenths of the pairs and its
   median is better than the parent's by more than the parent's quartile
@@ -29,17 +25,12 @@ metric):
   is wider than the bound;
 - ``within bound``: any other case.
 
-The first that holds is the verdict.  Then ``setup_samples``: the set-up
-samples of all of each side's runs, pooled, with their median, quartiles
-and runs, and the change of the medians (also printed to standard error,
-one line).  ``setup_s`` spreads almost as wide as its bound; the pooled
-samples read a set-up cost from every sample, not one median per run.
-Last comes ``rss_line``, the least-squares line of ``peak_rss_mb`` on
-``attempted`` over every run of both sides: its slope per 1,000
-operations, its intercept and each side's mean residual, so a rise in
-memory can be read as more operations completed or as memory held.  This
-script writes no file; each ``run.py`` leaves its usual record under its
-checkout's ``perfbench/out/``.
+The first that holds is the verdict.  Last comes ``rss_line``, the
+least-squares line of ``peak_rss_mb`` on ``attempted`` over every run of
+both sides: its slope per 1,000 operations, its intercept and each side's
+mean residual, so a rise in memory can be read as more operations completed
+or as memory held.  This script writes no file; each ``run.py`` leaves its
+usual record under its checkout's ``perfbench/out/``.
 """
 
 import argparse
@@ -54,17 +45,13 @@ SIDES = ("parent", "change")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One plain run of ``root``'s benchmark: its last JSON line, parsed, with
-    the ``setup_samples_s`` of the record the run wrote."""
+    """One plain run of ``root``'s benchmark: its last JSON line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{root}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    record = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
-    out["setup_samples_s"] = json.loads(record.read_text())["setup_samples_s"]
-    return out
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def summary(runs: list) -> dict:
@@ -84,14 +71,6 @@ def verdict(parent: dict, change: dict, wins: int, n: int, bound: float, sign: f
     if base and spread > bound * abs(base):
         return "unresolved"
     return "within bound"
-
-
-def pooled_setup(pairs: list) -> dict:
-    """Each side's ``summary`` of the set-up samples of all its runs, and the
-    change of the medians relative to the parent's."""
-    pooled = {side: summary([s for pr in pairs for s in pr[side]["setup_samples_s"]]) for side in SIDES}
-    pooled["change_vs_parent"] = pooled["change"]["median"] / pooled["parent"]["median"] - 1.0
-    return pooled
 
 
 def rss_line(pairs: list) -> dict:
@@ -135,7 +114,6 @@ def main(argv=None) -> int:
                 "attempted": out["attempted"],
                 "failed": out["failed"],
                 "metrics": {name: m["value"] for name, m in out["metrics"].items()},
-                "setup_samples_s": out["setup_samples_s"],
             }
         pairs.append(record)
         print(f"pair {i}/{args.pairs} seed {seed} done", file=sys.stderr)
@@ -158,9 +136,6 @@ def main(argv=None) -> int:
         metrics[name]["parent_quartile_spread"] = parent["q3"] - parent["q1"]
         metrics[name]["verdict"] = verdict(parent, change, wins, len(pairs), m["bound"], sign)
         print(f"{name}: {metrics[name]['verdict']} ({wins}/{len(pairs)} wins)", file=sys.stderr)
-    setup = pooled_setup(pairs)
-    print(f"setup samples: parent median {setup['parent']['median']:.4g} s, change {setup['change']['median']:.4g} s "
-          f"({setup['change_vs_parent']:+.1%}), {len(setup['parent']['runs'])} per side", file=sys.stderr)
     result = {
         "workload": args.workload,
         "seconds": args.seconds,
@@ -170,7 +145,6 @@ def main(argv=None) -> int:
         "attempted": {side: [pr[side]["attempted"] for pr in pairs] for side in SIDES},
         "failed": {side: [pr[side]["failed"] for pr in pairs] for side in SIDES},
         "metrics": metrics,
-        "setup_samples": setup,
         "rss_line": rss_line(pairs),
         "pairs": pairs,
     }
