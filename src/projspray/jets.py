@@ -69,8 +69,8 @@ carries a Hessian, so on an order-1 jet it forms f' alone.  The packed
 triangle is the Hessian's only form: every reader takes h_ij from
 ``hess_packed`` by its (i, j) row-order position.
 
-Two scalar products are exact identities and build no jet.  A product by
-the float 1.0 is the jet itself, since x * 1.0 is x exactly, so
+Three scalar operations are exact identities and build no jet.  A product
+by the float 1.0 is the jet itself, since x * 1.0 is x exactly, so
 ``1.0 / jet`` is the reciprocal alone.  A product by the float 0.0 or -0.0
 is the float value * s, a signed zero, when that is a float zero and every
 gradient and Hessian entry is a finite float, since every entry of the
@@ -79,7 +79,11 @@ unpacks the operand, so a jet that does not fit its register raises on
 either, and tests 1.0 before it forms value * s.  A jet with a NaN or an
 infinity keeps the kernel path at 0.0, because 0 * NaN and 0 * inf are
 NaN, and a NaN dropped here would let a verdict pass on it.  A nested jet
-keeps it too: its entries are jets, which have no equality to test.
+keeps it too: its entries are jets, which have no equality to test.  A sum
+with the float 0.0 or -0.0 is the jet itself, since x + (-0.0) is x and
+x + 0.0 differs from x only where x is -0.0; so ``jet - 0.0`` is the jet
+and ``0.0 - jet`` is ``-jet``.  The ``shift`` kernel tests it after it
+unpacks the operand, and a NaN entry stays where it was.
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ def _kernels(n, order):
     (x, f0, d1, d2), f(x) with f = f0, f' = d1 and f'' = d2.  After its
     unpack ``scale`` returns x itself where s is the float 1.0, before it
     forms x.value * s, and that product where it is the module docstring's
-    zero product.  ``hmul`` (x, y), at order 2 only, returns only
+    zero product; ``shift`` returns x itself where s is the float ±0.0.  ``hmul`` (x, y), at order 2 only, returns only
     ``mul``'s packed Hessian.  At order 1 the Hessian entry lists are
     empty, so the same sources ignore the operands' Hessians, build jets
     with none and ignore f''.  The class constants are ``units`` (each seed's
@@ -215,13 +219,14 @@ def _kernels(n, order):
 
     scaled = jet("v", [f"{e} * s" for e in p], [f"{e} * s" for e in a])
     one = "if type(s) is float and s == 1.0: return x"  # x * 1.0 is x, tested before x.value * s
+    zero = "if type(s) is float and s == 0.0: return x"  # x + ±0.0 is x, up to the sign of a zero
     source = (
         _def("add", "x, y", uxy, "return " + jet("x.value + y.value", add[:n], add[n:]))
         + _def("sub", "x, y", uxy, "return " + jet("x.value - y.value", sub[:n], sub[n:]))
         + _def("neg", "x", ux, "return " + jet("-x.value", neg[:n], neg[n:]))
         + _def("mul", "x, y", uxy, values, "return " + jet("v1 * v2", mul_grad, mul_hess))
         + _def("scale", "x, s", ux, one, "v = x.value * s", f"return v if {zero_product} else {scaled}")
-        + _def("shift", "x, s", ux, f"return Jet2(x.value + s, x.grad, {'x.hess_packed' if a else 'None'}, self)")
+        + _def("shift", "x, s", ux, zero, f"return Jet2(x.value + s, x.grad, {'x.hess_packed' if a else 'None'}, self)")
         + _def("chain", "x, f0, d1, d2", ux, "return " + jet("f0", [f"d1 * {e}" for e in p], chain_hess))
     )
     if order == 2:  # product_hessian refuses order-1 jets, so only order 2 has hmul
@@ -322,7 +327,8 @@ class Jet2:
 
 def _recip_any(x):
     if isinstance(x, Jet2):  # the chain rule of 1/x; an order-1 jet reads f' alone
-        r = _recip_any(x.value)
+        v = x.value
+        r = 1.0 / v if type(v) is float and v != 0.0 else _recip_any(v)  # a float value takes no recursion
         return x.level.chain(x, r, -(r * r), None if x.hess_packed is None else 2.0 * r * r * r)
     if x == 0.0:
         raise EvaluationError("division by zero")
@@ -342,6 +348,23 @@ def _each(fn, x, *args):
     return np.fromiter(map(fn, flat, *extra), float, len(flat)).reshape(x.shape)
 
 
+def _pow_float(x, p):
+    """x**p of a float x for p != 0.0, with the real-domain guards: zero to a
+    negative power, a negative base to a fractional one and a NaN base raise
+    ``EvaluationError``.  A positive base takes one comparison; the power 0.5
+    is libm's ``sqrt``, any other libm's ``pow``."""
+    if not x > 0.0:  # zero, negative or NaN
+        if x == 0.0:
+            if p < 0.0:
+                raise EvaluationError("zero raised to a negative power")
+        elif x < 0.0:
+            if not p.is_integer():
+                raise EvaluationError(f"fractional power {p} of negative value {x}")
+        else:
+            raise EvaluationError(f"power {p} of NaN value {x}")
+    return math.sqrt(x) if p == 0.5 else math.pow(x, p)
+
+
 def _pow_any(x, p):
     if p == 0.0:
         return 1.0
@@ -350,22 +373,20 @@ def _pow_any(x, p):
             return x
         if p == 2.0:
             return x * x
-        f0 = _pow_any(x.value, p)  # f before f' and f'': a bad base names the exponent asked for
-        d1 = p * _pow_any(x.value, p - 1.0)
-        d2 = None if x.hess_packed is None else (p * (p - 1.0)) * _pow_any(x.value, p - 2.0)
+        v = x.value  # p - 1.0 and p - 2.0 are not 0.0 here
+        pw = _pow_float if type(v) is float else _pow_any  # a nested value keeps the recursion
+        f0 = pw(v, p)  # f before f' and f'': a bad base names the exponent asked for
+        d1 = p * pw(v, p - 1.0)
+        d2 = None if x.hess_packed is None else (p * (p - 1.0)) * pw(v, p - 2.0)
         return x.level.chain(x, f0, d1, d2)
     if isinstance(x, np.ndarray):
+        reject_first(np.isnan(x), f"power {p} of NaN value", x)
         if p < 0.0:
             reject_first(x == 0.0, "zero raised to a negative power", x)
         if not p.is_integer():
             reject_first(x < 0.0, f"fractional power {p} of negative value", x)
         return _each(math.sqrt, x) if p == 0.5 else _each(math.pow, x, p)
-    x = float(x)
-    if x == 0.0 and p < 0.0:
-        raise EvaluationError("zero raised to a negative power")
-    if x < 0.0 and not p.is_integer():
-        raise EvaluationError(f"fractional power {p} of negative value {x}")
-    return math.sqrt(x) if p == 0.5 else math.pow(x, p)
+    return _pow_float(float(x), p)
 
 
 def power(x, p):

@@ -529,6 +529,30 @@ def test_a_product_by_a_float_zero_keeps_a_non_finite_entry(order, nested, bad):
 
 
 @pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_sum_with_a_float_zero_is_the_jet_itself(order, nested):
+    # x + (-0.0) is x, and x + 0.0 differs from x only where x is -0.0
+    rng = np.random.default_rng(5000 * order + nested)
+    older_seed = seed_jets((0.0, 0.0))[0]
+
+    def real():
+        return float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+
+    def older():
+        return _random_jet(2, older_seed.level, real)
+
+    level = seed_jets((0.0, 0.0), order)[0].level
+    w = _random_jet(2, level, older if nested else real, order)
+    for got in (w + 0.0, 0.0 + w, w - 0.0, w - (-0.0), w + (-0.0), -0.0 + w):
+        assert got is w
+    assert _reprs(0.0 - w) == _reprs(-w)
+    bad = Jet2(math.nan, w.grad, w.hess_packed, level)  # a NaN entry stays where it was
+    assert bad + 0.0 is bad and _reprs(0.0 - bad) == _reprs(-bad)
+    s = math.ulp(0.0)  # the smallest nonzero shift: added to the value
+    assert _reprs(w + s) == _reprs(Jet2(w.value + s, w.grad, w.hess_packed, level))
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["floats", "nested"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_order1_kernels_match_the_loop_formulas_bit_for_bit(n, nested):
     for got, want in _kernel_cases(n, nested, order=1):
@@ -636,7 +660,11 @@ def test_a_register_holds_the_kernels_of_its_size_and_order(n, order):
 def test_a_scalar_sum_refuses_a_jet_that_does_not_fit_its_register(order):
     (x,) = seed_jets((0.5,), order)
     wide = Jet2(0.5, (1.0, 0.0), None if order == 1 else (0.0, 0.0, 0.0), x.level)
-    for use in (lambda w: w + 1.0, lambda w: 1.0 + w, lambda w: w - 1.0, lambda w: 1.0 - w, lambda w: w * 0.0):
+    uses = (
+        lambda w: w + 1.0, lambda w: 1.0 + w, lambda w: w - 1.0, lambda w: 1.0 - w, lambda w: w * 0.0,
+        lambda w: w + 0.0, lambda w: w - 0.0, lambda w: 0.0 - w,
+    )
+    for use in uses:
         with pytest.raises(ValueError):
             use(wide)
     # a jet that fits keeps its gradient and Hessian tuples
@@ -791,6 +819,17 @@ def test_sqrt_and_exp_of_nan_and_numpy_scalars():
     # the sqrt guard refuses unless x > 0.0, which NaN fails; exp has no guard
     with pytest.raises(EvaluationError, match="sqrt of non-positive value nan"):
         sqrt(math.nan)
+    # so does every power's guard, on floats, jets and arrays; a zeroth power is 1.0
+    for p in (1.5, 3.0, -1.0):
+        with pytest.raises(EvaluationError, match=f"power {p} of NaN value nan"):
+            power(math.nan, p)
+    with pytest.raises(EvaluationError, match="power 0.5 of NaN value nan"):
+        lift(sqrt, (math.nan,))
+    with pytest.raises(EvaluationError, match="power 1.5 of NaN value nan"):
+        lift(lambda x: power(x, 1.5), (math.nan,), order=1)
+    with pytest.raises(EvaluationError, match=r"power 1.5 of NaN value at \(nan\)"):
+        power(np.array([0.5, math.nan]), 1.5)
+    assert power(math.nan, 0) == 1.0
     assert math.isnan(exp(math.nan))
     for x in (0.25, 2.0):
         assert sqrt(np.float64(x)) == math.sqrt(x) and exp(np.float64(-x)) == math.exp(-x)

@@ -282,8 +282,8 @@ def test_point_symmetry_residual_makes_2_lifts(monkeypatch):
         for what, count in (
             ("fundamental_tensor", 12),
             ("geodesic_spray", 62),
-            ("projective_field_residual", 466),
-            ("projective_field_residual_of_a_translation", 93),
+            ("projective_field_residual", 408),
+            ("projective_field_residual_of_a_translation", 86),
         )
     ],
 )
