@@ -381,7 +381,7 @@ def test_metrics_equal_their_written_out_quadratic_form_on_nested_jets(model):
 
     def alpha_xi(x, y, u, v):
         a11, a12, a22 = alpha.entries(x, y)
-        return sqrt(a11 * u * u + 2.0 * a12 * u * v + a22 * v * v)
+        return sqrt(a11 * (u * u) + 2.0 * a12 * (u * v) + a22 * (v * v))
 
     def written_out(x, y, u, v):
         b1, b2 = beta(x, y)

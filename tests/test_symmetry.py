@@ -281,8 +281,8 @@ def test_point_symmetry_residual_makes_2_lifts(monkeypatch):
         pytest.param(what, count, id=what)
         for what, count in (
             ("fundamental_tensor", 12),
-            ("geodesic_spray", 62),
-            ("projective_field_residual", 408),
+            ("geodesic_spray", 56),
+            ("projective_field_residual", 394),
             ("projective_field_residual_of_a_translation", 86),
         )
     ],
