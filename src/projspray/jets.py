@@ -185,14 +185,15 @@ def _kernels(n, order):
     (x, f0, d1, d2), f(x) with f = f0, f' = d1 and f'' = d2.  After its
     unpack ``scale`` returns x itself where s is the float 1.0, before it
     forms x.value * s, and that product where it is the module docstring's
-    zero product; ``shift`` returns x itself where s is the float ±0.0.  ``hmul`` (x, y), at order 2 only, returns only
-    ``mul``'s packed Hessian.  At order 1 the Hessian entry lists are
-    empty, so the same sources ignore the operands' Hessians, build jets
-    with none and ignore f''.  The class constants are ``units`` (each seed's
-    unit gradient), ``zero_grad`` and ``zero_hess`` (the seeds' Hessian,
-    None at order 1).  Each entry is the loop's expression over unpacked
-    locals, in the loop's order.  Each (n, order) compiles under its own
-    file name, so profilers keep every register kind's kernels apart."""
+    zero product; ``shift`` returns x itself where s is the float ±0.0.
+    ``hmul`` (x, y), at order 2 only, returns only ``mul``'s packed
+    Hessian.  At order 1 the Hessian entry lists are empty, so the same
+    sources ignore the operands' Hessians, build jets with none and ignore
+    f''.  The class constants are ``units`` (each seed's unit gradient),
+    ``zero_grad`` and ``zero_hess`` (the seeds' Hessian, None at order 1).
+    Each entry is the loop's expression over unpacked locals, in the loop's
+    order.  Each (n, order) compiles under its own file name, so profilers
+    keep every register kind's kernels apart."""
     pairs = tuple((i, j) for i in range(n) for j in range(i, n))
     hpairs = pairs if order == 2 else ()  # the packed Hessian entries the kernels carry
     p, q = [f"p{i}" for i in range(n)], [f"q{i}" for i in range(n)]  # gradient entries

@@ -160,13 +160,14 @@ def one_form_norm(alpha: MetricField, beta: Callable, x: float, y: float) -> flo
 
 
 def _quadratic(a11, a12, a22, u, v):
-    """alpha(xi, xi) = a11 (u u) + (2 a12) (u v) + a22 (v v), associated so,
-    on floats, jets or arrays: the one quadratic form, of both metrics, of
-    lengths and, on (a22, -a12, a11), of the dual norm.  Each coefficient
-    multiplies a finished fiber monomial: where the coefficients are jets
-    of a newer register than u and v (``geodesic_spray`` nests the base
-    inside the fiber), that is one product of fiber jets and a scaling per
-    term, not three products.  A float 0.0 ``a12``, as in every catalog
+    """alpha(xi, xi) = a11 (u u) + (2 a12) (u v) + a22 (v v), in that
+    association, on floats, jets or arrays: the one quadratic form, of both
+    metrics, of lengths and, on (a22, -a12, a11), of the dual norm.  Each
+    coefficient multiplies a finished fiber monomial: where the
+    coefficients are jets of a newer register than u and v
+    (``geodesic_spray`` seeds the base register inside its fiber lift),
+    each term is one product of fiber jets and a scaling, not three
+    products of fiber jets.  A float 0.0 ``a12``, as in every catalog
     background, drops the cross term: for finite u and v it is a zero, so
     every value and derivative is the same up to the sign of a zero, and
     the monomial u v is never built."""

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import ab_rounds  # noqa: E402
-from ab_rounds import differences  # noqa: E402
+from ab_rounds import differences, largest_move  # noqa: E402
 
 ROWS = [("convexity", "euclidean(k=1)", True, "0.9999999999999998"), ("projective", "bk+", False, "0.5")]
 
@@ -48,7 +48,7 @@ def test_main_times_a_change_whose_worst_moves_and_lists_the_row_once(monkeypatc
     moved = [("convexity", "euclidean(k=1)", True, "0.9999999999999996"), ROWS[1]]
     assert _run_main(monkeypatch, moved) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "probes, seed 7, 2 rounds; every verdict agrees, 1 rows differ in worst"
+    assert out[0] == "probes, seed 7, 2 rounds; every verdict agrees, 1 rows differ in worst (largest |Δ| 2.22e-16)"
     assert [line for line in out if line.startswith("worst differs")] == [
         f"worst differs: parent {ROWS[0]}, change {moved[0]}"
     ]
@@ -58,3 +58,12 @@ def test_main_exits_1_on_a_differing_ok(monkeypatch, capsys):
     flipped = [ROWS[0], ("projective", "bk+", True, "0.5")]
     assert _run_main(monkeypatch, flipped) == 1
     assert "round 1: verdicts differ" in capsys.readouterr().err
+
+
+def test_largest_move_reads_only_worsts_that_are_finite_floats_on_both_sides():
+    def pair(a, b):
+        return ("projective", "bk+", True, a), ("projective", "bk+", True, b)
+
+    assert largest_move([]) == 0.0
+    assert largest_move([pair("nan", "0.5"), pair("inf", "1.0"), pair("None", "0.5")]) == 0.0
+    assert largest_move([pair("0.5", "0.25"), pair("1e-14", "3e-14"), pair("nan", "7.0")]) == 0.25

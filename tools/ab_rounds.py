@@ -20,7 +20,9 @@ round, each side's median time per round in ms, the change of the medians
 relative to the parent's, the median over rounds of the change's time over
 the parent's in the same round, less 1, and the rounds in which the change
 was faster.  Then, with their count in the summary line, each row whose
-``worst`` differs, once, as the parent's row and the change's.
+``worst`` differs, once, as the parent's row and the change's.  The summary
+line also gives the largest |Δ worst| over those rows whose ``worst`` reads
+as a finite float on both sides (0 where none does).
 
 A host's speed can swing between two runs started seconds apart, and
 within one round.  Operations alternated in one process compare like with
@@ -34,6 +36,7 @@ still measured by ``tools/bench_pairs.py``, which runs the benchmark itself.
 
 import argparse
 import gc
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -73,6 +76,20 @@ def differences(parent_rows, change_rows):
     return verdicts, worsts
 
 
+def largest_move(moved) -> float:
+    """The largest |Δ worst| over (parent row, change row) pairs whose
+    ``worst`` reads as a finite float on both sides, or 0.0 where none does."""
+    deltas = [0.0]
+    for a, b in moved:
+        try:
+            wa, wb = float(a[3]), float(b[3])
+        except ValueError:
+            continue
+        if math.isfinite(wa) and math.isfinite(wb):
+            deltas.append(abs(wb - wa))
+    return max(deltas)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="Alternate the operations of two checkouts in one process.")
     p.add_argument("parent", type=Path)
@@ -109,7 +126,7 @@ def main(argv=None) -> int:
         moved.update(dict.fromkeys(worsts))
 
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds; every verdict agrees, "
-          f"{len(moved)} rows differ in worst")
+          f"{len(moved)} rows differ in worst (largest |Δ| {largest_move(moved):.3g})")
     print(f"{'kind':28s} {'ops':>5s} {'parent ms':>10s} {'change ms':>10s} {'change':>8s} {'per-round':>9s} "
           f"{'wins':>7s}")
     for kind in [*dict.fromkeys(kinds), "round"]:
