@@ -328,8 +328,7 @@ class Jet2:
 
 def _recip_any(x):
     if isinstance(x, Jet2):  # the chain rule of 1/x; an order-1 jet reads f' alone
-        v = x.value
-        r = 1.0 / v if type(v) is float and v != 0.0 else _recip_any(v)  # a float value takes no recursion
+        r = _recip_any(x.value)
         return x.level.chain(x, r, -(r * r), None if x.hess_packed is None else 2.0 * r * r * r)
     if x == 0.0:
         raise EvaluationError("division by zero")
