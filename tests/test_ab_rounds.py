@@ -19,7 +19,7 @@ def test_equal_rows_differ_nowhere():
 
 def test_a_worst_that_moves_an_ulp_is_listed_not_a_verdict():
     moved = [("convexity", "euclidean(k=1)", True, "0.9999999999999996"), ROWS[1]]
-    assert differences(ROWS, moved) == ([], [(ROWS[0], moved[0])])
+    assert differences(ROWS, moved) == ([], [(0, ROWS[0], moved[0])])
 
 
 def test_a_differing_ok_is_a_differing_verdict():
@@ -32,15 +32,15 @@ def test_a_differing_kind_or_key_is_a_differing_verdict():
     assert differences(ROWS, renamed) == ([(ROWS[0], renamed[0])], [])
 
 
-def _run_main(monkeypatch, change_rows):
+def _run_main(monkeypatch, change_rows, parent_rows=ROWS):
     """``ab_rounds.main`` over two fake checkouts whose operations return
-    ``ROWS`` on the parent side and ``change_rows`` on the change side."""
-    ops = [SimpleNamespace(kind=kind, key=key) for kind, key, _, _ in ROWS]
-    sides = {"parent": ROWS, "change": change_rows}
+    ``parent_rows`` on the parent side and ``change_rows`` on the change side."""
+    ops = [SimpleNamespace(kind=kind, key=key, i=i) for i, (kind, key, _, _) in enumerate(parent_rows)]
+    sides = {"parent": parent_rows, "change": change_rows}
     commons = iter(sides)
     monkeypatch.setattr(ab_rounds, "load", lambda src, bench: SimpleNamespace(side=next(commons), workload=str))
     monkeypatch.setattr(ab_rounds, "ops_of", lambda wl, seed: ops)
-    monkeypatch.setattr(ab_rounds, "row", lambda common, op: sides[common.side][ops.index(op)])
+    monkeypatch.setattr(ab_rounds, "row", lambda common, op: sides[common.side][op.i])
     return ab_rounds.main(["parent", "change", "--workload", "probes", "--rounds", "2"])
 
 
@@ -52,6 +52,13 @@ def test_main_times_a_change_whose_worst_moves_and_lists_the_row_once(monkeypatc
     assert [line for line in out if line.startswith("worst differs")] == [
         f"worst differs: parent {ROWS[0]}, change {moved[0]}"
     ]
+    # two operations whose rows move alike are two rows
+    assert _run_main(monkeypatch, [moved[0], *moved], [ROWS[0], *ROWS]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "probes, seed 7, 2 rounds; every verdict agrees, 2 rows differ in worst (largest |Δ| 2.22e-16)"
+    assert [line for line in out if line.startswith("worst differs")] == [
+        f"worst differs: parent {ROWS[0]}, change {moved[0]}"
+    ] * 2
 
 
 def test_main_exits_1_on_a_differing_ok(monkeypatch, capsys):

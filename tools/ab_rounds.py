@@ -19,8 +19,9 @@ Prints, per operation kind and for the whole round: the operations per
 round, each side's median time per round in ms, the change of the medians
 relative to the parent's, the median over rounds of the change's time over
 the parent's in the same round, less 1, and the rounds in which the change
-was faster.  Then, with their count in the summary line, each row whose
-``worst`` differs, once, as the parent's row and the change's.  The summary
+was faster.  Then, with their count in the summary line, each operation
+whose ``worst`` differs, once, as the parent's row and the change's; two
+operations whose rows move alike are two rows.  The summary
 line also gives the largest |Δ worst| over those rows whose ``worst`` reads
 as a finite float on both sides (0 where none does).
 
@@ -66,13 +67,14 @@ def run_round(sides, r):
 
 def differences(parent_rows, change_rows):
     """The (parent row, change row) pairs of one round whose verdicts differ,
-    and those whose ``(kind, key, ok)`` agree but whose ``repr(worst)`` does not."""
+    and, as (operation index, parent row, change row), those whose
+    ``(kind, key, ok)`` agree but whose ``repr(worst)`` does not."""
     verdicts, worsts = [], []
-    for a, b in zip(parent_rows, change_rows):
+    for i, (a, b) in enumerate(zip(parent_rows, change_rows)):
         if a[:3] != b[:3]:
             verdicts.append((a, b))
         elif a != b:
-            worsts.append((a, b))
+            worsts.append((i, a, b))
     return verdicts, worsts
 
 
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
 
     run_round(sides, 0)  # warm-up: kernels, caches
     totals = {side: [] for side in SIDES}  # per round, {kind: seconds}
-    moved = {}  # the rows whose worst alone differs, each once, in the order first seen
+    moved = {}  # operation index: (parent row, change row), where worst alone differs, in the order first seen
     for r in range(1, args.rounds + 1):
         timed = run_round(sides, r)
         for side, (times, _) in timed.items():
@@ -123,10 +125,11 @@ def main(argv=None) -> int:
             a, b = verdicts[0]
             print(f"round {r}: verdicts differ: parent {a}, change {b}", file=sys.stderr)
             return 1
-        moved.update(dict.fromkeys(worsts))
+        for i, a, b in worsts:
+            moved.setdefault(i, (a, b))
 
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds; every verdict agrees, "
-          f"{len(moved)} rows differ in worst (largest |Δ| {largest_move(moved):.3g})")
+          f"{len(moved)} rows differ in worst (largest |Δ| {largest_move(moved.values()):.3g})")
     print(f"{'kind':28s} {'ops':>5s} {'parent ms':>10s} {'change ms':>10s} {'change':>8s} {'per-round':>9s} "
           f"{'wins':>7s}")
     for kind in [*dict.fromkeys(kinds), "round"]:
@@ -138,7 +141,7 @@ def main(argv=None) -> int:
         ratio = statistics.median(b / a for a, b in zip(runs["parent"], runs["change"])) - 1.0
         print(f"{kind:28s} {ops:5d} {med['parent']:10.2f} {med['change']:10.2f} {rel:+8.1%} {ratio:+9.1%} "
               f"{wins:3d}/{args.rounds}")
-    for a, b in moved:
+    for a, b in moved.values():
         print(f"worst differs: parent {a}, change {b}")
     return 0
 
